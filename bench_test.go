@@ -340,7 +340,7 @@ func BenchmarkStrategies(b *testing.B) {
 	prof := corpus.Profile{Seed: 42, Divisions: 8, DeptsPerDiv: 6, EmpsPerDept: 12}
 	src := corpus.Database(prof)
 	plan := figurePlan()
-	target, err := plan.MigrateData(src)
+	target, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -432,18 +432,16 @@ func BenchmarkHierReorder(b *testing.B) {
 		}
 	}
 	tr := xform.HierReorder{Promote: "EMP"}
-	dstSchema, err := tr.ApplySchema(db.Schema())
-	if err != nil {
-		b.Fatal(err)
-	}
+	plan := &xform.HierPlan{Steps: []xform.HierReorder{tr}}
+	ctx := context.Background()
 	b.Run("Migrate", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := tr.MigrateData(db, dstSchema); err != nil {
+			if _, _, _, err := plan.Migrate(ctx, db, xform.MigrateOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	dst, _, err := tr.MigrateData(db, dstSchema)
+	dst, _, _, err := plan.Migrate(ctx, db, xform.MigrateOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -492,40 +490,11 @@ func BenchmarkIndexedFind(b *testing.B) {
 	db.SetIndexing(true)
 }
 
-// BenchmarkFusedMigration backs EXP-C6: a four-step fusible plan over a
-// 1000-employee database as one fused pass vs four stepwise passes.
-func BenchmarkFusedMigration(b *testing.B) {
-	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
-	plan := &xform.Plan{Steps: []xform.Transformation{
-		xform.RenameRecord{Old: "EMP", New: "EMPLOYEE"},
-		xform.RenameField{Record: "DIV", Old: "DIV-LOC", New: "LOCATION"},
-		xform.AddField{Record: "EMPLOYEE", Field: "STATUS", Kind: value.String, Default: value.Str("ACTIVE")},
-		xform.RenameSet{Old: "DIV-EMP", New: "DIV-EMPLOYEE"},
-	}}
-	b.Run("Fused", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := plan.MigrateDataFused(db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Stepwise", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := plan.MigrateDataStepwise(db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkParallelMigration backs EXP-C7: the same four-step fusible
-// plan over the same 1000-employee database, serial fused pass vs the
-// sharded bulk-load rebuild at 1, 2 and 8 shard workers. The parallel
-// path's output is byte-identical to Serial at every setting; what
-// changes is wall-clock (with cores to spend) and allocations (the
-// pooled staging buffers and slab-allocated occurrences).
+// BenchmarkParallelMigration backs EXP-C7: a four-step plan of
+// per-record mapping steps over a 1000-employee database, composed into
+// one sharded bulk-load pass at 1, 2 and 8 shard workers. The output is
+// byte-identical at every setting; what changes is wall-clock (with
+// cores to spend).
 func BenchmarkParallelMigration(b *testing.B) {
 	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan := &xform.Plan{Steps: []xform.Transformation{
@@ -535,19 +504,46 @@ func BenchmarkParallelMigration(b *testing.B) {
 		xform.RenameSet{Old: "DIV-EMP", New: "DIV-EMPLOYEE"},
 	}}
 	ctx := context.Background()
-	b.Run("Serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := plan.MigrateDataFused(db); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, par := range []int{1, 2, 8} {
 		b.Run(fmt.Sprintf("Parallel%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := plan.Migrate(ctx, db, xform.MigrateOptions{Parallelism: par}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIntermediateMigration backs EXP-C7's structural rows: the
+// classified Figure 4.2→4.4 plan (introduce-intermediate) and its
+// inverse (collapse-intermediate) over a 1,005-record database, each one
+// pass through the same sharded engine as the mapping steps.
+func BenchmarkIntermediateMigration(b *testing.B) {
+	db := corpus.Database(corpus.Profile{Seed: 1, Divisions: 5, DeptsPerDiv: 4, EmpsPerDept: 50})
+	plan, err := xform.Classify(schema.CompanyV1(), schema.CompanyV2())
+	if err != nil {
+		b.Fatal(err)
+	}
+	inv, err := plan.InversePlan(schema.CompanyV1())
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	v2, _, err := plan.Migrate(ctx, db, xform.MigrateOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		plan *xform.Plan
+		src  *netstore.DB
+	}{{"Introduce", plan, db}, {"Collapse", inv, v2}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := c.plan.Migrate(ctx, c.src, xform.MigrateOptions{Parallelism: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -69,12 +69,12 @@ func TestSharedCacheHitsExported(t *testing.T) {
 func TestConvertJobsFacade(t *testing.T) {
 	jobs := func(t *testing.T) []Job {
 		return []Job{
-			{Src: schema.CompanyV1(), Dst: schema.CompanyV2(),
-				DB: corpus.Database(corpus.PeriodProfile(42)), Programs: corpusPrograms(t)},
-			{Src: schema.CompanyV1(), Plan: figurePlan(), Programs: corpusPrograms(t)},
-			{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Dst: schema.CompanyV2(),
+				DB: corpus.Database(corpus.PeriodProfile(42))}, Programs: corpusPrograms(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Plan: figurePlan()}, Programs: corpusPrograms(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
 				xform.RenameField{Record: "EMP", Old: "AGE", New: "YEARS"},
-			}}, Programs: corpusPrograms(t)},
+			}}}, Programs: corpusPrograms(t)},
 		}
 	}
 	cache := NewCache(8)

@@ -4,14 +4,7 @@
 // demonstration (EXP-R1), and the conversion-service measurement
 // (EXP-S1). Run with no arguments for all experiments, or name them:
 //
-//	exper [f3.1] [f4.1] [f4.3] [f4.4] [s4.1a] [s4.1b] [c1] [c2] [c3] [c4] [c5] [c6] [h1] [r1] [s1] [s2] [m1]
-//
-// The bench-json subcommand measures the data-plane benchmarks with
-// testing.Benchmark and writes machine-readable results:
-//
-//	exper bench-json [out.json]   (default BENCH_PR5.json; naming a
-//	                               BENCH_PR10.json target writes the
-//	                               EXP-C7 sharded-migration set instead)
+//	exper [f3.1] [f4.1] [f4.3] [f4.4] [s4.1a] [s4.1b] [c1] [c2] [c3] [c4] [c5] [c6] [c7] [h1] [r1] [s1] [s2] [m1]
 package main
 
 import (
@@ -26,7 +19,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"testing"
 	"time"
 
 	"progconv"
@@ -70,18 +62,6 @@ func main() {
 	}
 	order := []string{"f3.1", "f4.1", "f4.3", "f4.4", "s4.1a", "s4.1b", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "h1", "r1", "s1", "s2", "m1"}
 	args := os.Args[1:]
-	if len(args) > 0 && args[0] == "bench-json" {
-		out := "BENCH_PR5.json"
-		if len(args) > 1 {
-			out = args[1]
-		}
-		if err := benchJSON(out); err != nil {
-			fmt.Fprintln(os.Stderr, "bench-json:", err)
-			os.Exit(int(wire.ExitError))
-		}
-		fmt.Println("wrote", out)
-		return
-	}
 	if len(args) == 0 {
 		args = order
 	}
@@ -344,7 +324,7 @@ END PROGRAM.`,
 		}
 		opt, _ := optimizer.Optimize(context.Background(), res.Program, v2)
 		v1db := companyV1DB()
-		v2db, _ := plan.MigrateData(v1db)
+		v2db, _, _ := plan.Migrate(context.Background(), v1db, xform.MigrateOptions{})
 		verdict := equiv.Check(context.Background(), p, dbprog.Config{Net: v1db}, opt, dbprog.Config{Net: v2db})
 		fmt.Printf("\n  source:\n%s", indent(dbprog.Format(p), 4))
 		fmt.Printf("  converted:\n%s", indent(dbprog.Format(opt), 4))
@@ -501,7 +481,7 @@ func expC2() {
 			DeptsPerDiv: scale.depts, EmpsPerDept: scale.emps}
 		src := corpus.Database(prof)
 		plan := figurePlan()
-		target, err := plan.MigrateData(src)
+		target, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 		if err != nil {
 			fmt.Println("error:", err)
 			return
@@ -663,8 +643,8 @@ func expC3() {
 		}
 	}
 	tr := xform.HierReorder{Promote: "EMP"}
-	dstSchema, _ := tr.ApplySchema(db.Schema())
-	dst, warnings, err := tr.MigrateData(db, dstSchema)
+	plan := &xform.HierPlan{Steps: []xform.HierReorder{tr}}
+	dst, warnings, _, err := plan.Migrate(context.Background(), db, xform.MigrateOptions{})
 	if err != nil {
 		fmt.Println("error:", err)
 		return
@@ -749,13 +729,13 @@ func expC5() {
 	// cycling through plan variants, the workload the pair cache exists
 	// for.
 	jobs := []core.Job{
-		{Src: schema.CompanyV1(), Plan: figurePlan(), Programs: progs},
-		{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
+		{Spec: core.NetworkSpec{Src: schema.CompanyV1(), Plan: figurePlan()}, Programs: progs},
+		{Spec: core.NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
 			xform.RenameField{Record: "EMP", Old: "AGE", New: "YEARS"},
-		}}, Programs: progs},
-		{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
+		}}}, Programs: progs},
+		{Spec: core.NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
 			xform.RenameSet{Old: "DIV-EMP", New: "DIV-STAFF"},
-		}}, Programs: progs},
+		}}}, Programs: progs},
 	}
 	fmt.Printf("\ncorpus: %d programs × %d plan variants, two conversion rounds per cache\n",
 		len(progs), len(jobs))
@@ -792,8 +772,9 @@ func expC5() {
 
 // ---- EXP-C6 ----
 
-// fourStepPlan is the fusible migration fixture shared with the root
-// BenchmarkFusedMigration: four per-record mapping steps over CompanyV1.
+// fourStepPlan is the migration fixture shared with the root
+// BenchmarkParallelMigration: four per-record mapping steps over
+// CompanyV1 that compose into one pass.
 func fourStepPlan() *xform.Plan {
 	return &xform.Plan{Steps: []xform.Transformation{
 		xform.RenameRecord{Old: "EMP", New: "EMPLOYEE"},
@@ -804,7 +785,7 @@ func fourStepPlan() *xform.Plan {
 }
 
 func expC6() {
-	banner("EXP-C6", "data-plane fast path: keyed indexes, fused migration, parallel verification")
+	banner("EXP-C6", "data-plane fast path: keyed indexes, parallel verification")
 
 	// (a) Exact-key FIND over 1000 employees: index probe vs full scan.
 	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 10, DeptsPerDiv: 10, EmpsPerDept: 10})
@@ -829,35 +810,7 @@ func expC6() {
 	fmt.Printf("    indexed %.2fµs/call vs scan %.2fµs/call — x%.1f; counters: %d probes, %d scans\n",
 		us(indexed, reps), us(scanned, reps), float64(scanned)/float64(indexed), probes, scans)
 
-	// (b) Four fusible steps as one pass vs four passes.
-	mdb := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
-	plan4 := fourStepPlan()
-	const mreps = 20
-	var fuse xform.FuseStats
-	start = time.Now()
-	for i := 0; i < mreps; i++ {
-		var err error
-		if _, fuse, err = plan4.MigrateDataFused(mdb); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-	}
-	fused := time.Since(start)
-	start = time.Now()
-	for i := 0; i < mreps; i++ {
-		if _, err := plan4.MigrateDataStepwise(mdb); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-	}
-	stepwise := time.Since(start)
-	fmt.Printf("\n(b) 4-step fusible migration of %d records, %d runs each way:\n",
-		mdb.Count("DIV")+mdb.Count("EMP"), mreps)
-	fmt.Printf("    fused %.0fµs/run (%d steps in %d pass) vs stepwise %.0fµs/run (%d passes) — x%.1f\n",
-		us(fused, mreps), fuse.FusedSteps, fuse.Passes,
-		us(stepwise, mreps), len(plan4.Steps), float64(stepwise)/float64(fused))
-
-	// (c) A verified conversion batch: source and converted programs run
+	// (b) A verified conversion batch: source and converted programs run
 	// concurrently per check, the report surfaces the data-plane counters,
 	// and the rendered report is byte-identical at parallelism 1 and 8,
 	// with the verify database's indexes on and off.
@@ -886,7 +839,7 @@ func expC6() {
 	r8 := run(8, true)
 	n1 := run(1, false)
 	n8 := run(8, false)
-	fmt.Printf("\n(c) verified conversion batch, %d programs:\n", len(progs))
+	fmt.Printf("\n(b) verified conversion batch, %d programs:\n", len(progs))
 	dp, ndp := r8.DataPlane, n8.DataPlane
 	fmt.Printf("    indexed verify DB: %d index probes, %d scans; migration %d fused / %d stepwise steps\n",
 		dp.IndexProbes, dp.IndexScans, dp.FusedSteps, dp.StepwiseSteps)
@@ -896,49 +849,36 @@ func expC6() {
 }
 
 func expC7() {
-	banner("EXP-C7", "sharded parallel migration: bulk-load rebuild vs the serial fused pass")
-	fmt.Printf("\nenvironment: GOMAXPROCS=%d — shard speedup needs cores; the\n", runtime.GOMAXPROCS(0))
-	fmt.Println("allocation and bulk-load gains below hold on any machine")
+	banner("EXP-C7", "sharded parallel migration: the bulk-load rebuild across shard counts")
+	fmt.Printf("\nenvironment: GOMAXPROCS=%d — shard speedup needs cores\n", runtime.GOMAXPROCS(0))
 
-	// (a) The EXP-C6 migration fixture through the sharded rebuild.
+	// (a) The four-step migration fixture through the sharded rebuild.
 	mdb := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
 	plan4 := fourStepPlan()
 	ctx := context.Background()
 	const mreps = 20
-	start := time.Now()
-	for i := 0; i < mreps; i++ {
-		if _, _, err := plan4.MigrateDataFused(mdb); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-	}
-	serial := time.Since(start)
-	serialOut, _, err := plan4.MigrateDataFused(mdb)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
 	fmt.Printf("\n(a) 4-step migration of %d records, %d runs per configuration:\n",
 		mdb.Count("DIV")+mdb.Count("EMP"), mreps)
-	fmt.Printf("    serial fused                %8.0fµs/run\n", us(serial, mreps))
+	var base time.Duration
+	var baseOut *netstore.DB
 	for _, par := range []int{1, 2, 8} {
-		start = time.Now()
+		start := time.Now()
 		var stats xform.MigrateStats
+		var out *netstore.DB
+		var err error
 		for i := 0; i < mreps; i++ {
-			if _, stats, err = plan4.Migrate(ctx, mdb, xform.MigrateOptions{Parallelism: par}); err != nil {
+			if out, stats, err = plan4.Migrate(ctx, mdb, xform.MigrateOptions{Parallelism: par}); err != nil {
 				fmt.Println("error:", err)
 				return
 			}
 		}
 		elapsed := time.Since(start)
-		out, _, err := plan4.Migrate(ctx, mdb, xform.MigrateOptions{Parallelism: par})
-		if err != nil {
-			fmt.Println("error:", err)
-			return
+		if baseOut == nil {
+			base, baseOut = elapsed, out
 		}
-		identical := out.Len() == serialOut.Len() && out.IndexDump() == serialOut.IndexDump()
-		fmt.Printf("    parallel (%d shard workers) %8.0fµs/run — x%.1f; %d shards, %d bulk-loaded records, identical: %v\n",
-			par, us(elapsed, mreps), float64(serial)/float64(elapsed),
+		identical := out.Len() == baseOut.Len() && out.IndexDump() == baseOut.IndexDump()
+		fmt.Printf("    %d shard workers %8.0fµs/run — x%.1f; %d shards, %d bulk-loaded records, identical: %v\n",
+			par, us(elapsed, mreps), float64(base)/float64(elapsed),
 			stats.Shards, stats.BulkRecords, identical)
 	}
 
@@ -971,148 +911,6 @@ func expC7() {
 		r1.DataPlane.BulkLoadedRecords, r8.DataPlane.BulkLoadedRecords)
 	fmt.Printf("    report byte-identical at migration parallelism 1 and 8: %v\n",
 		r1.String() == r8.String())
-}
-
-// benchJSON measures the data-plane benchmarks with testing.Benchmark
-// and writes name/ns-per-op/allocs-per-op rows as a wire-versioned
-// JSON document. The target name selects the set: BENCH_PR10.json gets
-// the EXP-C7 sharded-migration rows, anything else the EXP-C6 set.
-func benchJSON(out string) error {
-	type row = wire.BenchRow
-	bench := func(name string, fn func(b *testing.B)) row {
-		r := testing.Benchmark(fn)
-		return row{Name: name, NsPerOp: float64(r.NsPerOp()), AllocsPerOp: r.AllocsPerOp()}
-	}
-	if strings.HasSuffix(out, "BENCH_PR10.json") {
-		return benchJSONParallel(out, bench)
-	}
-
-	pipeProgs := []*dbprog.Program{
-		mustParse(`
-PROGRAM LIST-OLD DIALECT MARYLAND.
-  FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) INTO OLD.
-  FOR EACH E IN OLD
-    PRINT EMP-NAME IN E, AGE IN E.
-  END-FOR.
-END PROGRAM.
-`),
-		mustParse(`
-PROGRAM COUNT DIALECT NETWORK.
-  LET N = 0.
-  MOVE 'DIV-00' TO DIV-NAME IN DIV.
-  FIND ANY DIV USING DIV-NAME.
-  PERFORM UNTIL DB-STATUS <> 'OK'
-    FIND NEXT EMP WITHIN DIV-EMP.
-    IF DB-STATUS = 'OK'
-      GET EMP.
-      LET N = N + 1.
-    END-IF.
-  END-PERFORM.
-  PRINT N.
-END PROGRAM.
-`),
-	}
-	pipeDB := corpus.Database(corpus.Profile{Seed: 1, Divisions: 2, DeptsPerDiv: 2, EmpsPerDept: 3})
-	findDB := corpus.Database(corpus.Profile{Seed: 7, Divisions: 10, DeptsPerDiv: 10, EmpsPerDept: 10})
-	match := value.FromPairs("EMP-NAME", "E-00500")
-	migDB := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
-	plan4 := fourStepPlan()
-
-	rows := []row{
-		bench("pipeline", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sup := core.NewSupervisor()
-				if _, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(),
-					nil, pipeDB.Clone(), pipeProgs); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		bench("find_indexed", func(b *testing.B) {
-			findDB.SetIndexing(true)
-			s := netstore.NewSession(findDB)
-			for i := 0; i < b.N; i++ {
-				if st, err := s.FindAny("EMP", match); err != nil || st != netstore.OK {
-					b.Fatal(st, err)
-				}
-			}
-		}),
-		bench("find_scan", func(b *testing.B) {
-			findDB.SetIndexing(false)
-			s := netstore.NewSession(findDB)
-			for i := 0; i < b.N; i++ {
-				if st, err := s.FindAny("EMP", match); err != nil || st != netstore.OK {
-					b.Fatal(st, err)
-				}
-			}
-		}),
-		bench("migration_fused", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := plan4.MigrateDataFused(migDB); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-		bench("migration_stepwise", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := plan4.MigrateDataStepwise(migDB); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-	}
-
-	doc := wire.BenchDoc{
-		V:          wire.Version,
-		Note:       "generated by `exper bench-json`: ns/op and allocs/op for the data-plane fast-path benchmarks (see EXPERIMENTS.md EXP-C6)",
-		Benchmarks: rows,
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(b, '\n'), 0o644)
-}
-
-// benchJSONParallel writes the EXP-C7 set: the serial fused migration
-// against the sharded bulk-load rebuild at 1, 2 and 8 shard workers,
-// over the same 1000-employee database the EXP-C6 migration rows use.
-func benchJSONParallel(out string, bench func(string, func(*testing.B)) wire.BenchRow) error {
-	migDB := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
-	plan4 := fourStepPlan()
-	ctx := context.Background()
-
-	rows := []wire.BenchRow{
-		bench("migration_serial_fused", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := plan4.MigrateDataFused(migDB); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}),
-	}
-	for _, par := range []int{1, 2, 8} {
-		par := par
-		rows = append(rows, bench(fmt.Sprintf("migration_parallel_%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := plan4.Migrate(ctx, migDB, xform.MigrateOptions{Parallelism: par}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}))
-	}
-
-	doc := wire.BenchDoc{
-		V: wire.Version,
-		Note: "generated by `exper bench-json BENCH_PR10.json`: ns/op and allocs/op for the sharded parallel migration " +
-			"(see EXPERIMENTS.md EXP-C7; output is byte-identical to migration_serial_fused at every shard count)",
-		Benchmarks: rows,
-	}
-	b, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(out, append(b, '\n'), 0o644)
 }
 
 // ---- EXP-H1 ----

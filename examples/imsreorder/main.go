@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,7 +48,8 @@ func main() {
 	// The Mehl & Wang transformation: promote EMP to the root. The
 	// corpus target schema is this same promotion applied to the source.
 	tr := xform.HierReorder{Promote: "EMP"}
-	reordered, warnings, err := tr.MigrateData(db, entry.Target)
+	plan := &xform.HierPlan{Steps: []xform.HierReorder{tr}}
+	reordered, warnings, _, err := plan.Migrate(context.Background(), db, xform.MigrateOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func TestThreeStrategiesAgree(t *testing.T) {
 		prof := corpus.Profile{Seed: seed, Divisions: 5, DeptsPerDiv: 4, EmpsPerDept: 6}
 		src := corpus.Database(prof)
 		plan := figurePlan()
-		target, err := plan.MigrateData(src)
+		target, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +152,7 @@ func TestMigrationPreservesLogicalRecords(t *testing.T) {
 		prof := corpus.Profile{Seed: seed, Divisions: 4, DeptsPerDiv: 3, EmpsPerDept: 5}
 		src := corpus.Database(prof)
 		plan := figurePlan()
-		dst, err := plan.MigrateData(src)
+		dst, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestMigrationRoundTripProperty(t *testing.T) {
 		prof := corpus.Profile{Seed: seed, Divisions: 3, DeptsPerDiv: 4, EmpsPerDept: 3}
 		src := corpus.Database(prof)
 		plan := figurePlan()
-		mid, err := plan.MigrateData(src)
+		mid, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestMigrationRoundTripProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := inv.MigrateData(mid)
+		back, _, err := inv.Migrate(context.Background(), mid, xform.MigrateOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@
 package bridge
 
 import (
+	"context"
 	"fmt"
 
 	"progconv/internal/dbprog"
@@ -56,7 +57,7 @@ func (b *Bridge) Reconstruct() (*netstore.DB, error) {
 	if b.reconstruction != nil && b.reconVersion == b.targetVersion {
 		return b.reconstruction, nil
 	}
-	recon, err := b.inverse.MigrateData(b.target)
+	recon, _, err := b.inverse.Migrate(context.TODO(), b.target, xform.MigrateOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("bridge: reconstruction: %w", err)
 	}
@@ -86,7 +87,7 @@ func (b *Bridge) Run(p *dbprog.Program, cfg dbprog.Config) (*dbprog.Trace, error
 		return trace, err
 	}
 	if writes {
-		newTarget, err := b.plan.MigrateData(runDB)
+		newTarget, _, err := b.plan.Migrate(context.TODO(), runDB, xform.MigrateOptions{})
 		if err != nil {
 			return trace, fmt.Errorf("bridge: retranslation: %w", err)
 		}

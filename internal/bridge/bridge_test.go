@@ -1,6 +1,7 @@
 package bridge
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -69,7 +70,7 @@ END PROGRAM.
 // against the reconstruction and produces exactly its original output.
 func TestBridgeRunsUnmodifiedProgram(t *testing.T) {
 	src := v1DB(t)
-	target, err := figurePlan().MigrateData(src)
+	target, _, err := figurePlan().Migrate(context.Background(), src, xform.MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestBridgeRunsUnmodifiedProgram(t *testing.T) {
 }
 
 func TestBridgeReconstructionCached(t *testing.T) {
-	target, _ := figurePlan().MigrateData(v1DB(t))
+	target, _, _ := figurePlan().Migrate(context.Background(), v1DB(t), xform.MigrateOptions{})
 	b, err := New(schema.CompanyV1(), target, figurePlan())
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +111,7 @@ func TestBridgeReconstructionCached(t *testing.T) {
 // TestBridgeWriteBack: an updating program's effects are retranslated
 // into the target and visible to later bridge runs.
 func TestBridgeWriteBack(t *testing.T) {
-	target, _ := figurePlan().MigrateData(v1DB(t))
+	target, _, _ := figurePlan().Migrate(context.Background(), v1DB(t), xform.MigrateOptions{})
 	b, err := New(schema.CompanyV1(), target, figurePlan())
 	if err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func convertAndCompare(t *testing.T, src string) *Result {
 		t.Fatalf("not auto-converted: %v", res.Issues)
 	}
 	v1 := companyV1DB(t)
-	v2, err := plan.MigrateData(v1)
+	v2, _, err := plan.Migrate(context.Background(), v1, xform.MigrateOptions{})
 	if err != nil {
 		t.Fatalf("migrate: %v", err)
 	}
@@ -279,7 +279,7 @@ END PROGRAM.
 		t.Fatalf("%v %v", res, err)
 	}
 	v1 := companyV1DB(t)
-	v2, err := plan.MigrateData(v1)
+	v2, _, err := plan.Migrate(context.Background(), v1, xform.MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ END PROGRAM.
 	}
 	// And it runs equivalently.
 	v1 := companyV1DB(t)
-	v2, err := renamePlan().MigrateData(v1)
+	v2, _, err := renamePlan().Migrate(context.Background(), v1, xform.MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ END PROGRAM.
 		t.Errorf("renamed modify:\n%s", text)
 	}
 	v1 := companyV1DB(t)
-	v2, _ := renamePlan().MigrateData(v1)
+	v2, _, _ := renamePlan().Migrate(context.Background(), v1, xform.MigrateOptions{})
 	tr1, err1 := dbprog.Run(p, dbprog.Config{Net: v1})
 	tr2, err2 := dbprog.Run(res.Program, dbprog.Config{Net: v2})
 	if err1 != nil || err2 != nil || !tr1.Equal(tr2) {
@@ -206,7 +206,7 @@ END PROGRAM.
 		}
 	}
 	v1 := companyV1DB(t)
-	v2, _ := renamePlan().MigrateData(v1)
+	v2, _, _ := renamePlan().Migrate(context.Background(), v1, xform.MigrateOptions{})
 	tr1, e1 := dbprog.Run(p, dbprog.Config{Net: v1})
 	tr2, e2 := dbprog.Run(res.Program, dbprog.Config{Net: v2})
 	if e1 != nil || e2 != nil || !tr1.Equal(tr2) {

@@ -56,13 +56,13 @@ func TestCachedRunByteIdentical(t *testing.T) {
 func TestRunJobsMultiplePairs(t *testing.T) {
 	newJobs := func() []Job {
 		return []Job{
-			{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t), Programs: applicationSystem(t)},
-			{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t)}, Programs: applicationSystem(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
 				xform.RenameField{Record: "EMP", Old: "AGE", New: "YEARS"},
-			}}, Programs: applicationSystem(t)},
-			{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
+			}}}, Programs: applicationSystem(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
 				xform.RenameSet{Old: "DIV-EMP", New: "DIV-STAFF"},
-			}}, Programs: applicationSystem(t)},
+			}}}, Programs: applicationSystem(t)},
 		}
 	}
 	for _, par := range []int{1, 8} {
@@ -76,7 +76,8 @@ func TestRunJobsMultiplePairs(t *testing.T) {
 		}
 		for i, job := range newJobs() {
 			single := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: par}
-			want, err := single.Run(context.Background(), job.Src, job.Dst, job.Plan, job.DB, job.Programs)
+			sp := job.Spec.(NetworkSpec)
+			want, err := single.Run(context.Background(), sp.Src, sp.Dst, sp.Plan, sp.DB, job.Programs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,11 +94,11 @@ func TestRunJobsMultiplePairs(t *testing.T) {
 func TestRunJobsDeterministic(t *testing.T) {
 	jobs := func() []Job {
 		return []Job{
-			{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t), Programs: applicationSystem(t)},
-			{Src: schema.CompanyV1(), Plan: planFigure(), Programs: applicationSystem(t)},
-			{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t)}, Programs: applicationSystem(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Plan: planFigure()}, Programs: applicationSystem(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
 				xform.RenameField{Record: "DIV", Old: "DIV-LOC", New: "DIV-CITY"},
-			}}, Programs: applicationSystem(t)},
+			}}}, Programs: applicationSystem(t)},
 		}
 	}
 	serial := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: 1, Cache: plancache.New(8)}

@@ -458,32 +458,12 @@ func (s *Supervisor) PreparePair(ctx context.Context, spec PairSpec) (ModelPair,
 	return spec.prepare(ctx, s)
 }
 
-// Job is one conversion-pair workload within a RunJobs batch. Spec
-// carries the pair in any data model; the Src/Dst/Plan/DB fields are
-// the historical network-model form, consulted only when Spec is nil.
+// Job is one conversion-pair workload within a RunJobs batch.
 type Job struct {
-	// Spec describes the pair to convert (any model). When nil, the
-	// network-model fields below are used instead.
+	// Spec describes the pair to convert, in any data model.
 	Spec PairSpec
-	// Src is the source schema and Dst the target; Dst may be nil when
-	// an explicit Plan is given.
-	Src, Dst *schema.Network
-	// Plan, when non-nil, overrides classification of the schema diff.
-	Plan *xform.Plan
-	// DB, when non-nil, is migrated through the plan and used to verify
-	// automatic conversions.
-	DB *netstore.DB
 	// Programs is the pair's program inventory.
 	Programs []*dbprog.Program
-}
-
-// pairSpec resolves the job's spec, folding the legacy network fields
-// into a NetworkSpec when none was set.
-func (j *Job) pairSpec() PairSpec {
-	if j.Spec != nil {
-		return j.Spec
-	}
-	return NetworkSpec{Src: j.Src, Dst: j.Dst, Plan: j.Plan, DB: j.DB}
 }
 
 // Run converts a database application system: it classifies the schema
@@ -494,7 +474,7 @@ func (j *Job) pairSpec() PairSpec {
 // worker pool; ctx cancels the batch (Run then fails with ErrCanceled).
 func (s *Supervisor) Run(ctx context.Context, src, dst *schema.Network, plan *xform.Plan,
 	db *netstore.DB, progs []*dbprog.Program) (*Report, error) {
-	reports, err := s.RunJobs(ctx, []Job{{Src: src, Dst: dst, Plan: plan, DB: db, Programs: progs}})
+	reports, err := s.RunJobs(ctx, []Job{{Spec: NetworkSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs}})
 	if err != nil {
 		return nil, err
 	}
@@ -544,12 +524,11 @@ func (s *Supervisor) RunJobs(ctx context.Context, jobs []Job) ([]*Report, error)
 	var items []workItem
 	for ji := range jobs {
 		j := &jobs[ji]
-		spec := j.pairSpec()
-		pair, err := s.PreparePair(ctx, spec)
+		pair, err := s.PreparePair(ctx, j.Spec)
 		if err != nil {
 			var be *plancache.BuildError
 			if errors.As(err, &be) && be.Phase == plancache.PhaseClassify {
-				if specHasDB(spec) {
+				if specHasDB(j.Spec) {
 					// The caller supplied a verification database; make clear
 					// that the failure struck before any data was touched.
 					return nil, fmt.Errorf("core: conversion analyzer: %w (the verify database was never migrated)", be.Err)

@@ -106,7 +106,7 @@ func TestRunJobsMixedModels(t *testing.T) {
 	entry := imsEntry(t)
 	newJobs := func() []Job {
 		return []Job{
-			{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t), Programs: applicationSystem(t)},
+			{Spec: NetworkSpec{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t)}, Programs: applicationSystem(t)},
 			{Spec: HierSpec{Src: entry.Source, Dst: entry.Target, DB: entry.Seed()}, Programs: entry.Programs()},
 			{Spec: NetworkSpec{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: companyV1DB(t)}, Programs: applicationSystem(t)},
 		}

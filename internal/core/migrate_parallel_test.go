@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,10 +14,9 @@ import (
 	"progconv/internal/xform"
 )
 
-// fusiblePlanAndTarget returns an all-fusible four-step plan over
-// CompanyV1 and the schema it produces — the classified V1→V2 plan is
-// the structural intermediate step, which migrates serially, so the
-// sharded rebuild needs an explicit mapping plan to engage.
+// fusiblePlanAndTarget returns a four-step plan of per-record mapping
+// steps over CompanyV1 and the schema it produces: the steps compose
+// into one migration pass.
 func fusiblePlanAndTarget(t *testing.T) (*xform.Plan, *schema.Network) {
 	t.Helper()
 	plan := &xform.Plan{Steps: []xform.Transformation{
@@ -103,24 +103,40 @@ func TestMigrationParallelismDeterministicReports(t *testing.T) {
 }
 
 // TestMigrationHonorsStageTimeout is the regression test for the
-// unbounded-migration bug: the rebuild loops used to run to completion
-// no matter what the supervisor's stage deadline said. With a deadline
-// that cannot possibly cover a six-figure record count, the run must
-// fail promptly with the deadline error, at any shard count.
+// unbounded-migration bug: with a deadline that cannot possibly cover a
+// five-figure record count, the run must fail in the data translation
+// stage with the deadline error — for a composed mapping plan and for
+// the classified CompanyV1→CompanyV2 pair, whose intermediate step is
+// the paper's own migration — at any shard count.
 func TestMigrationHonorsStageTimeout(t *testing.T) {
 	plan, dst := fusiblePlanAndTarget(t)
 	db := largeCompanyDB(t, 40, 300) // 12040 records
-	for _, par := range []int{1, 8} {
-		sup := NewSupervisor()
-		sup.MigrationParallelism = par
-		sup.StageTimeout = time.Nanosecond
-		_, err := sup.Run(context.Background(),
-			schema.CompanyV1(), dst, plan, db, applicationSystem(t))
-		if err == nil {
-			t.Fatalf("par %d: migration outran a 1ns stage deadline", par)
-		}
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("par %d: err = %v, want context.DeadlineExceeded in the chain", par, err)
+	cases := []struct {
+		name string
+		dst  *schema.Network
+		plan *xform.Plan
+	}{
+		{"mapping-plan", dst, plan},
+		{"classified-v1-v2", schema.CompanyV2(), nil},
+	}
+	for _, tc := range cases {
+		for _, par := range []int{1, 8} {
+			sup := NewSupervisor()
+			sup.MigrationParallelism = par
+			sup.StageTimeout = time.Nanosecond
+			_, err := sup.Run(context.Background(),
+				schema.CompanyV1(), tc.dst, tc.plan, db, applicationSystem(t))
+			if err == nil {
+				t.Fatalf("%s par %d: migration outran a 1ns stage deadline", tc.name, par)
+			}
+			if !errors.Is(err, context.DeadlineExceeded) {
+				t.Errorf("%s par %d: err = %v, want context.DeadlineExceeded in the chain", tc.name, par, err)
+			}
+			// The deadline must stop the migration itself, not merely the
+			// first program stage after it.
+			if !strings.HasPrefix(err.Error(), "core: data translation: ") {
+				t.Errorf("%s par %d: err = %v, want the data translation stage to fail", tc.name, par, err)
+			}
 		}
 	}
 }

@@ -250,7 +250,7 @@ func (hp *hierPair) migrate(ctx context.Context, s *Supervisor, r *Report) error
 	hp.targetDB = migrated
 	r.TargetHierDB = migrated
 	r.MigrationWarnings = warnings
-	r.DataPlane.StepwiseSteps = int64(len(hp.pair.Plan.Steps))
+	r.DataPlane.StepwiseSteps = int64(stats.StepwiseSteps)
 	r.DataPlane.MigrationShards = int64(stats.Shards)
 	return nil
 }

@@ -1,6 +1,7 @@
 package emulate
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -43,7 +44,7 @@ func v1DB(t *testing.T) *netstore.DB {
 
 func migrated(t *testing.T) *netstore.DB {
 	t.Helper()
-	out, err := figurePlan().MigrateData(v1DB(t))
+	out, _, err := figurePlan().Migrate(context.Background(), v1DB(t), xform.MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestEmulatedGetPresentsSourceShape(t *testing.T) {
 		xform.RenameRecord{Old: "EMP", New: "WORKER"},
 		xform.RenameField{Record: "WORKER", Old: "AGE", New: "YEARS"},
 	}}
-	target, err := plan.MigrateData(v1DB(t))
+	target, _, err := plan.Migrate(context.Background(), v1DB(t), xform.MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestEmulateErrors(t *testing.T) {
 	}
 	// Dropped fields surface.
 	plan := &xform.Plan{Steps: []xform.Transformation{xform.DropField{Record: "EMP", Field: "AGE"}}}
-	target, _ := plan.MigrateData(v1DB(t))
+	target, _, _ := plan.Migrate(context.Background(), v1DB(t), xform.MigrateOptions{})
 	em2, err := NewSession(schema.CompanyV1(), target, plan)
 	if err != nil {
 		t.Fatal(err)

@@ -343,6 +343,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		names[i] = p.Name
 	}
 	j.trace.SetPrograms(names)
+	// The 202 body reports the admission itself: snapshot it before a
+	// runner can pick the job up, or a fast job could already read done.
+	accepted := j.status()
 	select {
 	case s.queue <- j:
 		s.jobs[j.id] = j
@@ -359,7 +362,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	w.Header().Set("traceparent", telemetry.Traceparent(j.trace.TraceID(), j.trace.Root()))
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleTrace serves the job's span tree as a wire-v1 document. A

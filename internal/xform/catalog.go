@@ -3,84 +3,9 @@ package xform
 import (
 	"fmt"
 
-	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/value"
 )
-
-// rebuildFns parameterizes the generic data translator.
-type rebuildFns struct {
-	// mapType returns the destination record type ("" = drop the record).
-	mapType func(srcType string) string
-	// mapData transforms a stored record (never nil; identity by default).
-	mapData func(srcType string, data *value.Record) *value.Record
-	// mapSet returns the destination set for a source membership
-	// ("" = drop the membership).
-	mapSet func(srcSet string) string
-}
-
-// rebuild copies src into a fresh database under dst, applying the
-// mapping functions. Record types are processed owners-first so that
-// destination memberships can be wired as occurrences appear.
-func rebuild(src *netstore.DB, dst *schema.Network, f rebuildFns) (*netstore.DB, error) {
-	out := netstore.NewDB(dst)
-	idMap := map[netstore.RecordID]netstore.RecordID{}
-	srcSchema := src.Schema()
-	for _, srcType := range topoRecordOrder(srcSchema) {
-		dstType := srcType
-		if f.mapType != nil {
-			dstType = f.mapType(srcType)
-		}
-		if dstType == "" {
-			continue
-		}
-		memberSets := srcSchema.SetsWithMember(srcType)
-		var visitErr error
-		// EachOf iterates src without copying; only out is mutated here,
-		// so the no-mutation-during-visit contract holds.
-		src.EachOf(srcType, func(id netstore.RecordID) bool {
-			data := src.StoredData(id)
-			if f.mapData != nil {
-				data = f.mapData(srcType, data)
-			}
-			memberships := map[string]netstore.RecordID{}
-			for _, set := range memberSets {
-				owner, connected := src.OwnerOf(set.Name, id)
-				if !connected {
-					continue
-				}
-				dstSet := set.Name
-				if f.mapSet != nil {
-					dstSet = f.mapSet(set.Name)
-				}
-				if dstSet == "" {
-					continue
-				}
-				if set.IsSystem() {
-					memberships[dstSet] = netstore.OwnerSystem
-				} else {
-					dstOwner, ok := idMap[owner]
-					if !ok {
-						visitErr = fmt.Errorf("xform: %s occurrence's owner in %s not yet migrated", srcType, set.Name)
-						return false
-					}
-					memberships[dstSet] = dstOwner
-				}
-			}
-			nid, err := out.StoreWith(dstType, data, memberships)
-			if err != nil {
-				visitErr = err
-				return false
-			}
-			idMap[id] = nid
-			return true
-		})
-		if visitErr != nil {
-			return nil, visitErr
-		}
-	}
-	return out, nil
-}
 
 // ---- RenameRecord ----
 
@@ -117,19 +42,14 @@ func (t RenameRecord) ApplySchema(src *schema.Network) (*schema.Network, error) 
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t RenameRecord) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t RenameRecord) dataFns() rebuildFns {
 	return rebuildFns{mapType: func(s string) string {
 		if s == t.Old {
 			return t.New
 		}
 		return s
 	}}
-}
-
-// MigrateData implements Transformation.
-func (t RenameRecord) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
 }
 
 // Rewriter implements Transformation.
@@ -194,19 +114,14 @@ func (t RenameField) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t RenameField) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t RenameField) dataFns() rebuildFns {
 	return rebuildFns{mapData: func(typ string, data *value.Record) *value.Record {
 		if typ == t.Record {
 			data.Rename(t.Old, t.New)
 		}
 		return data
 	}}
-}
-
-// MigrateData implements Transformation.
-func (t RenameField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
 }
 
 // Rewriter implements Transformation.
@@ -250,19 +165,14 @@ func (t RenameSet) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t RenameSet) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t RenameSet) dataFns() rebuildFns {
 	return rebuildFns{mapSet: func(s string) string {
 		if s == t.Old {
 			return t.New
 		}
 		return s
 	}}
-}
-
-// MigrateData implements Transformation.
-func (t RenameSet) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
 }
 
 // Rewriter implements Transformation.
@@ -310,19 +220,14 @@ func (t AddField) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t AddField) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t AddField) dataFns() rebuildFns {
 	return rebuildFns{mapData: func(typ string, data *value.Record) *value.Record {
 		if typ == t.Record {
 			data.Set(t.Field, t.Default)
 		}
 		return data
 	}}
-}
-
-// MigrateData implements Transformation.
-func (t AddField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
 }
 
 // Rewriter implements Transformation.
@@ -387,19 +292,14 @@ func (t DropField) ApplySchema(src *schema.Network) (*schema.Network, error) {
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible.
-func (t DropField) fuseFns() rebuildFns {
+// dataFns implements Transformation.
+func (t DropField) dataFns() rebuildFns {
 	return rebuildFns{mapData: func(typ string, data *value.Record) *value.Record {
 		if typ == t.Record {
 			data.Delete(t.Field)
 		}
 		return data
 	}}
-}
-
-// MigrateData implements Transformation.
-func (t DropField) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, t.fuseFns())
 }
 
 // Rewriter implements Transformation.
@@ -440,15 +340,10 @@ func (t ChangeSetKeys) ApplySchema(src *schema.Network) (*schema.Network, error)
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible. The reordering itself happens in
-// StoreWith under the destination schema's keys, so the mapping is the
-// identity.
-func (t ChangeSetKeys) fuseFns() rebuildFns { return rebuildFns{} }
-
-// MigrateData implements Transformation.
-func (t ChangeSetKeys) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, rebuildFns{})
-}
+// dataFns implements Transformation: the reordering itself happens when
+// the rebuild files members under the destination schema's keys, so the
+// mapping is the identity.
+func (t ChangeSetKeys) dataFns() rebuildFns { return rebuildFns{} }
 
 // Rewriter implements Transformation.
 func (t ChangeSetKeys) Rewriter(src *schema.Network) (*Rewriter, error) {
@@ -493,14 +388,9 @@ func (t ChangeRetention) ApplySchema(src *schema.Network) (*schema.Network, erro
 	return out, out.Validate()
 }
 
-// fuseFns implements fusible: retention is schema-only, the data
+// dataFns implements Transformation: retention is schema-only, the data
 // mapping is the identity.
-func (t ChangeRetention) fuseFns() rebuildFns { return rebuildFns{} }
-
-// MigrateData implements Transformation.
-func (t ChangeRetention) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	return rebuild(src, dst, rebuildFns{})
-}
+func (t ChangeRetention) dataFns() rebuildFns { return rebuildFns{} }
 
 // Rewriter implements Transformation.
 func (t ChangeRetention) Rewriter(src *schema.Network) (*Rewriter, error) {

@@ -66,49 +66,6 @@ func (t HierReorder) ApplySchema(src *schema.Hierarchy) (*schema.Hierarchy, erro
 	return out, out.Validate()
 }
 
-// MigrateData restructures the database: each promoted occurrence
-// becomes a root, with a copy of its former parent beneath it. Parent
-// occurrences with no promoted children are dropped (they are
-// unreachable in the new order) — the migration reports them.
-func (t HierReorder) MigrateData(src *hierstore.DB, dst *schema.Hierarchy) (*hierstore.DB, []string, error) {
-	out := hierstore.NewDB(dst)
-	sess := hierstore.NewSession(out)
-	oldRootType := src.Schema().Root.Name
-	var warnings []string
-	newRootSeg := dst.Root
-	for _, rootID := range src.Roots() {
-		parentData := src.Data(rootID)
-		children := src.ChildrenOf(rootID, t.Promote)
-		if len(children) == 0 {
-			warnings = append(warnings,
-				fmt.Sprintf("%s %s has no %s occurrences and is unreachable after reorder",
-					oldRootType, parentData.String(), t.Promote))
-			continue
-		}
-		for _, cid := range children {
-			cdata := src.Data(cid)
-			st := sess.ISRT(cdata, hierstore.U(t.Promote))
-			if st == hierstore.II {
-				// The child already exists as a root (promoted from another
-				// parent occurrence); the new root is shared.
-				warnings = append(warnings,
-					fmt.Sprintf("%s %s promoted once; parents merge beneath it", t.Promote, cdata.String()))
-			} else if st != hierstore.OK {
-				return nil, warnings, fmt.Errorf("migrating %s: ISRT status %v", t.Promote, st)
-			}
-			seqField := newRootSeg.Seq
-			path := []hierstore.SSA{hierstore.U(t.Promote)}
-			if seqField != "" {
-				path = []hierstore.SSA{hierstore.Q(t.Promote, seqField, hierstore.EQ, cdata.MustGet(seqField))}
-			}
-			if st := sess.ISRT(parentData, append(path, hierstore.U(oldRootType))...); st != hierstore.OK {
-				return nil, warnings, fmt.Errorf("migrating %s under %s: ISRT status %v", oldRootType, t.Promote, st)
-			}
-		}
-	}
-	return out, warnings, nil
-}
-
 // RewriteSSAs is the command substitution rule for calls whose target is
 // the old root: an SSA path stated in the old order (PARENT, CHILD)
 // becomes the new order (CHILD, PARENT) with the qualification payloads

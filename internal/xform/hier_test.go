@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,6 +31,12 @@ func personnelHierDB(t *testing.T) *hierstore.DB {
 			hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str(e.dept)), hierstore.U("EMP"))
 	}
 	return db
+}
+
+// migrateHier runs a one-step reorder plan through Migrate.
+func migrateHier(src *hierstore.DB, tr HierReorder) (*hierstore.DB, []string, error) {
+	out, warnings, _, err := (&HierPlan{Steps: []HierReorder{tr}}).Migrate(context.Background(), src, MigrateOptions{})
+	return out, warnings, err
 }
 
 func TestHierReorderSchema(t *testing.T) {
@@ -72,11 +79,7 @@ func TestHierReorderSchemaErrors(t *testing.T) {
 func TestHierReorderMigration(t *testing.T) {
 	src := personnelHierDB(t)
 	tr := HierReorder{Promote: "EMP"}
-	dstSchema, err := tr.ApplySchema(src.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst, warnings, err := tr.MigrateData(src, dstSchema)
+	dst, warnings, err := migrateHier(src, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +132,7 @@ func TestHierReorderSSARewrite(t *testing.T) {
 func TestHierReorderEndToEnd(t *testing.T) {
 	src := personnelHierDB(t)
 	tr := HierReorder{Promote: "EMP"}
-	dstSchema, _ := tr.ApplySchema(src.Schema())
-	dst, _, err := tr.MigrateData(src, dstSchema)
+	dst, _, err := migrateHier(src, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,8 +198,7 @@ func TestHierReorderSharedChildMerges(t *testing.T) {
 	s.ISRT(shared, hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str("D2")), hierstore.U("EMP"))
 
 	tr := HierReorder{Promote: "EMP"}
-	dstSchema, _ := tr.ApplySchema(db.Schema())
-	dst, warnings, err := tr.MigrateData(db, dstSchema)
+	dst, warnings, err := migrateHier(db, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"progconv/internal/hierstore"
 	"progconv/internal/schema"
 )
 
@@ -48,34 +47,6 @@ func (p *HierPlan) ApplySchema(src *schema.Hierarchy) (*schema.Hierarchy, error)
 		cur = next
 	}
 	return cur, nil
-}
-
-// MigrateData chains the steps' data restructurings and accumulates
-// their warnings (dropped unreachable occurrences, merged roots).
-// Hierarchical migrations are not fused: every catalogued step reorders
-// parentage, which is inherently a full restructuring pass.
-func (p *HierPlan) MigrateData(src *hierstore.DB) (*hierstore.DB, []string, error) {
-	cur := src
-	curSchema := src.Schema()
-	var warnings []string
-	for _, t := range p.Steps {
-		nextSchema, err := t.ApplySchema(curSchema)
-		if err != nil {
-			return nil, warnings, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		next, warns, err := t.MigrateData(cur, nextSchema)
-		warnings = append(warnings, warns...)
-		if err != nil {
-			return nil, warnings, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		cur, curSchema = next, nextSchema
-	}
-	if cur == src {
-		// Identity plan: hand back a clone so the "migrated" database
-		// never aliases the caller's source.
-		return src.Clone(), warnings, nil
-	}
-	return cur, warnings, nil
 }
 
 // ClassifyHier is the Conversion Analyzer over the hierarchical model:

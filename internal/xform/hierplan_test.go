@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestHierPlanApplyAndMigrate(t *testing.T) {
 	s.ISRT(value.FromPairs("E#", "E1", "ENAME", "LEE", "AGE", 40, "YEAR-OF-SERVICE", 7),
 		hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str("D1")), hierstore.U("EMP"))
 
-	out, warnings, err := plan.MigrateData(db)
+	out, warnings, _, err := plan.Migrate(context.Background(), db, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestHierPlanApplyAndMigrate(t *testing.T) {
 
 	// The identity plan clones rather than aliasing.
 	id := &HierPlan{}
-	same, _, err := id.MigrateData(db)
+	same, _, _, err := id.Migrate(context.Background(), db, MigrateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

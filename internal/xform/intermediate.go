@@ -3,7 +3,6 @@ package xform
 import (
 	"fmt"
 
-	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/value"
 )
@@ -129,81 +128,16 @@ func (t IntroduceIntermediate) ApplySchema(src *schema.Network) (*schema.Network
 	return out, out.Validate()
 }
 
-// MigrateData implements Transformation: members are regrouped beneath
-// intermediates created per (owner, group value).
-func (t IntroduceIntermediate) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	set, _, _, err := t.check(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	memberType := set.Member
-
-	out := netstore.NewDB(dst)
-	idMap := map[netstore.RecordID]netstore.RecordID{}
-	// inters maps (dst owner ID, group key) to the intermediate created.
-	type interKey struct {
-		owner netstore.RecordID
-		group string
-	}
-	inters := map[interKey]netstore.RecordID{}
-
-	srcSchema := src.Schema()
-	for _, srcType := range topoRecordOrder(srcSchema) {
-		memberSets := srcSchema.SetsWithMember(srcType)
-		var visitErr error
-		src.EachOf(srcType, func(id netstore.RecordID) bool {
-			data := src.StoredData(id)
-			memberships := map[string]netstore.RecordID{}
-			for _, s := range memberSets {
-				owner, connected := src.OwnerOf(s.Name, id)
-				if !connected {
-					continue
-				}
-				if s.IsSystem() {
-					memberships[s.Name] = netstore.OwnerSystem
-					continue
-				}
-				dstOwner, ok := idMap[owner]
-				if !ok {
-					visitErr = fmt.Errorf("xform: owner of %s in %s not yet migrated", srcType, s.Name)
-					return false
-				}
-				if srcType == memberType && s.Name == t.Set {
-					// Route through an intermediate for this group value.
-					gv := data.MustGet(t.GroupField)
-					k := interKey{dstOwner, gv.Key()}
-					interID, have := inters[k]
-					if !have {
-						rec := value.NewRecord()
-						rec.Set(t.GroupField, gv)
-						interID, visitErr = out.StoreWith(t.Inter, rec,
-							map[string]netstore.RecordID{t.Upper: dstOwner})
-						if visitErr != nil {
-							return false
-						}
-						inters[k] = interID
-					}
-					memberships[t.Lower] = interID
-					continue
-				}
-				memberships[s.Name] = dstOwner
-			}
-			if srcType == memberType {
-				data.Delete(t.GroupField) // now virtual through the chain
-			}
-			nid, err := out.StoreWith(srcType, data, memberships)
-			if err != nil {
-				visitErr = err
-				return false
-			}
-			idMap[id] = nid
-			return true
-		})
-		if visitErr != nil {
-			return nil, visitErr
+// dataFns implements Transformation: members are regrouped beneath
+// intermediates created per (owner, group value), and the group field,
+// now virtual through the chain, leaves the member's stored data.
+func (t IntroduceIntermediate) dataFns() rebuildFns {
+	return rebuildFns{split: &t, mapSet: func(s string) string {
+		if s == t.Set {
+			return t.Lower
 		}
-	}
-	return out, nil
+		return s
+	}}
 }
 
 // Rewriter implements Transformation.
@@ -338,74 +272,16 @@ func (t CollapseIntermediate) ApplySchema(src *schema.Network) (*schema.Network,
 	return out, out.Validate()
 }
 
-// MigrateData implements Transformation.
-func (t CollapseIntermediate) MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error) {
-	upper, lower, err := t.check(src.Schema())
-	if err != nil {
-		return nil, err
-	}
-	interName := upper.Member
-	memberType := lower.Member
-
-	out := netstore.NewDB(dst)
-	idMap := map[netstore.RecordID]netstore.RecordID{}
-	srcSchema := src.Schema()
-	for _, srcType := range topoRecordOrder(srcSchema) {
-		if srcType == interName {
-			continue // intermediates vanish
+// dataFns implements Transformation: the intermediates vanish and each
+// member reattaches to its intermediate's owner through the restored
+// set, the group field stored on the member again.
+func (t CollapseIntermediate) dataFns() rebuildFns {
+	return rebuildFns{merge: &t, mapSet: func(s string) string {
+		if s == t.Lower {
+			return t.NewSet
 		}
-		memberSets := srcSchema.SetsWithMember(srcType)
-		var visitErr error
-		src.EachOf(srcType, func(id netstore.RecordID) bool {
-			data := src.StoredData(id)
-			memberships := map[string]netstore.RecordID{}
-			for _, s := range memberSets {
-				owner, connected := src.OwnerOf(s.Name, id)
-				if !connected {
-					continue
-				}
-				if s.IsSystem() {
-					memberships[s.Name] = netstore.OwnerSystem
-					continue
-				}
-				if srcType == memberType && s.Name == t.Lower {
-					// Reattach to the intermediate's owner, pulling the
-					// group field back down.
-					gv := src.StoredData(owner).MustGet(t.GroupField)
-					data.Set(t.GroupField, gv)
-					grand, ok := src.OwnerOf(t.Upper, owner)
-					if !ok {
-						visitErr = fmt.Errorf("xform: intermediate %d has no %s owner", owner, t.Upper)
-						return false
-					}
-					dstOwner, ok := idMap[grand]
-					if !ok {
-						visitErr = fmt.Errorf("xform: owner of intermediate not yet migrated")
-						return false
-					}
-					memberships[t.NewSet] = dstOwner
-					continue
-				}
-				dstOwner, ok := idMap[owner]
-				if !ok {
-					visitErr = fmt.Errorf("xform: owner of %s in %s not yet migrated", srcType, s.Name)
-					return false
-				}
-				memberships[s.Name] = dstOwner
-			}
-			nid, err := out.StoreWith(srcType, data, memberships)
-			if err != nil {
-				visitErr = err
-				return false
-			}
-			idMap[id] = nid
-			return true
-		})
-		if visitErr != nil {
-			return nil, visitErr
-		}
-	}
-	return out, nil
+		return s
+	}}
 }
 
 // Rewriter implements Transformation.

@@ -61,18 +61,12 @@ func TestInverseIntroduceCollapsePair(t *testing.T) {
 func TestInversePlanRoundTripsData(t *testing.T) {
 	src := companyV1DB(t)
 	plan := &Plan{Steps: []Transformation{figure42to44()}}
-	dst, err := plan.MigrateData(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dst := migrate(t, src, plan.Steps...)
 	inv, err := plan.InversePlan(src.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := inv.MigrateData(dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back := migrate(t, dst, inv.Steps...)
 	if back.Count("EMP") != src.Count("EMP") || back.Count("DIV") != src.Count("DIV") {
 		t.Error("data round trip lost records")
 	}

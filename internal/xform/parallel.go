@@ -12,20 +12,94 @@ import (
 	"progconv/internal/value"
 )
 
-// MigrateOptions configures the parallel data-translation path.
+// MigrateOptions configures the data translator.
 type MigrateOptions struct {
 	// Parallelism bounds the shard workers per rebuild pass; <= 0 means
 	// GOMAXPROCS. The output is byte-identical at every setting.
 	Parallelism int
 }
 
-// MigrateStats extends the fuse accounting with the sharded path's
-// counters: how many shards the passes fanned out into and how many
-// records went through the bulk-load merge phase.
+// MigrateStats reports how a migration executed: how many steps were
+// composed into multi-step passes and how many ran a pass of their own,
+// the total passes made, how many shards those passes fanned out into,
+// and how many records went through the bulk-load merge phase.
 type MigrateStats struct {
-	FuseStats
-	Shards      int
-	BulkRecords int
+	FusedSteps    int
+	StepwiseSteps int
+	Passes        int
+	Shards        int
+	BulkRecords   int
+}
+
+// rebuildFns parameterizes one rebuild pass of the data translator.
+type rebuildFns struct {
+	// mapType returns the destination record type ("" = drop the record).
+	mapType func(srcType string) string
+	// mapData transforms a stored record (never nil; identity by default).
+	mapData func(srcType string, data *value.Record) *value.Record
+	// mapSet returns the destination set for a source membership
+	// ("" = drop the membership).
+	mapSet func(srcSet string) string
+	// split routes each member's membership in split.Set through an
+	// intermediate occurrence, created per (destination owner, group
+	// value) just before the first member that needs it.
+	split *IntroduceIntermediate
+	// merge reattaches each member of merge.Lower to its intermediate's
+	// merge.Upper owner, pulling the group field back down; the
+	// intermediates themselves are dropped.
+	merge *CollapseIntermediate
+}
+
+// composable reports whether the pass is a pure per-record mapping that
+// can compose with its neighbours into a single pass.
+func (f rebuildFns) composable() bool { return f.split == nil && f.merge == nil }
+
+// composeFns chains mapping-function sets left to right. mapData sees
+// the record under the type name it has at entry to that step, so
+// renames and data edits interleave exactly as one pass per step would
+// apply them.
+func composeFns(chain []rebuildFns) rebuildFns {
+	if len(chain) == 1 {
+		return chain[0]
+	}
+	return rebuildFns{
+		mapType: func(srcType string) string {
+			cur := srcType
+			for _, f := range chain {
+				if f.mapType != nil {
+					cur = f.mapType(cur)
+					if cur == "" {
+						return ""
+					}
+				}
+			}
+			return cur
+		},
+		mapData: func(srcType string, data *value.Record) *value.Record {
+			cur := srcType
+			for _, f := range chain {
+				if f.mapData != nil {
+					data = f.mapData(cur, data)
+				}
+				if f.mapType != nil {
+					cur = f.mapType(cur)
+				}
+			}
+			return data
+		},
+		mapSet: func(srcSet string) string {
+			cur := srcSet
+			for _, f := range chain {
+				if f.mapSet != nil {
+					cur = f.mapSet(cur)
+					if cur == "" {
+						return ""
+					}
+				}
+			}
+			return cur
+		},
+	}
 }
 
 // minShardRecords is the smallest extent worth a dedicated shard: below
@@ -36,88 +110,79 @@ const minShardRecords = 64
 // loop process between context polls, mirroring equiv.Check's cadence.
 const ctxPollEvery = 256
 
-// shardCount partitions n records for the given parallelism bound.
-// It depends only on (n, parallelism), never on runtime load, so a
-// migration shards identically on every machine and every run.
-func shardCount(n, parallelism int) int {
+// fanOut partitions n records into contiguous shards and runs prepare
+// over each: inline for a single shard, one goroutine per shard
+// otherwise. The shard count depends only on (n, parallelism), never on
+// runtime load, so a migration shards identically on every machine and
+// every run.
+func fanOut(n, parallelism int, stats *MigrateStats, prepare func(lo, hi int)) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	shards := parallelism
-	if max := (n + minShardRecords - 1) / minShardRecords; shards > max {
-		shards = max
+	shards := min(parallelism, (n+minShardRecords-1)/minShardRecords)
+	shards = max(shards, 1)
+	stats.Shards += shards
+	if shards == 1 {
+		prepare(0, n)
+		return
 	}
-	if shards < 1 {
-		shards = 1
+	var wg sync.WaitGroup
+	for s := 0; s < shards; s++ {
+		lo, hi := s*n/shards, (s+1)*n/shards
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			prepare(lo, hi)
+		}()
 	}
-	return shards
+	wg.Wait()
 }
 
-// Migrate is the ctx-aware, sharded counterpart of MigrateDataFused:
-// same pass structure (maximal fusible runs compose into single passes,
-// remaining steps run their own pass), same results byte for byte —
-// record IDs, set orderings, index contents, error text and order —
-// with each rebuild pass fanned out over opts.Parallelism shard
-// workers and merged through the netstore bulk loader. Cancelling ctx
-// aborts mid-pass; the cause surfaces unwrapped inside the usual
-// per-step error wrapping, so errors.Is(err, context.DeadlineExceeded)
-// sees through it.
+// Migrate restructures src through the plan: the data translator of
+// the paper's Figure 4.1. Each maximal run of per-record mapping steps
+// composes into one rebuild pass; each intermediate introduction or
+// collapse takes a pass of its own through the same engine. Every pass
+// fans its per-record transform out over opts.Parallelism shard workers
+// and splices the results through the netstore bulk loader in source
+// order, so record IDs, set orderings, index contents, error text and
+// order are the same at every setting. Cancelling ctx aborts mid-pass;
+// the cause surfaces unwrapped inside the usual per-step error
+// wrapping, so errors.Is(err, context.DeadlineExceeded) sees through it.
 func (p *Plan) Migrate(ctx context.Context, src *netstore.DB, opts MigrateOptions) (*netstore.DB, MigrateStats, error) {
 	var stats MigrateStats
-	cur := src
-	curSchema := src.Schema()
+	fns := make([]rebuildFns, len(p.Steps))
+	for i, t := range p.Steps {
+		fns[i] = t.dataFns()
+	}
+	cur, curSchema := src, src.Schema()
 	for i := 0; i < len(p.Steps); {
-		j := i
-		for j < len(p.Steps) {
-			if _, ok := p.Steps[j].(fusible); !ok {
-				break
-			}
+		j := i + 1
+		for fns[i].composable() && j < len(p.Steps) && fns[j].composable() {
 			j++
 		}
-		if j-i >= 2 {
-			finalSchema := curSchema
-			chain := make([]rebuildFns, 0, j-i)
-			for k := i; k < j; k++ {
-				next, err := p.Steps[k].ApplySchema(finalSchema)
-				if err != nil {
-					return nil, stats, fmt.Errorf("xform: %s: %w", p.Steps[k].Name(), err)
-				}
-				chain = append(chain, p.Steps[k].(fusible).fuseFns())
-				finalSchema = next
-			}
-			next, err := rebuildParallel(ctx, cur, finalSchema, composeFns(chain), opts.Parallelism, &stats)
+		nextSchema := curSchema
+		for _, t := range p.Steps[i:j] {
+			next, err := t.ApplySchema(nextSchema)
 			if err != nil {
+				return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
+			}
+			nextSchema = next
+		}
+		next, err := rebuildParallel(ctx, cur, nextSchema, composeFns(fns[i:j]), opts.Parallelism, &stats)
+		if err != nil {
+			if j-i > 1 {
 				return nil, stats, fmt.Errorf("xform: fused steps %d..%d: %w", i+1, j, err)
 			}
+			return nil, stats, fmt.Errorf("xform: %s: %w", p.Steps[i].Name(), err)
+		}
+		if j-i > 1 {
 			stats.FusedSteps += j - i
-			stats.Passes++
-			cur, curSchema = next, finalSchema
-			i = j
-			continue
-		}
-		t := p.Steps[i]
-		nextSchema, err := t.ApplySchema(curSchema)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		var next *netstore.DB
-		if ft, ok := t.(fusible); ok {
-			// A lone fusible step still takes the sharded rebuild; only
-			// the fuse accounting differs from a composed run.
-			next, err = rebuildParallel(ctx, cur, nextSchema, ft.fuseFns(), opts.Parallelism, &stats)
 		} else {
-			// The structural steps (intermediate introduction/collapse)
-			// synthesize occurrences as they go; they keep their serial
-			// single pass.
-			next, err = t.MigrateData(cur, nextSchema)
+			stats.StepwiseSteps++
 		}
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		stats.StepwiseSteps++
 		stats.Passes++
 		cur, curSchema = next, nextSchema
-		i++
+		i = j
 	}
 	return cur, stats, nil
 }
@@ -133,12 +198,13 @@ type stagedMember struct {
 
 // stagedRec is one shard-prepared record awaiting its splice: the
 // destination data record (built off-thread, kind-checked), the
-// memberships to wire, and any error the preparation raised — held
-// back so errors surface in submission order, exactly as the serial
-// rebuild raises them.
+// memberships to wire, the group value a split routes it by, and any
+// error the preparation raised — held back so errors surface in
+// submission order.
 type stagedRec struct {
 	data    *value.Record
 	members []stagedMember
+	group   value.Value
 	err     error
 }
 
@@ -148,26 +214,35 @@ type stagedRec struct {
 type spliceSet struct {
 	srcName string
 	dstName string
-	dst     *schema.SetType // nil when dstName is absent from dst (StoreWith's unknown-set case)
+	dst     *schema.SetType // nil when dstName is absent from dst
 	system  bool
 	drop    bool
+	split   bool // membership routes through a split's intermediate
+	merge   bool // membership reattaches to a merge's Upper owner
 }
 
-// stagingRecPool recycles the per-worker scratch record that holds a
+// interKey names one intermediate a split creates: the destination
+// owner and the group value's key form.
+type interKey struct {
+	owner netstore.RecordID
+	group string
+}
+
+// stagingRecPool recycles the per-worker scratch records that hold a
 // source occurrence's stored data during the transform. The staged
 // destination records are NOT pooled — they become the new database's
 // occurrence data.
 var stagingRecPool = sync.Pool{New: func() any { return value.NewRecord() }}
 
-// rebuildParallel is rebuild with the per-record transform fanned out
-// over shard workers. Each record type pass partitions the source
-// occurrences into contiguous ID-range shards, transforms each shard
-// into private staging, then splices the staged records into the
-// destination sequentially in source insertion order — so IDs, set
-// orderings, index contents, and error precedence match the serial
-// rebuild exactly. The merge phase goes through the bulk loader, which
-// defers member ordering and index maintenance to one batched
-// finalization per pass.
+// rebuildParallel copies src into a fresh database under dst, applying
+// the pass's mapping functions. Record types are processed owners-first
+// so destination memberships can be wired as occurrences appear. Each
+// type's extent is partitioned into contiguous ID-range shards,
+// transformed into private staging, then spliced into the destination
+// sequentially in source insertion order — so IDs, set orderings, index
+// contents and error precedence do not depend on the shard count. The
+// splice goes through the bulk loader, which defers member ordering and
+// index maintenance to one batched finalization per pass.
 func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network, f rebuildFns, parallelism int, stats *MigrateStats) (*netstore.DB, error) {
 	out := netstore.NewDB(dst)
 	bl := out.NewBulkLoader(src.Len())
@@ -175,6 +250,19 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 	// IDs start at 1, so 0 doubles as "not migrated".
 	idMap := make([]netstore.RecordID, src.IDBound())
 	srcSchema := src.Schema()
+
+	var interType *schema.RecordType
+	var interTargets []netstore.BulkMembership
+	var inters map[interKey]netstore.RecordID
+	if f.split != nil {
+		interType = dst.Record(f.split.Inter)
+		interTargets = []netstore.BulkMembership{{Set: dst.Set(f.split.Upper)}}
+		inters = map[interKey]netstore.RecordID{}
+	}
+	var mergeInter string
+	if f.merge != nil {
+		mergeInter = srcSchema.Set(f.merge.Upper).Member
+	}
 
 	var staged []stagedRec
 	var memBuf []stagedMember
@@ -185,14 +273,14 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 		if f.mapType != nil {
 			dstType = f.mapType(srcType)
 		}
-		if dstType == "" {
+		if dstType == "" || srcType == mergeInter {
 			continue
 		}
 		ids := src.AllOf(srcType)
 		n := len(ids)
 		if n == 0 {
-			// The serial rebuild never reaches StoreWith for an empty
-			// extent, so even an unmapped destination type is not an error.
+			// An empty extent never stores anything, so even an unmapped
+			// destination type is not an error.
 			continue
 		}
 		typ := dst.Record(dstType)
@@ -207,7 +295,9 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 			if f.mapSet != nil {
 				dstSet = f.mapSet(set.Name)
 			}
-			e := spliceSet{srcName: set.Name, dstName: dstSet, system: set.IsSystem(), drop: dstSet == ""}
+			e := spliceSet{srcName: set.Name, dstName: dstSet, system: set.IsSystem(), drop: dstSet == "",
+				split: f.split != nil && set.Name == f.split.Set,
+				merge: f.merge != nil && set.Name == f.merge.Lower}
 			if !e.drop {
 				e.dst = dst.Set(dstSet)
 			}
@@ -219,15 +309,18 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 			staged = make([]stagedRec, n)
 		}
 		staged = staged[:n]
-		if k > 0 {
-			if cap(memBuf) < n*k {
-				memBuf = make([]stagedMember, n*k)
-			}
+		if k > 0 && cap(memBuf) < n*k {
+			memBuf = make([]stagedMember, n*k)
 		}
 
 		prepare := func(lo, hi int) {
 			tmp := stagingRecPool.Get().(*value.Record)
 			defer stagingRecPool.Put(tmp)
+			var interData *value.Record
+			if f.merge != nil {
+				interData = stagingRecPool.Get().(*value.Record)
+				defer stagingRecPool.Put(interData)
+			}
 			for i := lo; i < hi; i++ {
 				if i%ctxPollEvery == 0 && ctx.Err() != nil {
 					for ; i < hi; i++ {
@@ -237,8 +330,7 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				}
 				id := ids[i]
 				st := &staged[i]
-				st.err = nil
-				st.members = nil
+				*st = stagedRec{}
 				src.StoredDataInto(id, tmp)
 				data := tmp
 				if f.mapData != nil {
@@ -247,16 +339,38 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				if k > 0 {
 					mem := memBuf[i*k : i*k : i*k+k]
 					for si := range sets {
-						if sets[si].drop {
+						e := &sets[si]
+						if e.drop {
 							continue
 						}
-						owner, connected := src.OwnerOf(sets[si].srcName, id)
+						owner, connected := src.OwnerOf(e.srcName, id)
 						if !connected {
 							continue
+						}
+						switch {
+						case e.split:
+							st.group, _ = data.Get(f.split.GroupField)
+						case e.merge:
+							// The intermediate vanishes: its group value rejoins
+							// the member and its own owner becomes the member's.
+							src.StoredDataInto(owner, interData)
+							gv, _ := interData.Get(f.merge.GroupField)
+							data.Set(f.merge.GroupField, gv)
+							grand, ok := src.OwnerOf(f.merge.Upper, owner)
+							if !ok {
+								st.err = fmt.Errorf("xform: intermediate %d has no %s owner", owner, f.merge.Upper)
+							}
+							owner = grand
+						}
+						if st.err != nil {
+							break
 						}
 						mem = append(mem, stagedMember{si: si, owner: owner})
 					}
 					st.members = mem
+				}
+				if st.err != nil {
+					continue
 				}
 				rec := value.NewRecordSize(len(typ.Fields))
 				for _, fld := range typ.Fields {
@@ -275,28 +389,12 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				st.data = rec
 			}
 		}
-
-		shards := shardCount(n, parallelism)
-		stats.Shards += shards
-		if shards == 1 {
-			prepare(0, n)
-		} else {
-			var wg sync.WaitGroup
-			for s := 0; s < shards; s++ {
-				lo, hi := s*n/shards, (s+1)*n/shards
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					prepare(lo, hi)
-				}()
-			}
-			wg.Wait()
-		}
+		fanOut(n, parallelism, stats, prepare)
 
 		// Splice sequentially in source insertion order. Error precedence
-		// per record matches the serial rebuild: unmigrated owners (found
-		// while collecting memberships) before the staged kind error
-		// before StoreWith's membership validation.
+		// per record: unmigrated owners (found while collecting
+		// memberships), then the staged preparation error, then the bulk
+		// loader's membership validation.
 		if cap(targets) < k {
 			targets = make([]netstore.BulkMembership, 0, k)
 		}
@@ -326,6 +424,23 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				if !e.system {
 					owner = idMap[m.owner]
 				}
+				if e.split {
+					ik := interKey{owner, st.group.Key()}
+					iid, ok := inters[ik]
+					if !ok {
+						// No kind check: the group value was checked against
+						// this field's kind when the source member was stored.
+						rec := value.NewRecordSize(1)
+						rec.Set(f.split.GroupField, st.group)
+						interTargets[0].Owner = owner
+						var err error
+						if iid, err = bl.StorePrepared(interType, rec, interTargets); err != nil {
+							return nil, err
+						}
+						inters[ik] = iid
+					}
+					owner = iid
+				}
 				targets = append(targets, netstore.BulkMembership{Set: e.dst, Owner: owner})
 			}
 			nid, err := bl.StorePrepared(typ, st.data, targets)
@@ -349,10 +464,12 @@ type stagedRoot struct {
 	canceled   bool
 }
 
-// Migrate is the ctx-aware, sharded counterpart of
-// HierPlan.MigrateData: identical databases, warnings (text and
-// order), and errors, with each step's per-root reads fanned out over
-// shard workers ahead of the sequential insert splice.
+// Migrate restructures src through the hierarchical plan, one pass per
+// step, and accumulates the steps' warnings (dropped unreachable
+// occurrences, merged roots). Each step's per-root reads fan out over
+// shard workers ahead of the sequential insert splice, so databases,
+// warnings and errors are the same at every setting. The identity plan
+// returns a clone, so the migrated database never aliases src.
 func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateOptions) (*hierstore.DB, []string, MigrateStats, error) {
 	var stats MigrateStats
 	cur := src
@@ -363,7 +480,7 @@ func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateO
 		if err != nil {
 			return nil, warnings, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
 		}
-		next, warns, err := t.migrateDataParallel(ctx, cur, nextSchema, opts.Parallelism, &stats)
+		next, warns, err := t.migrate(ctx, cur, nextSchema, opts.Parallelism, &stats)
 		warnings = append(warnings, warns...)
 		if err != nil {
 			return nil, warnings, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
@@ -378,19 +495,19 @@ func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateO
 	return cur, warnings, stats, nil
 }
 
-// migrateDataParallel is MigrateData with the per-root source reads
+// migrate restructures the database: each promoted occurrence becomes a
+// root, with a copy of its former parent beneath it. Parent occurrences
+// with no promoted children are dropped (they are unreachable in the
+// new order) and reported as warnings. The per-root source reads
 // (parent data, promoted children, child data — all clone-returning
-// lookups on the unmutated source) sharded across workers; the ISRT
-// replay into the destination stays sequential in root order, so the
-// new database, the warning list, and any migration error come out
-// identical to the serial pass.
-func (t HierReorder) migrateDataParallel(ctx context.Context, src *hierstore.DB, dst *schema.Hierarchy, parallelism int, stats *MigrateStats) (*hierstore.DB, []string, error) {
+// lookups on the unmutated source) are sharded across workers; the ISRT
+// replay into the destination stays sequential in root order.
+func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema.Hierarchy, parallelism int, stats *MigrateStats) (*hierstore.DB, []string, error) {
 	roots := src.Roots()
-	n := len(roots)
 	promote := t.Promote
 
-	stagedRoots := make([]stagedRoot, n)
-	prepare := func(lo, hi int) {
+	stagedRoots := make([]stagedRoot, len(roots))
+	fanOut(len(roots), parallelism, stats, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if i%ctxPollEvery == 0 && ctx.Err() != nil {
 				for ; i < hi; i++ {
@@ -408,24 +525,7 @@ func (t HierReorder) migrateDataParallel(ctx context.Context, src *hierstore.DB,
 				}
 			}
 		}
-	}
-
-	shards := shardCount(n, parallelism)
-	stats.Shards += shards
-	if shards == 1 {
-		prepare(0, n)
-	} else {
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			lo, hi := s*n/shards, (s+1)*n/shards
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				prepare(lo, hi)
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	out := hierstore.NewDB(dst)
 	sess := hierstore.NewSession(out)
@@ -449,6 +549,8 @@ func (t HierReorder) migrateDataParallel(ctx context.Context, src *hierstore.DB,
 		for _, cdata := range st.childData {
 			ist := sess.ISRT(cdata, hierstore.U(promote))
 			if ist == hierstore.II {
+				// The child already exists as a root (promoted from another
+				// parent occurrence); the new root is shared.
 				warnings = append(warnings,
 					fmt.Sprintf("%s %s promoted once; parents merge beneath it", promote, cdata.String()))
 			} else if ist != hierstore.OK {

@@ -19,10 +19,8 @@ import (
 	"fmt"
 	"strings"
 
-	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/semantic"
-	"progconv/internal/value"
 )
 
 // PathSplit records that one set was replaced by an
@@ -184,9 +182,10 @@ type Transformation interface {
 	Invertible() bool
 	// ApplySchema produces the transformed schema.
 	ApplySchema(src *schema.Network) (*schema.Network, error)
-	// MigrateData restructures a database instance into dst, which must
-	// be ApplySchema's result.
-	MigrateData(src *netstore.DB, dst *schema.Network) (*netstore.DB, error)
+	// dataFns returns the step's data restructuring as the mapping
+	// functions one Migrate pass applies per record. The catalogue is
+	// closed, so the hook is unexported.
+	dataFns() rebuildFns
 	// Rewriter returns the program-conversion rules.
 	Rewriter(src *schema.Network) (*Rewriter, error)
 }
@@ -227,154 +226,6 @@ func (p *Plan) ApplySchema(src *schema.Network) (*schema.Network, error) {
 		cur = next
 	}
 	return cur, nil
-}
-
-// fusible is the optional interface of catalogued transformations whose
-// data restructuring is a pure per-record / per-membership mapping —
-// exactly the functions they would hand to the generic rebuild. Runs of
-// fusible steps compose into a single pass over the occurrences.
-type fusible interface {
-	fuseFns() rebuildFns
-}
-
-// FuseStats reports how a plan's data migration executed: how many
-// steps were composed into fused single-pass runs, how many ran their
-// own full-database pass, and the total passes made.
-type FuseStats struct {
-	FusedSteps    int
-	StepwiseSteps int
-	Passes        int
-}
-
-// MigrateData chains the steps' data restructurings, fusing maximal
-// runs of per-record mapping steps into single passes. The result is
-// identical to MigrateDataStepwise for every plan whose stepwise
-// migration succeeds (a plan failing an intermediate-schema validity
-// check mid-chain may fail differently fused).
-func (p *Plan) MigrateData(src *netstore.DB) (*netstore.DB, error) {
-	out, _, err := p.MigrateDataFused(src)
-	return out, err
-}
-
-// MigrateDataFused is MigrateData with the fuse accounting exposed for
-// observability and benchmarks.
-func (p *Plan) MigrateDataFused(src *netstore.DB) (*netstore.DB, FuseStats, error) {
-	var stats FuseStats
-	cur := src
-	curSchema := src.Schema()
-	for i := 0; i < len(p.Steps); {
-		// Extend a maximal run of fusible steps starting at i.
-		j := i
-		for j < len(p.Steps) {
-			if _, ok := p.Steps[j].(fusible); !ok {
-				break
-			}
-			j++
-		}
-		if j-i >= 2 {
-			// Compose the run's mapping functions across the step chain
-			// and rebuild once, directly into the run's final schema.
-			finalSchema := curSchema
-			chain := make([]rebuildFns, 0, j-i)
-			for k := i; k < j; k++ {
-				next, err := p.Steps[k].ApplySchema(finalSchema)
-				if err != nil {
-					return nil, stats, fmt.Errorf("xform: %s: %w", p.Steps[k].Name(), err)
-				}
-				chain = append(chain, p.Steps[k].(fusible).fuseFns())
-				finalSchema = next
-			}
-			next, err := rebuild(cur, finalSchema, composeFns(chain))
-			if err != nil {
-				return nil, stats, fmt.Errorf("xform: fused steps %d..%d: %w", i+1, j, err)
-			}
-			stats.FusedSteps += j - i
-			stats.Passes++
-			cur, curSchema = next, finalSchema
-			i = j
-			continue
-		}
-		t := p.Steps[i]
-		nextSchema, err := t.ApplySchema(curSchema)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		next, err := t.MigrateData(cur, nextSchema)
-		if err != nil {
-			return nil, stats, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		stats.StepwiseSteps++
-		stats.Passes++
-		cur, curSchema = next, nextSchema
-		i++
-	}
-	return cur, stats, nil
-}
-
-// MigrateDataStepwise chains the steps' data restructurings one
-// full-database pass per step — the pre-fusion path, kept as the
-// byte-identity oracle and benchmark baseline.
-func (p *Plan) MigrateDataStepwise(src *netstore.DB) (*netstore.DB, error) {
-	cur := src
-	curSchema := src.Schema()
-	for _, t := range p.Steps {
-		nextSchema, err := t.ApplySchema(curSchema)
-		if err != nil {
-			return nil, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		next, err := t.MigrateData(cur, nextSchema)
-		if err != nil {
-			return nil, fmt.Errorf("xform: %s: %w", t.Name(), err)
-		}
-		cur = next
-		curSchema = nextSchema
-	}
-	return cur, nil
-}
-
-// composeFns chains mapping-function sets left to right. mapData sees
-// the record under the type name it has at entry to that step, so
-// renames and data edits interleave exactly as the stepwise passes
-// would apply them.
-func composeFns(chain []rebuildFns) rebuildFns {
-	return rebuildFns{
-		mapType: func(srcType string) string {
-			cur := srcType
-			for _, f := range chain {
-				if f.mapType != nil {
-					cur = f.mapType(cur)
-					if cur == "" {
-						return ""
-					}
-				}
-			}
-			return cur
-		},
-		mapData: func(srcType string, data *value.Record) *value.Record {
-			cur := srcType
-			for _, f := range chain {
-				if f.mapData != nil {
-					data = f.mapData(cur, data)
-				}
-				if f.mapType != nil {
-					cur = f.mapType(cur)
-				}
-			}
-			return data
-		},
-		mapSet: func(srcSet string) string {
-			cur := srcSet
-			for _, f := range chain {
-				if f.mapSet != nil {
-					cur = f.mapSet(cur)
-					if cur == "" {
-						return ""
-					}
-				}
-			}
-			return cur
-		},
-	}
 }
 
 // Rewriters returns the per-step rewrite rules against the schemas each

@@ -1,6 +1,7 @@
 package xform
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -17,6 +18,17 @@ func figure42to44() IntroduceIntermediate {
 		Set: "DIV-EMP", Inter: "DEPT", GroupField: "DEPT-NAME",
 		Upper: "DIV-DEPT", Lower: "DEPT-EMP",
 	}
+}
+
+// migrate runs a plan of the given steps through Migrate, failing the
+// test on error.
+func migrate(t *testing.T, src *netstore.DB, steps ...Transformation) *netstore.DB {
+	t.Helper()
+	out, _, err := (&Plan{Steps: steps}).Migrate(context.Background(), src, MigrateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // companyV1DB populates Figure 4.2.
@@ -56,16 +68,7 @@ func TestIntroduceIntermediateMatchesFigure44(t *testing.T) {
 }
 
 func TestIntroduceIntermediateMigration(t *testing.T) {
-	src := companyV1DB(t)
-	tr := figure42to44()
-	dst, err := tr.ApplySchema(src.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := tr.MigrateData(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := migrate(t, companyV1DB(t), figure42to44())
 	if out.Count("DIV") != 2 || out.Count("EMP") != 4 {
 		t.Errorf("counts: DIV=%d EMP=%d", out.Count("DIV"), out.Count("EMP"))
 	}
@@ -94,13 +97,8 @@ func TestIntroduceCollapseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2db, err := intro.MigrateData(src, v2schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	collapse := CollapseIntermediate{
-		Upper: "DIV-DEPT", Lower: "DEPT-EMP", GroupField: "DEPT-NAME", NewSet: "DIV-EMP",
-	}
+	v2db := migrate(t, src, intro)
+	collapse := figure44to42()
 	backSchema, err := collapse.ApplySchema(v2schema)
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +106,7 @@ func TestIntroduceCollapseRoundTrip(t *testing.T) {
 	if backSchema.DDL() != src.Schema().DDL() {
 		t.Errorf("round trip schema:\n%s\nwant:\n%s", backSchema.DDL(), src.Schema().DDL())
 	}
-	backDB, err := collapse.MigrateData(v2db, backSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
+	backDB := migrate(t, v2db, collapse)
 	// Same logical EMP records, same counts.
 	if backDB.Count("EMP") != 4 || backDB.Count("DIV") != 2 {
 		t.Error("round trip lost records")
@@ -179,10 +174,7 @@ func TestRenameTransformations(t *testing.T) {
 	if v == nil || v.ViaSet != "DIV-WORKER" {
 		t.Errorf("virtual after set rename: %+v", v)
 	}
-	out, err := plan.MigrateData(src)
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := migrate(t, src, plan.Steps...)
 	if out.Count("WORKER") != 4 {
 		t.Error("migration lost workers")
 	}
@@ -229,10 +221,7 @@ func TestAddDropField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db2, err := add.MigrateData(src, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := migrate(t, src, add)
 	rec := db2.Data(db2.AllOf("EMP")[0])
 	if rec.MustGet("SALARY").AsInt() != 0 {
 		t.Errorf("default missing: %v", rec)
@@ -242,14 +231,10 @@ func TestAddDropField(t *testing.T) {
 	}
 
 	drop := DropField{Record: "EMP", Field: "AGE"}
-	s3, err := drop.ApplySchema(s2)
-	if err != nil {
+	if _, err := drop.ApplySchema(s2); err != nil {
 		t.Fatal(err)
 	}
-	db3, err := drop.MigrateData(db2, s3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db3 := migrate(t, db2, drop)
 	if db3.Data(db3.AllOf("EMP")[0]).Has("AGE") {
 		t.Error("AGE survived drop")
 	}
@@ -280,14 +265,10 @@ func TestDropFieldGuards(t *testing.T) {
 func TestChangeSetKeysAndRetention(t *testing.T) {
 	src := companyV1DB(t)
 	keys := ChangeSetKeys{Set: "DIV-EMP", Keys: []string{"AGE"}}
-	s2, err := keys.ApplySchema(src.Schema())
-	if err != nil {
+	if _, err := keys.ApplySchema(src.Schema()); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := keys.MigrateData(src, s2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db2 := migrate(t, src, keys)
 	// MACHINERY employees now ordered by AGE: BAKER(28), CLARK(33), ADAMS(45).
 	div := db2.SystemMembers("ALL-DIV")[0]
 	emps := db2.Members("DIV-EMP", div)
@@ -492,8 +473,8 @@ func TestPlanErrorPropagation(t *testing.T) {
 	if _, err := bad.ApplySchema(schema.CompanyV1()); err == nil {
 		t.Error("ApplySchema should propagate")
 	}
-	if _, err := bad.MigrateData(companyV1DB(t)); err == nil {
-		t.Error("MigrateData should propagate")
+	if _, _, err := bad.Migrate(context.Background(), companyV1DB(t), MigrateOptions{}); err == nil {
+		t.Error("Migrate should propagate")
 	}
 	if _, err := bad.Rewriters(schema.CompanyV1()); err == nil {
 		t.Error("Rewriters should propagate")

@@ -144,8 +144,7 @@ type (
 
 	// PairSpec describes one conversion pair in some data model for a
 	// ConvertJobs batch; NetworkSpec and HierSpec are the two
-	// implementations. A Job carrying no Spec converts its legacy
-	// network-model fields.
+	// implementations.
 	PairSpec    = core.PairSpec
 	NetworkSpec = core.NetworkSpec
 	HierSpec    = core.HierSpec
