@@ -76,7 +76,7 @@ func (b *Bridge) Run(p *dbprog.Program, cfg dbprog.Config) (*dbprog.Trace, error
 	if err != nil {
 		return nil, err
 	}
-	writes := Writes(p)
+	writes := dbprog.Writes(p)
 	runDB := recon
 	if writes {
 		runDB = recon.Clone()
@@ -95,41 +95,4 @@ func (b *Bridge) Run(p *dbprog.Program, cfg dbprog.Config) (*dbprog.Trace, error
 		b.targetVersion++
 	}
 	return trace, nil
-}
-
-// Writes reports whether a program contains database-writing DML, the
-// static check that decides whether retranslation is needed (the
-// differential-file shortcut: pure retrievals never invalidate the
-// reconstruction).
-func Writes(p *dbprog.Program) bool {
-	return blockWrites(p.Stmts)
-}
-
-func blockWrites(stmts []dbprog.Stmt) bool {
-	for _, st := range stmts {
-		switch s := st.(type) {
-		case dbprog.StoreRec, dbprog.ModifyRec, dbprog.EraseRec,
-			dbprog.ConnectRec, dbprog.DisconnectRec,
-			dbprog.MDelete, dbprog.MModify, dbprog.MStore,
-			dbprog.SqlExec, dbprog.DLIInsert, dbprog.DLIDelete, dbprog.DLIRepl:
-			return true
-		case dbprog.If:
-			if blockWrites(s.Then) || blockWrites(s.Else) {
-				return true
-			}
-		case dbprog.PerformUntil:
-			if blockWrites(s.Body) {
-				return true
-			}
-		case dbprog.ForEach:
-			if blockWrites(s.Body) {
-				return true
-			}
-		case dbprog.SqlForEach:
-			if blockWrites(s.Body) {
-				return true
-			}
-		}
-	}
-	return false
 }

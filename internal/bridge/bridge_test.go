@@ -156,23 +156,3 @@ func TestBridgeRequiresInvertiblePlan(t *testing.T) {
 		t.Error("non-invertible plan must be refused (Housel's restriction)")
 	}
 }
-
-func TestWritesDetection(t *testing.T) {
-	cases := []struct {
-		src  string
-		want bool
-	}{
-		{readerProgram, false},
-		{`PROGRAM W DIALECT NETWORK. STORE DIV. END PROGRAM.`, true},
-		{`PROGRAM W DIALECT NETWORK. IF 1 = 1 ERASE EMP. END-IF. END PROGRAM.`, true},
-		{`PROGRAM W DIALECT MARYLAND. FIND(DIV: SYSTEM, ALL-DIV, DIV) INTO C. DELETE C. END PROGRAM.`, true},
-		{`PROGRAM W DIALECT MARYLAND. FIND(DIV: SYSTEM, ALL-DIV, DIV) INTO C. FOR EACH D IN C PRINT 'X'. END-FOR. END PROGRAM.`, false},
-		{`PROGRAM W DIALECT SEQUEL. FOR EACH R IN (SELECT CNO FROM C) DELETE FROM C WHERE CNO = 'X'. END-FOR. END PROGRAM.`, true},
-		{`PROGRAM W DIALECT NETWORK. PERFORM UNTIL 1 = 1 CONNECT EMP TO DIV-EMP. END-PERFORM. END PROGRAM.`, true},
-	}
-	for _, tc := range cases {
-		if got := Writes(parse(t, tc.src)); got != tc.want {
-			t.Errorf("Writes = %v, want %v for\n%s", got, tc.want, tc.src)
-		}
-	}
-}

@@ -43,8 +43,10 @@ type PairSpec interface {
 // equivalence checker runs — lives behind it.
 //
 // A ModelPair is cheap and per-job: the shared cache holds only the
-// immutable pair context, never the job's (mutated, migrated)
-// databases.
+// immutable pair context, never the job's source or migrated database.
+// Neither database changes once migration is done: the verify runs of
+// read-only programs share them through views, and a program that
+// writes runs on clones.
 type ModelPair interface {
 	// Model names the data model, as carried in audits and reports.
 	Model() string
@@ -79,7 +81,10 @@ type ModelPair interface {
 	// automatic conversions against.
 	verifiable() bool
 	// verify runs source and converted programs against the original and
-	// migrated databases and compares traces.
+	// migrated databases and compares traces. When neither program
+	// writes, both run on read-only views of the job's databases, which
+	// every verified program of the job shares; when either writes, both
+	// run on private clones.
 	verify(ctx context.Context, src, converted *dbprog.Program) equiv.Verdict
 }
 
@@ -149,10 +154,10 @@ func (np *networkPair) migrate(ctx context.Context, s *Supervisor, r *Report) er
 }
 
 func (np *networkPair) foldStats(r *Report) {
-	// Clones used by the verify stage share their origin database's
-	// counters, so the deltas cover every FIND the batch issued. The
-	// work per program is identical at any parallelism, so the totals
-	// are deterministic.
+	// The views and clones the verify stage runs on share their origin
+	// database's counters, so the deltas cover every FIND the batch
+	// issued. The work per program is identical at any parallelism, so
+	// the totals are deterministic.
 	if np.srcDB == nil {
 		return
 	}
@@ -193,9 +198,11 @@ func (np *networkPair) optimize(ctx context.Context, cache *plancache.Cache, ph 
 func (np *networkPair) verifiable() bool { return np.srcDB != nil }
 
 func (np *networkPair) verify(ctx context.Context, src, converted *dbprog.Program) equiv.Verdict {
-	return equiv.Check(ctx,
-		src, dbprog.Config{Net: np.srcDB.Clone()},
-		converted, dbprog.Config{Net: np.targetDB.Clone()})
+	srcDB, dstDB := np.srcDB.View(), np.targetDB.View()
+	if dbprog.Writes(src) || dbprog.Writes(converted) {
+		srcDB, dstDB = np.srcDB.Clone(), np.targetDB.Clone()
+	}
+	return equiv.Check(ctx, src, dbprog.Config{Net: srcDB}, converted, dbprog.Config{Net: dstDB})
 }
 
 // HierSpec is the hierarchical (IMS / DL/I) model's PairSpec.
@@ -285,7 +292,9 @@ func (hp *hierPair) optimize(ctx context.Context, cache *plancache.Cache, ph fin
 func (hp *hierPair) verifiable() bool { return hp.srcDB != nil }
 
 func (hp *hierPair) verify(ctx context.Context, src, converted *dbprog.Program) equiv.Verdict {
-	return equiv.Check(ctx,
-		src, dbprog.Config{Hier: hp.srcDB.Clone()},
-		converted, dbprog.Config{Hier: hp.targetDB.Clone()})
+	srcDB, dstDB := hp.srcDB.View(), hp.targetDB.View()
+	if dbprog.Writes(src) || dbprog.Writes(converted) {
+		srcDB, dstDB = hp.srcDB.Clone(), hp.targetDB.Clone()
+	}
+	return equiv.Check(ctx, src, dbprog.Config{Hier: srcDB}, converted, dbprog.Config{Hier: dstDB})
 }

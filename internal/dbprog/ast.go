@@ -342,3 +342,40 @@ func (DLIGet) stmt()    {}
 func (DLIInsert) stmt() {}
 func (DLIDelete) stmt() {}
 func (DLIRepl) stmt()   {}
+
+// Writes reports whether a program contains database-writing DML in any
+// dialect. It is the static check behind two decisions: whether the
+// bridge must retranslate a program's changes (pure retrievals never
+// invalidate its reconstruction) and whether verification can run a
+// program on a read-only view instead of a database copy.
+func Writes(p *Program) bool {
+	return blockWrites(p.Stmts)
+}
+
+func blockWrites(stmts []Stmt) bool {
+	for _, st := range stmts {
+		switch s := st.(type) {
+		case StoreRec, ModifyRec, EraseRec, ConnectRec, DisconnectRec,
+			MDelete, MModify, MStore,
+			SqlExec, DLIInsert, DLIDelete, DLIRepl:
+			return true
+		case If:
+			if blockWrites(s.Then) || blockWrites(s.Else) {
+				return true
+			}
+		case PerformUntil:
+			if blockWrites(s.Body) {
+				return true
+			}
+		case ForEach:
+			if blockWrites(s.Body) {
+				return true
+			}
+		case SqlForEach:
+			if blockWrites(s.Body) {
+				return true
+			}
+		}
+	}
+	return false
+}

@@ -560,3 +560,38 @@ END PROGRAM.
 		t.Errorf("terminal = %v", got)
 	}
 }
+
+func TestWritesDetection(t *testing.T) {
+	cases := []struct {
+		src  string
+		want bool
+	}{
+		{`
+PROGRAM READER DIALECT NETWORK.
+  MOVE 'MACHINERY' TO DIV-NAME IN DIV.
+  FIND ANY DIV USING DIV-NAME.
+  PERFORM UNTIL DB-STATUS <> 'OK'
+    FIND NEXT EMP WITHIN DIV-EMP.
+    IF DB-STATUS = 'OK'
+      GET EMP.
+      PRINT EMP-NAME IN EMP, DEPT-NAME IN EMP.
+    END-IF.
+  END-PERFORM.
+END PROGRAM.
+`, false},
+		{`PROGRAM W DIALECT NETWORK. STORE DIV. END PROGRAM.`, true},
+		{`PROGRAM W DIALECT NETWORK. IF 1 = 1 ERASE EMP. END-IF. END PROGRAM.`, true},
+		{`PROGRAM W DIALECT MARYLAND. FIND(DIV: SYSTEM, ALL-DIV, DIV) INTO C. DELETE C. END PROGRAM.`, true},
+		{`PROGRAM W DIALECT MARYLAND. FIND(DIV: SYSTEM, ALL-DIV, DIV) INTO C. FOR EACH D IN C PRINT 'X'. END-FOR. END PROGRAM.`, false},
+		{`PROGRAM W DIALECT SEQUEL. FOR EACH R IN (SELECT CNO FROM C) DELETE FROM C WHERE CNO = 'X'. END-FOR. END PROGRAM.`, true},
+		{`PROGRAM W DIALECT NETWORK. PERFORM UNTIL 1 = 1 CONNECT EMP TO DIV-EMP. END-PERFORM. END PROGRAM.`, true},
+		{`PROGRAM W DIALECT DLI. GU DEPT(D# = 'D12'). PRINT MGR IN DEPT. END PROGRAM.`, false},
+		{`PROGRAM W DIALECT DLI. GU DEPT(D# = 'D12'). IF DB-STATUS = 'OK' REPL (MGR = 'X'). END-IF. END PROGRAM.`, true},
+		{`PROGRAM W DIALECT DLI. ISRT DEPT (D# = 'D9', DNAME = 'X', MGR = 'Y'). END PROGRAM.`, true},
+	}
+	for _, tc := range cases {
+		if got := Writes(mustParse(t, tc.src)); got != tc.want {
+			t.Errorf("Writes = %v, want %v for\n%s", got, tc.want, tc.src)
+		}
+	}
+}

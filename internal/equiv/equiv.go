@@ -51,13 +51,17 @@ func (v Verdict) Diff() string {
 
 // Check runs the source program under its configuration and the target
 // program under its configuration and compares the observable traces.
-// The two runs execute concurrently — they share nothing (each run gets
-// its own database clone from the caller) — and both poll ctx, so a
-// canceled check aborts promptly on both sides. The verdict and the
-// emitted Verify event are built after both runs join, on the calling
-// goroutine, keeping the event stream deterministic. A done ctx yields
-// a non-Equal verdict carrying ctx.Err() in both error slots, so
-// canceled checks are never mistaken for divergence-free runs.
+// The two runs execute concurrently and share nothing they write: the
+// caller hands each run either a read-only view of its database or, for
+// a program that writes, a clone of its own. Both runs poll ctx, so a
+// canceled check aborts promptly on both sides. A panic in either run —
+// such as a write refused by a read-only view — is re-raised on the
+// calling goroutine once both runs have stopped, so the caller's
+// recover barrier sees it. The verdict and the emitted Verify event are
+// built after both runs join, on the calling goroutine, keeping the
+// event stream deterministic. A done ctx yields a non-Equal verdict
+// carrying ctx.Err() in both error slots, so canceled checks are never
+// mistaken for divergence-free runs.
 func Check(ctx context.Context, src *dbprog.Program, srcCfg dbprog.Config, dst *dbprog.Program, dstCfg dbprog.Config) Verdict {
 	if err := ctx.Err(); err != nil {
 		return Verdict{SourceErr: err, TargetErr: err}
@@ -69,16 +73,27 @@ func Check(ctx context.Context, src *dbprog.Program, srcCfg dbprog.Config, dst *
 		dstCfg.Ctx = ctx
 	}
 	var (
-		tb   *dbprog.Trace
-		eb   error
-		done = make(chan struct{})
+		ta, tb             *dbprog.Trace
+		ea, eb             error
+		srcPanic, dstPanic any
+		done               = make(chan struct{})
 	)
 	go func() {
 		defer close(done)
+		defer func() { dstPanic = recover() }()
 		tb, eb = dbprog.Run(dst, dstCfg)
 	}()
-	ta, ea := dbprog.Run(src, srcCfg)
+	func() {
+		defer func() { srcPanic = recover() }()
+		ta, ea = dbprog.Run(src, srcCfg)
+	}()
 	<-done
+	if srcPanic != nil {
+		panic(srcPanic)
+	}
+	if dstPanic != nil {
+		panic(dstPanic)
+	}
 	v := Verdict{Source: ta, Target: tb, SourceErr: ea, TargetErr: eb}
 	v.Equal = ea == nil && eb == nil && ta.Equal(tb)
 	if em := obs.EmitterFrom(ctx); em.Enabled() {

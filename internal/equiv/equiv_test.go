@@ -2,10 +2,12 @@ package equiv
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
 	"progconv/internal/dbprog"
+	"progconv/internal/hierstore"
 	"progconv/internal/netstore"
 	"progconv/internal/schema"
 )
@@ -82,5 +84,39 @@ func TestTerminalLinesAndSummary(t *testing.T) {
 	})
 	if !strings.Contains(s, "1 equivalent, 1 divergent") || !strings.Contains(s, "bad:") {
 		t.Errorf("summary = %s", s)
+	}
+}
+
+// TestCheckRefusedWritesAbort: a write refused by a read-only view never
+// reaches the program as a status. On the network side the verb's error
+// aborts the run; on the DL/I side the refusal panics, and Check
+// re-raises it on the calling goroutine even when it struck the target
+// run's goroutine.
+func TestCheckRefusedWritesAbort(t *testing.T) {
+	reader := parse(t, `PROGRAM R DIALECT NETWORK. PRINT 'X'. END PROGRAM.`)
+	writer := parse(t, `PROGRAM W DIALECT NETWORK. STORE DIV. PRINT DB-STATUS. END PROGRAM.`)
+	view := dbprog.Config{Net: netstore.NewDB(schema.CompanyV1()).View()}
+	v := Check(context.Background(), reader, cfg(), writer, view)
+	if v.Equal || !errors.Is(v.TargetErr, netstore.ErrReadOnly) || len(v.Target.Events) != 0 {
+		t.Errorf("network writer on a view: %+v", v)
+	}
+
+	hier := dbprog.Config{Hier: hierstore.NewDB(schema.EmpDeptHierarchy()).View()}
+	dli := parse(t, `PROGRAM I DIALECT DLI. ISRT DEPT (D# = 'D1', DNAME = 'X', MGR = 'Y'). PRINT DB-STATUS. END PROGRAM.`)
+	getter := parse(t, `PROGRAM G DIALECT DLI. GU DEPT. PRINT DB-STATUS. END PROGRAM.`)
+	for _, side := range []string{"source", "target"} {
+		t.Run(side, func(t *testing.T) {
+			defer func() {
+				if err, _ := recover().(error); !errors.Is(err, hierstore.ErrReadOnly) {
+					t.Errorf("recovered %v, want hierstore.ErrReadOnly", err)
+				}
+			}()
+			if side == "source" {
+				Check(context.Background(), dli, hier, getter, hier)
+			} else {
+				Check(context.Background(), getter, hier, dli, hier)
+			}
+			t.Error("Check returned normally")
+		})
 	}
 }

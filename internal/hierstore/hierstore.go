@@ -9,7 +9,10 @@
 package hierstore
 
 import (
+	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -108,7 +111,8 @@ type seg struct {
 	typ    *schema.Segment
 	data   *value.Record
 	parent SegID // 0 for root occurrences
-	// children maps child segment type name to ordered occurrence IDs.
+	// children maps child segment type name to ordered occurrence IDs;
+	// nil until the first child is inserted.
 	children map[string][]SegID
 }
 
@@ -118,7 +122,17 @@ type DB struct {
 	segs   map[SegID]*seg
 	roots  []SegID
 	nextID SegID
+	// readOnly marks a View: every mutating entry point panics.
+	readOnly bool
+	// unordered records that a REPL stored a NaN sequence value. NaN
+	// compares equal to every number, so twin lists may no longer be
+	// sorted and lookups scan them instead of bisecting.
+	unordered bool
 }
+
+// ErrReadOnly is the panic value of every mutating call (ISRT, DLET,
+// REPL, Insert) on a read-only View.
+var ErrReadOnly = errors.New("hierstore: database is a read-only view")
 
 // NewDB creates an empty database for the hierarchy. The schema must be
 // valid; NewDB panics otherwise.
@@ -226,21 +240,43 @@ func insertOrdered(db *DB, lst []SegID, s *seg) []SegID {
 func (db *DB) Clone() *DB {
 	c := NewDB(db.schema.Clone())
 	c.nextID = db.nextID
+	c.unordered = db.unordered
 	c.roots = append([]SegID(nil), db.roots...)
 	for id, s := range db.segs {
 		cs := &seg{
-			id:       s.id,
-			typ:      c.schema.Segment(s.typ.Name),
-			data:     s.data.Clone(),
-			parent:   s.parent,
-			children: make(map[string][]SegID, len(s.children)),
+			id:     s.id,
+			typ:    c.schema.Segment(s.typ.Name),
+			data:   s.data.Clone(),
+			parent: s.parent,
 		}
-		for t, lst := range s.children {
-			cs.children[t] = append([]SegID(nil), lst...)
+		if len(s.children) > 0 {
+			cs.children = make(map[string][]SegID, len(s.children))
+			for t, lst := range s.children {
+				cs.children[t] = append([]SegID(nil), lst...)
+			}
 		}
 		c.segs[id] = cs
 	}
 	return c
+}
+
+// View returns a read-only handle on the database in O(1): it shares
+// the origin's segments, so gets through it answer exactly as they
+// would on a Clone. ISRT, DLET, REPL and Insert on a view panic with
+// ErrReadOnly before touching anything — a refused write aborts the
+// program rather than handing it a status code to branch on. Views of
+// one database may be read concurrently; the origin must not be
+// mutated while a view is in use.
+func (db *DB) View() *DB {
+	v := *db
+	v.readOnly = true
+	return &v
+}
+
+func (db *DB) mustWrite() {
+	if db.readOnly {
+		panic(ErrReadOnly)
+	}
 }
 
 // Session is a PCB: the position and parentage of one program against the
@@ -335,10 +371,8 @@ func (s *Session) GU(ssas ...SSA) (*value.Record, Status) {
 		}
 		return s.arrive(s.db.roots[0])
 	}
-	for _, id := range s.db.Sequence() {
-		if s.pathMatches(id, ssas) {
-			return s.arrive(id)
-		}
+	if id := s.db.find(ssas); id != 0 {
+		return s.arrive(id)
 	}
 	return nil, s.fail(GE)
 }
@@ -416,11 +450,186 @@ func (s *Session) exists(id SegID) bool {
 	return ok
 }
 
+// find returns the first occurrence in hierarchic sequence that
+// satisfies a checked SSA path, or 0. Instead of scanning the whole
+// sequence it walks the schema path down from the roots: levels above
+// the first SSA are visited in order, a level whose SSA qualifies the
+// segment's sequence field with = bisects the sorted twin list, and any
+// other level scans its twins in order. Hierarchic sequence orders the
+// occurrences of one type by their ancestors' twin positions, level by
+// level, so the descent's first hit is the sequence scan's first hit.
+func (db *DB) find(ssas []SSA) SegID {
+	var buf [8]string
+	types := buf[:0] // segment type per level, root first
+	if ssas[0].Segment != db.schema.Root.Name {
+		for p := db.schema.Parent(ssas[0].Segment); p != nil; p = db.schema.Parent(p.Name) {
+			types = append(types, p.Name)
+		}
+		slices.Reverse(types)
+	}
+	first := len(types)
+	for _, a := range ssas {
+		types = append(types, a.Segment)
+	}
+	return db.descend(db.roots, ssas, types, first, 0)
+}
+
+// descend is find's walk over one level: twins are the candidate
+// occurrences of types[level], and ssas[level-first] qualifies them
+// when the level is at or below the first SSA.
+func (db *DB) descend(twins []SegID, ssas []SSA, types []string, first, level int) SegID {
+	var a *SSA
+	if level >= first {
+		a = &ssas[level-first]
+		twins = db.narrow(twins, a)
+	}
+	for _, id := range twins {
+		sg := db.segs[id]
+		if a != nil && !a.matches(sg.data) {
+			continue
+		}
+		if level == len(types)-1 {
+			return id
+		}
+		if hit := db.descend(sg.children[types[level+1]], ssas, types, first, level+1); hit != 0 {
+			return hit
+		}
+	}
+	return 0
+}
+
+// narrow cuts a twin list down to the only twin an SSA can match when
+// the SSA qualifies the twins' sequence field with =.
+func (db *DB) narrow(twins []SegID, a *SSA) []SegID {
+	if len(twins) == 0 {
+		return twins
+	}
+	seq := db.segs[twins[0]].typ.Seq
+	if seq == "" {
+		return twins
+	}
+	for _, q := range a.Quals {
+		if q.Field == seq && q.Op == EQ && db.bisectable(q.Value) {
+			if i := db.twin(twins, seq, q.Value); i >= 0 {
+				return twins[i : i+1]
+			}
+			return nil
+		}
+	}
+	return twins
+}
+
+// bisectable reports whether twin lists can be searched for v by
+// bisection. They are sorted by sequence value, and ISRT admits no two
+// equal twins, unless a REPL has stored a NaN, which equals every
+// number; a NaN probe likewise equals every numeric twin.
+func (db *DB) bisectable(v value.Value) bool {
+	return !db.unordered && !isNaN(v)
+}
+
+func isNaN(v value.Value) bool { return v.Kind() == value.Float && math.IsNaN(v.AsFloat()) }
+
+// twin returns the position of the first twin whose field equals v, or
+// -1: by bisection when the list allows it, by scanning otherwise.
+func (db *DB) twin(twins []SegID, field string, v value.Value) int {
+	if !db.bisectable(v) {
+		for i, id := range twins {
+			if db.segs[id].data.MustGet(field).Equal(v) {
+				return i
+			}
+		}
+		return -1
+	}
+	i := sort.Search(len(twins), func(i int) bool {
+		c, _ := db.segs[twins[i]].data.MustGet(field).Compare(v)
+		return c >= 0
+	})
+	if i < len(twins) && db.segs[twins[i]].data.MustGet(field).Equal(v) {
+		return i
+	}
+	return -1
+}
+
+// shape builds the stored record for an insert of typ: every declared
+// field, taken from data and kind-checked (AJ for a mismatch or for a
+// field typ does not declare).
+func shape(typ *schema.Segment, data *value.Record) (*value.Record, Status) {
+	rec := value.NewRecordSize(len(typ.Fields))
+	for _, f := range typ.Fields {
+		v, _ := data.Get(f.Name)
+		if !v.IsNull() && v.Kind() != f.Kind {
+			return nil, AJ
+		}
+		rec.Set(f.Name, v)
+	}
+	for _, n := range data.Names() {
+		if typ.Field(n) == nil {
+			return nil, AJ
+		}
+	}
+	return rec, OK
+}
+
+// Insert places a new occurrence of segType under the parent occurrence
+// with the given ID (0 for a root). It is the one insertion path: ISRT
+// resolves its parent path and calls it, and the data translator's
+// reorder splice calls it with the IDs it has just created. The data is
+// kind-checked against the segment type (AJ); the parent must be an
+// occurrence of the type's schema parent (AC), and a live one (GE). A
+// twin with an equal sequence value rejects the insert with II and its
+// ID is returned; on OK the new occurrence's ID is.
+func (db *DB) Insert(parent SegID, segType string, data *value.Record) (SegID, Status) {
+	db.mustWrite()
+	typ := db.schema.Segment(segType)
+	if typ == nil {
+		return 0, AJ
+	}
+	rec, st := shape(typ, data)
+	if st != OK {
+		return 0, st
+	}
+	twins := db.roots
+	if parent == 0 {
+		if typ.Name != db.schema.Root.Name {
+			return 0, AC // a non-root insert needs its parent
+		}
+	} else {
+		p, ok := db.segs[parent]
+		if !ok {
+			return 0, GE
+		}
+		if !slices.ContainsFunc(p.typ.Children, func(c *schema.Segment) bool { return c.Name == segType }) {
+			return 0, AC
+		}
+		twins = p.children[segType]
+	}
+	if typ.Seq != "" {
+		if i := db.twin(twins, typ.Seq, rec.MustGet(typ.Seq)); i >= 0 {
+			return twins[i], II
+		}
+	}
+	sg := &seg{id: db.nextID, typ: typ, data: rec, parent: parent}
+	db.nextID++
+	db.segs[sg.id] = sg
+	if parent == 0 {
+		db.roots = insertOrdered(db, db.roots, sg)
+	} else {
+		p := db.segs[parent]
+		if p.children == nil {
+			p.children = make(map[string][]SegID, len(p.typ.Children))
+		}
+		p.children[segType] = insertOrdered(db, p.children[segType], sg)
+	}
+	return sg.id, OK
+}
+
 // ISRT implements Insert: the last SSA names the segment type to insert
-// (unqualified); any preceding SSAs select the parent path. A root
-// segment is inserted with a single SSA. Twins with an equal sequence
-// value are rejected with II, matching IMS's no-duplicate-keys rule.
+// (unqualified); any preceding SSAs select the parent path, whose first
+// occurrence in hierarchic sequence becomes the parent. A root segment
+// is inserted with a single SSA. Twins with an equal sequence value are
+// rejected with II, matching IMS's no-duplicate-keys rule.
 func (s *Session) ISRT(data *value.Record, ssas ...SSA) Status {
+	s.db.mustWrite()
 	if len(ssas) == 0 {
 		return s.fail(AJ)
 	}
@@ -428,74 +637,22 @@ func (s *Session) ISRT(data *value.Record, ssas ...SSA) Status {
 		return s.fail(st)
 	}
 	target := s.db.schema.Segment(ssas[len(ssas)-1].Segment)
-	// Validate the record shape against the segment type.
-	rec := value.NewRecord()
-	for _, f := range target.Fields {
-		v, _ := data.Get(f.Name)
-		if !v.IsNull() && v.Kind() != f.Kind {
-			return s.fail(AJ)
-		}
-		rec.Set(f.Name, v)
-	}
-	for _, n := range data.Names() {
-		if target.Field(n) == nil {
-			return s.fail(AJ)
-		}
-	}
-
 	var parentID SegID
-	if len(ssas) == 1 {
-		if s.db.schema.Root.Name != target.Name {
-			return s.fail(AC) // non-root insert requires the parent path
-		}
-	} else {
-		// Locate the parent by the leading SSAs.
-		parentPath := ssas[:len(ssas)-1]
-		found := false
-		for _, id := range s.db.Sequence() {
-			if s.pathMatches(id, parentPath) {
-				parentID = id
-				found = true
-				break
+	if len(ssas) > 1 {
+		if parentID = s.db.find(ssas[:len(ssas)-1]); parentID == 0 {
+			// A malformed record outranks a missing parent.
+			if _, st := shape(target, data); st != OK {
+				return s.fail(st)
 			}
-		}
-		if !found {
 			return s.fail(GE)
 		}
 	}
-
-	// Duplicate check on the sequence field among twins.
-	var siblings []SegID
-	if parentID == 0 {
-		siblings = s.db.roots
-	} else {
-		siblings = s.db.segs[parentID].children[target.Name]
+	id, st := s.db.Insert(parentID, target.Name, data)
+	if st != OK {
+		return s.fail(st)
 	}
-	if target.Seq != "" {
-		for _, sib := range siblings {
-			if s.db.segs[sib].data.MustGet(target.Seq).Equal(rec.MustGet(target.Seq)) {
-				return s.fail(II)
-			}
-		}
-	}
-
-	sg := &seg{
-		id:       s.db.nextID,
-		typ:      target,
-		data:     rec,
-		parent:   parentID,
-		children: make(map[string][]SegID),
-	}
-	s.db.nextID++
-	s.db.segs[sg.id] = sg
-	if parentID == 0 {
-		s.db.roots = insertOrdered(s.db, s.db.roots, sg)
-	} else {
-		p := s.db.segs[parentID]
-		p.children[target.Name] = insertOrdered(s.db, p.children[target.Name], sg)
-	}
-	s.position = sg.id
-	s.parentage = sg.id
+	s.position = id
+	s.parentage = id
 	return s.fail(OK)
 }
 
@@ -503,6 +660,7 @@ func (s *Session) ISRT(data *value.Record, ssas ...SSA) Status {
 // its whole subtree (IMS deletes dependents with their parent), then
 // clears the position.
 func (s *Session) DLET() Status {
+	s.db.mustWrite()
 	if s.position == 0 || !s.exists(s.position) {
 		return s.fail(DJ)
 	}
@@ -538,6 +696,7 @@ func (s *Session) DLET() Status {
 // the current position. Changing the sequence field is refused with DA,
 // as in IMS.
 func (s *Session) REPL(data *value.Record) Status {
+	s.db.mustWrite()
 	if s.position == 0 || !s.exists(s.position) {
 		return s.fail(DJ)
 	}
@@ -556,7 +715,11 @@ func (s *Session) REPL(data *value.Record) Status {
 		}
 	}
 	for _, n := range data.Names() {
-		sg.data.Set(n, data.MustGet(n))
+		v := data.MustGet(n)
+		if n == sg.typ.Seq && isNaN(v) {
+			s.db.unordered = true
+		}
+		sg.data.Set(n, v)
 	}
 	return s.fail(OK)
 }

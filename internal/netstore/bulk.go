@@ -63,6 +63,9 @@ const bulkSlabSize = 512
 // NewBulkLoader starts a bulk load expecting about `expected` records
 // (a sizing hint; zero is fine).
 func (db *DB) NewBulkLoader(expected int) *BulkLoader {
+	if db.readOnly {
+		panic(ErrReadOnly)
+	}
 	if expected > 0 && len(db.recs) == 0 {
 		db.recs = make(map[RecordID]*occurrence, expected)
 	}

@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -38,7 +39,25 @@ type DB struct {
 	// fields, maintained incrementally by every mutation path. nil when
 	// indexing is disabled (SetIndexing(false)).
 	indexes map[string][]*typeIndex
-	stats   *IndexStats // shared with clones; see IndexStats
+	stats   *IndexStats // shared with clones and views; see IndexStats
+	// readOnly marks a View: every mutating entry point refuses.
+	readOnly bool
+}
+
+// ErrReadOnly is what every mutating entry point on a read-only View
+// refuses with: the session verbs and StoreWith return it, and
+// NewBulkLoader and SetIndexing panic with it.
+var ErrReadOnly = errors.New("netstore: database is a read-only view")
+
+// View returns a read-only handle on the database in O(1). The view
+// shares the origin's records, set occurrences, indexes and IndexStats,
+// so FINDs through it answer — and count probes and scans — exactly as
+// they would on a Clone. Views of one database may be read
+// concurrently; the origin must not be mutated while a view is in use.
+func (db *DB) View() *DB {
+	v := *db
+	v.readOnly = true
+	return &v
 }
 
 // NewDB creates an empty database for the schema. The schema must be
@@ -357,6 +376,9 @@ const OwnerSystem = systemOwner
 // description rather than by navigation. Insertion modes are not
 // consulted: the memberships map says exactly which sets to connect.
 func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[string]RecordID) (RecordID, error) {
+	if db.readOnly {
+		return 0, ErrReadOnly
+	}
 	typ := db.schema.Record(recType)
 	if typ == nil {
 		return 0, fmt.Errorf("netstore: unknown record type %s", recType)

@@ -12,8 +12,8 @@ import (
 
 // IndexStats counts exact-key index probes versus full scans across the
 // FIND fast path. The counters are atomic and the pointer is shared by
-// Clone, so verification runs on cloned databases aggregate into the
-// same totals as the database they were cloned from.
+// Clone and View, so verification runs on clones or views aggregate
+// into the same totals as the database they were taken from.
 type IndexStats struct {
 	probes atomic.Int64
 	scans  atomic.Int64
@@ -232,6 +232,9 @@ func (db *DB) IndexDump() string {
 // enabling rebuilds them from the live occurrences. Behaviour is
 // identical either way — only the access path changes.
 func (db *DB) SetIndexing(enabled bool) {
+	if db.readOnly {
+		panic(ErrReadOnly)
+	}
 	if !enabled {
 		db.indexes = nil
 		return

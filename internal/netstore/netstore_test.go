@@ -1,6 +1,7 @@
 package netstore
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -640,5 +641,60 @@ func TestCurrencyAccessors(t *testing.T) {
 	}
 	if s.DB() != db {
 		t.Error("DB accessor")
+	}
+}
+
+// TestViewRefusesWrites: a view answers FINDs like its origin, counts
+// them into the origin's IndexStats, and refuses every mutating entry
+// point without changing anything.
+func TestViewRefusesWrites(t *testing.T) {
+	db, _ := seedCompany(t)
+	before, beforeIdx := dumpState(db), db.IndexDump()
+	v := db.View()
+	s := NewSession(v)
+	p0, _ := db.IndexStatsOf().Snapshot()
+	if st, err := s.FindAny("EMP", value.FromPairs("EMP-NAME", "BAKER")); err != nil || st != OK {
+		t.Fatalf("FindAny on view: %v %v", st, err)
+	}
+	if p1, _ := db.IndexStatsOf().Snapshot(); p1 != p0+1 {
+		t.Errorf("view probe not counted on the origin's stats (%d -> %d)", p0, p1)
+	}
+	refused := func(name string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrReadOnly) {
+			t.Errorf("%s on a view: %v, want ErrReadOnly", name, err)
+		}
+	}
+	_, _, err := s.Store("EMP", value.FromPairs("EMP-NAME", "NEW", "DEPT-NAME", "SALES", "AGE", 1))
+	refused("STORE", err)
+	_, err = s.Modify("EMP", value.FromPairs("AGE", 99))
+	refused("MODIFY", err)
+	_, err = s.Connect("DIV-EMP")
+	refused("CONNECT", err)
+	_, err = s.Disconnect("DIV-EMP")
+	refused("DISCONNECT", err)
+	_, err = s.Erase("EMP")
+	refused("ERASE", err)
+	_, err = v.StoreWith("DIV", value.FromPairs("DIV-NAME", "NEW"), map[string]RecordID{"ALL-DIV": OwnerSystem})
+	refused("StoreWith", err)
+	panics := func(name string, call func()) {
+		t.Helper()
+		defer func() {
+			err, _ := recover().(error)
+			refused(name, err)
+		}()
+		call()
+	}
+	panics("NewBulkLoader", func() { v.NewBulkLoader(0) })
+	panics("SetIndexing", func() { v.SetIndexing(false) })
+	if s.Status() != OK {
+		t.Errorf("a refused write set DB-STATUS to %v", s.Status())
+	}
+	if dumpState(db) != before || db.IndexDump() != beforeIdx || dumpState(v) != before {
+		t.Error("a refused write changed the database")
+	}
+	// A clone of a view is an ordinary, writable database.
+	if _, st, err := NewSession(v.Clone()).Store("DIV", value.FromPairs("DIV-NAME", "NEW", "DIV-LOC", "X")); err != nil || st != OK {
+		t.Errorf("STORE on a clone of a view: %v %v", st, err)
 	}
 }

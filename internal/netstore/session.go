@@ -155,6 +155,9 @@ func (s *Session) matches(o *occurrence, match *value.Record) bool {
 // selected through the set's currency (the "set selection" of DBTG); with
 // no currency the store fails with NoCurrentOwner and nothing is stored.
 func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, error) {
+	if s.db.readOnly {
+		return 0, s.status, ErrReadOnly
+	}
 	typ := s.db.schema.Record(recType)
 	if typ == nil {
 		return 0, s.status, fmt.Errorf("netstore: unknown record type %s", recType)
@@ -437,6 +440,9 @@ func (s *Session) Get(recType string) (*value.Record, Status, error) {
 // keys it moved under. A reposition that would duplicate a set key fails
 // with DuplicateInSet and leaves the record unchanged.
 func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
+	if s.db.readOnly {
+		return s.status, ErrReadOnly
+	}
 	typ := s.db.schema.Record(recType)
 	if typ == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
@@ -488,6 +494,9 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 // members of sets it owns are erased with it, OPTIONAL members are
 // disconnected (§3.1's DELETE-with-cascade behaviour).
 func (s *Session) Erase(recType string) (Status, error) {
+	if s.db.readOnly {
+		return s.status, ErrReadOnly
+	}
 	if s.db.schema.Record(recType) == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
@@ -506,6 +515,9 @@ func (s *Session) Erase(recType string) (Status, error) {
 // Connect implements CONNECT <record> TO <set>: wires the current of
 // run-unit into the set occurrence selected by the set's currency.
 func (s *Session) Connect(set string) (Status, error) {
+	if s.db.readOnly {
+		return s.status, ErrReadOnly
+	}
 	st := s.db.schema.Set(set)
 	if st == nil {
 		return s.status, fmt.Errorf("netstore: unknown set %s", set)
@@ -536,6 +548,9 @@ func (s *Session) Connect(set string) (Status, error) {
 // Disconnect implements DISCONNECT <record> FROM <set>. Disconnecting
 // from a MANDATORY set is the retention violation of §3.1.
 func (s *Session) Disconnect(set string) (Status, error) {
+	if s.db.readOnly {
+		return s.status, ErrReadOnly
+	}
 	st := s.db.schema.Set(set)
 	if st == nil {
 		return s.status, fmt.Errorf("netstore: unknown set %s", set)

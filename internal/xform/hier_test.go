@@ -7,6 +7,7 @@ import (
 
 	"progconv/internal/hierstore"
 	"progconv/internal/schema"
+	"progconv/internal/schema/ddl"
 	"progconv/internal/value"
 )
 
@@ -207,5 +208,122 @@ func TestHierReorderSharedChildMerges(t *testing.T) {
 	}
 	if dst.Count("EMP") != 1 || dst.Count("DEPT") != 2 {
 		t.Errorf("counts: EMP=%d DEPT=%d", dst.Count("EMP"), dst.Count("DEPT"))
+	}
+}
+
+func parseHierarchy(t *testing.T, src string) *schema.Hierarchy {
+	t.Helper()
+	h, err := ddl.ParseHierarchy(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// isrt inserts through a PCB and fails the test on any status but OK.
+func isrt(t *testing.T, s *hierstore.Session, data *value.Record, ssas ...hierstore.SSA) {
+	t.Helper()
+	if st := s.ISRT(data, ssas...); st != hierstore.OK {
+		t.Fatalf("ISRT %v under %v: %v", data, ssas, st)
+	}
+}
+
+func underDept(d string) hierstore.SSA {
+	return hierstore.Q("DEPT", "D#", hierstore.EQ, value.Str(d))
+}
+
+// TestHierReorderPromotedWithoutSeq: a promoted type with no sequence
+// field gets one new root per occurrence, and each parent copy lands
+// under its own child's root — not under the first root, where the
+// second copy of a department would collide with the first.
+func TestHierReorderPromotedWithoutSeq(t *testing.T) {
+	h := parseHierarchy(t, `HIERARCHY NAME IS PERSONNEL.
+SEGMENT DEPT (D# STRING, DNAME STRING) ROOT SEQ D#.
+SEGMENT EMP (E# STRING, ENAME STRING) PARENT DEPT.
+END HIERARCHY.`)
+	db := hierstore.NewDB(h)
+	s := hierstore.NewSession(db)
+	for _, d := range []string{"D1", "D2"} {
+		isrt(t, s, value.FromPairs("D#", d, "DNAME", "N"+d), hierstore.U("DEPT"))
+	}
+	for _, e := range []struct{ d, e string }{{"D1", "E2"}, {"D1", "E1"}, {"D2", "E3"}, {"D2", "E4"}} {
+		isrt(t, s, value.FromPairs("E#", e.e, "ENAME", "N"+e.e), underDept(e.d), hierstore.U("EMP"))
+	}
+	dst, warnings, err := migrateHier(db, HierReorder{Promote: "EMP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 0 {
+		t.Errorf("warnings = %v", warnings)
+	}
+	want := `EMP{E#=E2, ENAME=NE2}
+  DEPT{D#=D1, DNAME=ND1}
+EMP{E#=E1, ENAME=NE1}
+  DEPT{D#=D1, DNAME=ND1}
+EMP{E#=E3, ENAME=NE3}
+  DEPT{D#=D2, DNAME=ND2}
+EMP{E#=E4, ENAME=NE4}
+  DEPT{D#=D2, DNAME=ND2}
+`
+	if got := dst.DumpSequence(); got != want {
+		t.Errorf("reordered database:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestHierReorderKeepsOtherChildren: the old root's non-promoted child
+// subtrees stay beneath it in the target schema, so every copy of a
+// parent carries a copy of them, in hierarchic order.
+func TestHierReorderKeepsOtherChildren(t *testing.T) {
+	h := parseHierarchy(t, `HIERARCHY NAME IS PERSONNEL.
+SEGMENT DEPT (D# STRING, DNAME STRING) ROOT SEQ D#.
+SEGMENT EMP (E# STRING, ENAME STRING) PARENT DEPT SEQ E#.
+SEGMENT PROJ (P# STRING, BUDGET INT) PARENT DEPT SEQ P#.
+SEGMENT TASK (T# STRING) PARENT PROJ SEQ T#.
+END HIERARCHY.`)
+	db := hierstore.NewDB(h)
+	s := hierstore.NewSession(db)
+	for _, d := range []string{"D1", "D2", "D3"} {
+		isrt(t, s, value.FromPairs("D#", d, "DNAME", "N"+d), hierstore.U("DEPT"))
+	}
+	for _, e := range []struct{ d, e string }{{"D1", "E2"}, {"D1", "E1"}, {"D2", "E3"}} {
+		isrt(t, s, value.FromPairs("E#", e.e, "ENAME", "N"+e.e), underDept(e.d), hierstore.U("EMP"))
+	}
+	for _, p := range []struct {
+		d, p   string
+		budget int
+	}{{"D1", "P2", 20}, {"D1", "P1", 10}, {"D2", "P3", 30}, {"D3", "P4", 40}} {
+		isrt(t, s, value.FromPairs("P#", p.p, "BUDGET", p.budget), underDept(p.d), hierstore.U("PROJ"))
+	}
+	for _, tk := range []struct{ d, p, t string }{{"D1", "P1", "T2"}, {"D1", "P1", "T1"}, {"D1", "P2", "T3"}} {
+		isrt(t, s, value.FromPairs("T#", tk.t), underDept(tk.d),
+			hierstore.Q("PROJ", "P#", hierstore.EQ, value.Str(tk.p)), hierstore.U("TASK"))
+	}
+	dst, warnings, err := migrateHier(db, HierReorder{Promote: "EMP"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "D3") {
+		t.Errorf("warnings = %v", warnings)
+	}
+	want := `EMP{E#=E1, ENAME=NE1}
+  DEPT{D#=D1, DNAME=ND1}
+    PROJ{P#=P1, BUDGET=10}
+      TASK{T#=T1}
+      TASK{T#=T2}
+    PROJ{P#=P2, BUDGET=20}
+      TASK{T#=T3}
+EMP{E#=E2, ENAME=NE2}
+  DEPT{D#=D1, DNAME=ND1}
+    PROJ{P#=P1, BUDGET=10}
+      TASK{T#=T1}
+      TASK{T#=T2}
+    PROJ{P#=P2, BUDGET=20}
+      TASK{T#=T3}
+EMP{E#=E3, ENAME=NE3}
+  DEPT{D#=D2, DNAME=ND2}
+    PROJ{P#=P3, BUDGET=30}
+`
+	if got := dst.DumpSequence(); got != want {
+		t.Errorf("reordered database:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -456,12 +456,36 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 }
 
 // stagedRoot is one shard-prepared source root of a hierarchical
-// reorder: the parent's data and every promoted child's, read
-// off-thread so the sequential ISRT splice only replays inserts.
+// reorder: the parent's data, every promoted child's, and the subtrees
+// of its other children, read off-thread so the sequential splice only
+// places segments.
 type stagedRoot struct {
 	parentData *value.Record
 	childData  []*value.Record
+	kept       []stagedSeg
 	canceled   bool
+}
+
+// stagedSeg is one segment of a non-promoted child subtree, in
+// hierarchic sequence: its type, its data, and the position in the same
+// list of its parent (-1 for a child of the old root itself).
+type stagedSeg struct {
+	typ    string
+	data   *value.Record
+	parent int
+}
+
+// stageSubtree appends the subtree of id, an occurrence of typ, to out
+// in hierarchic sequence.
+func stageSubtree(src *hierstore.DB, typ *schema.Segment, id hierstore.SegID, parent int, out []stagedSeg) []stagedSeg {
+	out = append(out, stagedSeg{typ: typ.Name, data: src.Data(id), parent: parent})
+	self := len(out) - 1
+	for _, ct := range typ.Children {
+		for _, c := range src.ChildrenOf(id, ct.Name) {
+			out = stageSubtree(src, ct, c, self, out)
+		}
+	}
+	return out
 }
 
 // Migrate restructures src through the hierarchical plan, one pass per
@@ -496,15 +520,19 @@ func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateO
 }
 
 // migrate restructures the database: each promoted occurrence becomes a
-// root, with a copy of its former parent beneath it. Parent occurrences
-// with no promoted children are dropped (they are unreachable in the
-// new order) and reported as warnings. The per-root source reads
-// (parent data, promoted children, child data — all clone-returning
-// lookups on the unmutated source) are sharded across workers; the ISRT
-// replay into the destination stays sequential in root order.
+// root, with a copy of its former parent beneath it, and beneath every
+// such copy a copy of the parent's other child subtrees. Parent
+// occurrences with no promoted children are dropped (they are
+// unreachable in the new order) and reported as warnings. The per-root
+// source reads (parent data, promoted children, the other subtrees —
+// all clone-returning lookups on the unmutated source) are sharded
+// across workers; the splice stays sequential in root order and places
+// each segment by hierstore.Insert under the ID of the parent it has
+// just created, so it builds no SSA and resolves no path.
 func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema.Hierarchy, parallelism int, stats *MigrateStats) (*hierstore.DB, []string, error) {
 	roots := src.Roots()
 	promote := t.Promote
+	oldRoot := src.Schema().Root
 
 	stagedRoots := make([]stagedRoot, len(roots))
 	fanOut(len(roots), parallelism, stats, func(lo, hi int) {
@@ -517,21 +545,27 @@ func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema
 			}
 			st := &stagedRoots[i]
 			st.parentData = src.Data(roots[i])
-			children := src.ChildrenOf(roots[i], promote)
-			if len(children) > 0 {
-				st.childData = make([]*value.Record, len(children))
-				for ci, cid := range children {
-					st.childData[ci] = src.Data(cid)
+			for _, ct := range oldRoot.Children {
+				children := src.ChildrenOf(roots[i], ct.Name)
+				if ct.Name != promote {
+					for _, c := range children {
+						st.kept = stageSubtree(src, ct, c, -1, st.kept)
+					}
+					continue
+				}
+				if len(children) > 0 {
+					st.childData = make([]*value.Record, len(children))
+					for ci, cid := range children {
+						st.childData[ci] = src.Data(cid)
+					}
 				}
 			}
 		}
 	})
 
 	out := hierstore.NewDB(dst)
-	sess := hierstore.NewSession(out)
-	oldRootType := src.Schema().Root.Name
 	var warnings []string
-	newRootSeg := dst.Root
+	var keptIDs []hierstore.SegID
 	for i := range stagedRoots {
 		if i%ctxPollEvery == 0 && ctx.Err() != nil {
 			return nil, warnings, ctx.Err()
@@ -543,11 +577,11 @@ func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema
 		if len(st.childData) == 0 {
 			warnings = append(warnings,
 				fmt.Sprintf("%s %s has no %s occurrences and is unreachable after reorder",
-					oldRootType, st.parentData.String(), promote))
+					oldRoot.Name, st.parentData.String(), promote))
 			continue
 		}
 		for _, cdata := range st.childData {
-			ist := sess.ISRT(cdata, hierstore.U(promote))
+			root, ist := out.Insert(0, promote, cdata)
 			if ist == hierstore.II {
 				// The child already exists as a root (promoted from another
 				// parent occurrence); the new root is shared.
@@ -556,13 +590,21 @@ func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema
 			} else if ist != hierstore.OK {
 				return nil, warnings, fmt.Errorf("migrating %s: ISRT status %v", promote, ist)
 			}
-			seqField := newRootSeg.Seq
-			path := []hierstore.SSA{hierstore.U(promote)}
-			if seqField != "" {
-				path = []hierstore.SSA{hierstore.Q(promote, seqField, hierstore.EQ, cdata.MustGet(seqField))}
+			parentCopy, ist := out.Insert(root, oldRoot.Name, st.parentData)
+			if ist != hierstore.OK {
+				return nil, warnings, fmt.Errorf("migrating %s under %s: ISRT status %v", oldRoot.Name, promote, ist)
 			}
-			if ist := sess.ISRT(st.parentData, append(path, hierstore.U(oldRootType))...); ist != hierstore.OK {
-				return nil, warnings, fmt.Errorf("migrating %s under %s: ISRT status %v", oldRootType, promote, ist)
+			keptIDs = keptIDs[:0]
+			for _, k := range st.kept {
+				under := parentCopy
+				if k.parent >= 0 {
+					under = keptIDs[k.parent]
+				}
+				id, ist := out.Insert(under, k.typ, k.data)
+				if ist != hierstore.OK {
+					return nil, warnings, fmt.Errorf("migrating %s under %s: ISRT status %v", k.typ, oldRoot.Name, ist)
+				}
+				keptIDs = append(keptIDs, id)
 			}
 		}
 	}
