@@ -10,6 +10,7 @@ package progconv
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"progconv/internal/analyzer"
@@ -137,27 +138,43 @@ func BenchmarkConvert(b *testing.B) {
 	}
 }
 
-// BenchmarkConvertTraced is the same conversion with the full telemetry
-// plane installed: trace builder, stage-latency sink, and tally — the
-// daemon's per-job instrumentation. EXP-O1's target is <3% overhead
-// over BenchmarkConvert.
+// BenchmarkConvertTraced is the same conversion wired the way
+// internal/serve wires every job: stage timing (WithMetrics), an event
+// log retaining every event (the daemon's per-job hub), the counter
+// tally and the stage-latency sink. The daemon builds no span tree
+// while a job runs — it folds the retained events when the trace is
+// read — so no trace builder is installed. EXP-O1's target is <3%
+// overhead over BenchmarkConvert.
 func BenchmarkConvertTraced(b *testing.B) {
 	progs, db := convertBenchWorkload(b)
 	reg := telemetry.NewRegistry()
-	inst := telemetry.NewInstruments(reg)
 	tally := NewTally()
+	reg.Tally(tally)
+	inst := telemetry.NewInstruments(reg)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb := NewTraceBuilder(DeriveTraceID("bench"), "convert")
 		report, err := Convert(context.Background(), schema.CompanyV1(), schema.CompanyV2(),
-			nil, progs, WithParallelism(1), WithVerifyDB(db.Clone()),
-			WithTraceSink(tb), WithEventSink(MultiSink(tally, inst.StageSink())))
+			nil, progs, WithParallelism(1), WithVerifyDB(db.Clone()), WithMetrics(),
+			WithEventSink(MultiSink(&eventLog{}, tally, inst.StageSink())))
 		if err != nil {
 			b.Fatal(err)
 		}
+		tally.AddDataPlane(report.DataPlane)
 		inst.ObserveDataPlane(report.DataPlane)
 	}
+}
+
+// eventLog retains every event, as the daemon's per-job hub does.
+type eventLog struct {
+	mu     sync.Mutex
+	events []Event
+}
+
+func (l *eventLog) Emit(ev Event) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
 }
 
 // convertBenchWorkload is the Figure 4.3 job set with a populated

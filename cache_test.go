@@ -42,7 +42,7 @@ func TestSharedCacheHitsExported(t *testing.T) {
 	}
 
 	var buf strings.Builder
-	if err := WritePrometheus(&buf, tally, nil); err != nil {
+	if err := WritePrometheus(&buf, tally); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

@@ -417,7 +417,7 @@ func expC1() {
 		}
 		sup := core.NewSupervisor()
 		sup.Verify = false
-		sup.Metrics = obs.NewRecorder()
+		sup.Metrics = true
 		sup.Events = tally
 		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
 		if err != nil {
@@ -508,7 +508,7 @@ END PROGRAM.
 		}
 		sup := core.NewSupervisor()
 		sup.Verify = false
-		sup.Metrics = obs.NewRecorder()
+		sup.Metrics = true
 		report, err := sup.Run(context.Background(), src.Schema(), nil, plan, nil,
 			[]*dbprog.Program{prog})
 		if err != nil {

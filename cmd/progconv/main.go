@@ -252,7 +252,7 @@ func cmdConvert(args []string) error {
 		"analyst accepts conversions whose output order may change")
 	stats := fs.Bool("stats", false,
 		"print per-stage timing statistics after the report\n"+
-			"(histogram buckets are 1µs·4ⁱ upper bounds: <1µs, <4µs, <16µs, …)")
+			"(histogram buckets are 1µs·4ⁱ upper bounds: ≤1µs, ≤4µs, ≤16µs, …)")
 	parallel := fs.Int("parallel", 0,
 		"worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	migrateParallel := fs.Int("migrate-parallel", 0,
@@ -264,7 +264,8 @@ func cmdConvert(args []string) error {
 		"write stage spans as Chrome trace_event JSON to this file\n"+
 			"(load in chrome://tracing or ui.perfetto.dev)")
 	metricsOut := fs.String("metrics-out", "",
-		"write run counters in Prometheus text format to this file")
+		"write run counters and the queue-wait, job-duration, stage-latency\n"+
+			"and data-plane probe histograms in Prometheus text format to this file")
 	debugAddr := fs.String("debug-addr", "",
 		"serve pprof, expvar, /metrics and /statusz at this address (e.g. :6060);\n"+
 			"unauthenticated — keep it on loopback")
@@ -354,6 +355,7 @@ func cmdConvert(args []string) error {
 		progconv.WithAnalystTimeout(*analystTimeout),
 		progconv.WithRetries(*retries, 0),
 		progconv.WithFailurePolicy(policy),
+		progconv.WithMetrics(),
 	}
 	var cache *progconv.Cache
 	if *useCache {
@@ -403,16 +405,12 @@ func cmdConvert(args []string) error {
 		tally = progconv.NewTally()
 		sinks = append(sinks, tally)
 		reg = telemetry.NewRegistry()
+		reg.Tally(tally)
 		inst = telemetry.NewInstruments(reg)
 		sinks = append(sinks, inst.StageSink())
 	}
 	if sink := progconv.MultiSink(sinks...); sink != nil {
 		opts = append(opts, progconv.WithEventSink(sink))
-	}
-	var rec *progconv.Recorder
-	if *stats || *traceOut != "" {
-		rec = progconv.NewRecorder()
-		opts = append(opts, progconv.WithRecorder(rec))
 	}
 	// The trace builder mirrors the daemon's per-job span tree; the
 	// trace ID is derived from schema and program content, so the same
@@ -437,9 +435,6 @@ func cmdConvert(args []string) error {
 		expvar.Publish("progconv", expvar.Func(func() any { return tally.Snapshot() }))
 		metrics := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			if err := progconv.WritePrometheus(w, tally, nil); err != nil {
-				return
-			}
 			reg.WritePrometheus(w)
 		})
 		statusz := telemetry.StatuszHandler(time.Now(), telemetry.StatusSection{
@@ -512,9 +507,6 @@ func cmdConvert(args []string) error {
 	if *metricsOut != "" {
 		tally.AddDataPlane(report.DataPlane)
 		if err := writeFileWith(*metricsOut, func(w *bufio.Writer) error {
-			if err := progconv.WritePrometheus(w, tally, report.Metrics); err != nil {
-				return err
-			}
 			return reg.WritePrometheus(w)
 		}); err != nil {
 			return fmt.Errorf("metrics: %w", err)

@@ -25,11 +25,10 @@
 //	                       byte-identical at any setting
 //	WithVerifyDB(db)       migrate db through the plan and verify each
 //	                       automatic conversion against it
-//	WithMetrics()          time stages into Report.Metrics
-//	WithRecorder(r)        like WithMetrics, but into a caller-owned
-//	                       recorder (for WriteChromeTrace); when both
-//	                       are given the recorder wins and Metrics is
-//	                       snapshotted from it, so the two compose
+//	WithMetrics()          time every stage attempt: durations ride the
+//	                       stage-end events (and so traces and stage
+//	                       histograms); Convert summarizes them per
+//	                       stage in Report.Metrics
 //	WithEventSink(s)       stream the structured event log to s
 //	                       (RingSink, JSONLSink, Tally, MultiSink)
 //	WithTraceSink(tb)      fold the event log into tb's span tree

@@ -243,9 +243,9 @@ type Report struct {
 	// network migrator raises none today.
 	MigrationWarnings []string
 	Outcomes          []Outcome
-	// Metrics summarizes per-stage timings when the supervisor ran with
-	// a metrics recorder (nil otherwise). It is rendered separately from
-	// String so serial and parallel reports stay byte-identical.
+	// Metrics summarizes per-stage timings when the supervisor timed
+	// the run (nil otherwise). It is rendered separately from String so
+	// serial and parallel reports stay byte-identical.
 	Metrics *obs.Metrics
 	// DataPlane counts how the run's data-plane work executed: FIND
 	// index probes vs scans across this run (migration + verification)
@@ -358,9 +358,10 @@ type Supervisor struct {
 	// 1 forces a serial migration. The migrated database and every
 	// report field are byte-identical at any setting.
 	MigrationParallelism int
-	// Metrics, when non-nil, records one span per pipeline stage per
-	// program; Run snapshots it into Report.Metrics.
-	Metrics *obs.Recorder
+	// Metrics times every stage attempt: the duration rides the
+	// attempt's stage-end event, and Run and RunHier fold those
+	// durations into Report.Metrics.
+	Metrics bool
 	// Events, when non-nil, receives the structured event log: stage
 	// boundaries, hazards, rewrites, Analyst decisions, verification
 	// verdicts, and outcomes. Within one program the events arrive in
@@ -474,13 +475,7 @@ type Job struct {
 // worker pool; ctx cancels the batch (Run then fails with ErrCanceled).
 func (s *Supervisor) Run(ctx context.Context, src, dst *schema.Network, plan *xform.Plan,
 	db *netstore.DB, progs []*dbprog.Program) (*Report, error) {
-	reports, err := s.RunJobs(ctx, []Job{{Spec: NetworkSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs}})
-	if err != nil {
-		return nil, err
-	}
-	report := reports[0]
-	report.Metrics = s.Metrics.Snapshot()
-	return report, nil
+	return s.runOne(ctx, Job{Spec: NetworkSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs})
 }
 
 // RunHier is Run over the hierarchical (DL/I) model: classify the
@@ -489,13 +484,24 @@ func (s *Supervisor) Run(ctx context.Context, src, dst *schema.Network, plan *xf
 // guarantees as Run.
 func (s *Supervisor) RunHier(ctx context.Context, src, dst *schema.Hierarchy, plan *xform.HierPlan,
 	db *hierstore.DB, progs []*dbprog.Program) (*Report, error) {
-	reports, err := s.RunJobs(ctx, []Job{{Spec: HierSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs}})
+	return s.runOne(ctx, Job{Spec: HierSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs})
+}
+
+// runOne is the single-job batch behind Run and RunHier; a timed run
+// folds its stage-end durations into Report.Metrics.
+func (s *Supervisor) runOne(ctx context.Context, job Job) (*Report, error) {
+	var m *telemetry.RunMetrics
+	events := s.Events
+	if s.Metrics {
+		m = telemetry.NewRunMetrics()
+		events = obs.MultiSink(events, m)
+	}
+	reports, err := s.runJobs(ctx, []Job{job}, events)
 	if err != nil {
 		return nil, err
 	}
-	report := reports[0]
-	report.Metrics = s.Metrics.Snapshot()
-	return report, nil
+	reports[0].Metrics = m.Metrics()
+	return reports[0], nil
 }
 
 // RunJobs converts the program inventories of many schema pairs in one
@@ -505,13 +511,19 @@ func (s *Supervisor) RunHier(ctx context.Context, src, dst *schema.Hierarchy, pl
 // assembled at submission order — reports[i] belongs to jobs[i] and is
 // byte-identical at any parallelism. The failure-policy budget and the
 // analyst serialization span the whole batch. Job reports carry no
-// Metrics snapshot; a caller-held Recorder aggregates across the batch
-// (Run, the single-job form, attaches the snapshot itself).
+// Metrics summary (Run, the single-job form, attaches one); a timed
+// batch's stage durations reach the Events sink on stage-end events.
 func (s *Supervisor) RunJobs(ctx context.Context, jobs []Job) ([]*Report, error) {
+	return s.runJobs(ctx, jobs, s.Events)
+}
+
+// runJobs is RunJobs emitting into events, which is s.Events plus any
+// run-scoped observer.
+func (s *Supervisor) runJobs(ctx context.Context, jobs []Job, events obs.Sink) ([]*Report, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, canceledErr(context.Cause(ctx))
 	}
-	em := obs.NewEmitter(s.Events)
+	em := obs.NewEmitter(events)
 	// The emitter travels by context into the deeper layers (analyzer,
 	// converter, equivalence checker, cache); WithEmitter is the identity
 	// for a nil emitter, so unobserved runs pay nothing.

@@ -246,14 +246,14 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 
 func TestMetricsRecorded(t *testing.T) {
 	sup := NewSupervisor()
-	sup.Metrics = obs.NewRecorder()
+	sup.Metrics = true
 	report, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil,
 		companyV1DB(t), applicationSystem(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.Metrics == nil {
-		t.Fatal("metrics recorder given, none snapshotted")
+		t.Fatal("timed run reported no metrics")
 	}
 	an := report.Metrics.Stage(obs.StageAnalyze)
 	if an.Count != int64(len(report.Outcomes)) {

@@ -321,9 +321,13 @@ func (s *Supervisor) stage(ctx context.Context, run *runState, prog string,
 			stageCtx, cancel = context.WithTimeoutCause(ctx, s.StageTimeout, errStageBudget)
 		}
 		em.StageStart(prog, st)
-		span := s.Metrics.StartSpan(prog, st)
+		start := time.Now()
 		err, pan := protect(stageCtx, run.inj, prog, name, attempt, fn)
-		em.StageEnd(prog, st, span.End())
+		var dur time.Duration
+		if s.Metrics {
+			dur = time.Since(start)
+		}
+		em.StageEnd(prog, st, dur)
 		var cause error
 		if err != nil {
 			cause = context.Cause(stageCtx)

@@ -60,7 +60,7 @@ func (j *cjob) traceparent() string {
 // the worker's root span ID is derived from the trace ID alone, so the
 // coordinator can reconstruct it without asking.
 func (j *cjob) echoTraceparent() string {
-	return telemetry.Traceparent(j.tid, telemetry.DeriveSpanID(j.tid, "root"))
+	return telemetry.Traceparent(j.tid, telemetry.RootSpanID(j.tid))
 }
 
 // rewrite stamps the coordinator-scoped job ID onto a worker status.

@@ -34,8 +34,7 @@ func (d DataPlane) Add(o DataPlane) DataPlane {
 }
 
 // AddDataPlane folds a report's data-plane counters into the tally so
-// they surface through Snapshot and WritePrometheus alongside the
-// event-derived families.
+// they surface through Snapshot alongside the event-derived families.
 func (t *Tally) AddDataPlane(d DataPlane) {
 	if t == nil || d.Zero() {
 		return
@@ -43,14 +42,4 @@ func (t *Tally) AddDataPlane(d DataPlane) {
 	t.mu.Lock()
 	t.dataplane = t.dataplane.Add(d)
 	t.mu.Unlock()
-}
-
-// DataPlaneTotals returns the folded data-plane counters.
-func (t *Tally) DataPlaneTotals() DataPlane {
-	if t == nil {
-		return DataPlane{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dataplane
 }

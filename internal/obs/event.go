@@ -5,7 +5,7 @@ package obs
 // consultations, verification verdicts, final dispositions — is emitted
 // as a typed Event through a Sink. Sinks compose (MultiSink); a bounded
 // RingSink for in-memory capture and the Tally counter collector in
-// export.go live here, the streaming wire.JSONLSink in internal/wire.
+// tally.go live here, the streaming wire.JSONLSink in internal/wire.
 //
 // Instrumented code holds an *Emitter, the nil-safe front door: a nil
 // Emitter (no sink installed) makes every method a no-op without a
@@ -92,8 +92,8 @@ type Event struct {
 	Kind EventKind
 	// Stage is set for stage-start/stage-end events.
 	Stage Stage
-	// Dur is the stage duration on stage-end events (0 when the run has
-	// no metrics recorder).
+	// Dur is the stage attempt's duration on stage-end events (0 when
+	// the run is not timed).
 	Dur time.Duration
 	// Label is the event's low-cardinality dimension: hazard kind, DML
 	// verb, issue kind, "pass"/"fail", or disposition.

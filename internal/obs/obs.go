@@ -1,28 +1,27 @@
 // Package obs is the supervisor's observability substrate:
 //
-//   - per-stage atomic counters and duration histograms plus a span
-//     recorder keyed by program name (this file) — the Metrics summary
-//     embedded in the conversion Report and rendered by `progconv
-//     convert -stats` and cmd/exper;
 //   - the structured event log (event.go): typed Events through a Sink,
-//     with a bounded RingSink, a streaming JSONL encoder, and a nil-safe
-//     Emitter so uninstrumented runs pay nothing;
-//   - exporters (export.go): Chrome trace_event JSON for
-//     chrome://tracing / Perfetto, and Prometheus text-format counters
-//     fed by the Tally sink.
+//     with a bounded RingSink and a nil-safe Emitter so uninstrumented
+//     runs pay nothing. It is the pipeline's only recorder: a timed
+//     run carries each stage attempt's duration on its stage-end
+//     event;
+//   - the Tally sink (tally.go), a plain fold of the event stream into
+//     counters by disposition, hazard, rewrite, verdict, fault and
+//     cache scope, plus the report-level data-plane totals;
+//   - the per-stage Metrics summary (this file) embedded in a
+//     conversion Report and rendered by `progconv convert -stats` and
+//     cmd/exper.
 //
-// The package is stdlib-only and safe for concurrent use: the hot path
-// (span End, no-sink event emission) touches only atomics and one short
-// mutex, and allocates nothing, so instrumented parallel runs stay
-// within measurement noise of uninstrumented ones.
+// Rendering lives elsewhere: internal/wire encodes events as JSON
+// lines, and internal/telemetry folds stage durations into the Metrics
+// summary, builds span trees, and writes the Prometheus and Chrome
+// trace formats. The package is stdlib-only and safe for concurrent
+// use; emitting to a nil Emitter allocates nothing.
 package obs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -60,164 +59,16 @@ func Stages() []Stage {
 	return out
 }
 
-// numBuckets histogram buckets cover 1µs·4ⁱ boundaries: <1µs, <4µs,
-// <16µs, … <~4.3s, plus a final overflow bucket.
-const numBuckets = 17
-
-// BucketBound returns the exclusive upper duration bound of bucket i
-// (the last bucket is unbounded).
-func BucketBound(i int) time.Duration {
-	return time.Microsecond << (2 * uint(i))
-}
-
-func bucketOf(d time.Duration) int {
-	for i := 0; i < numBuckets-1; i++ {
-		if d < BucketBound(i) {
-			return i
-		}
-	}
-	return numBuckets - 1
-}
-
-// stageAccum is one stage's lock-free accumulator.
-type stageAccum struct {
-	count   atomic.Int64
-	nanos   atomic.Int64
-	min     atomic.Int64 // math.MaxInt64 until first observation
-	max     atomic.Int64
-	buckets [numBuckets]atomic.Int64
-}
-
-func (a *stageAccum) observe(d time.Duration) {
-	n := int64(d)
-	a.count.Add(1)
-	a.nanos.Add(n)
-	for {
-		cur := a.min.Load()
-		if n >= cur || a.min.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	for {
-		cur := a.max.Load()
-		if n <= cur || a.max.CompareAndSwap(cur, n) {
-			break
-		}
-	}
-	a.buckets[bucketOf(d)].Add(1)
-}
-
-// Recorder collects spans during one conversion run. The zero value is
-// not ready; use NewRecorder.
-type Recorder struct {
-	stages [numStages]stageAccum
-	start  time.Time
-
-	mu    sync.Mutex
-	spans map[string][]Span // program name → completed spans
-}
-
-// NewRecorder returns a recorder with the wall clock started.
-func NewRecorder() *Recorder {
-	r := &Recorder{start: time.Now(), spans: map[string][]Span{}}
-	for i := range r.stages {
-		r.stages[i].min.Store(int64(^uint64(0) >> 1))
-	}
-	return r
-}
-
-// Span is one completed stage execution for one program.
-type Span struct {
-	Program string
-	Stage   Stage
-	Start   time.Time
-	Dur     time.Duration
-}
-
-// ActiveSpan is a started, not-yet-ended span. It is a value (not a
-// pointer) so the span hot path performs no heap allocation; the zero
-// value is a valid no-op span.
-type ActiveSpan struct {
-	rec     *Recorder
-	program string
-	stage   Stage
-	start   time.Time
-}
-
-// StartSpan begins timing one stage of one program. End the returned
-// span exactly once. A nil *Recorder is valid and records nothing, so
-// call sites need no guards.
-func (r *Recorder) StartSpan(program string, stage Stage) ActiveSpan {
-	if r == nil {
-		return ActiveSpan{}
-	}
-	return ActiveSpan{rec: r, program: program, stage: stage, start: time.Now()}
-}
-
-// End finishes the span and returns its duration: the duration lands in
-// the stage's atomic accumulator and the span in the per-program trace.
-// A zero-value span returns 0 and records nothing.
-func (s ActiveSpan) End() time.Duration {
-	if s.rec == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	s.rec.observe(s.program, s.stage, s.start, d)
-	return d
-}
-
-// Observe records an already-measured span directly — the replay/import
-// path used by tests and external span sources.
-func (r *Recorder) Observe(program string, stage Stage, start time.Time, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.observe(program, stage, start, d)
-}
-
-func (r *Recorder) observe(program string, stage Stage, start time.Time, d time.Duration) {
-	r.stages[stage].observe(d)
-	r.mu.Lock()
-	r.spans[program] = append(r.spans[program],
-		Span{Program: program, Stage: stage, Start: start, Dur: d})
-	r.mu.Unlock()
-}
-
-// Programs returns the instrumented program names, sorted — the stable
-// thread order of the Chrome trace exporter.
-func (r *Recorder) Programs() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	out := make([]string, 0, len(r.spans))
-	for name := range r.spans {
-		out = append(out, name)
-	}
-	r.mu.Unlock()
-	sort.Strings(out)
-	return out
-}
-
-// Trace returns the completed spans recorded for one program, in end
-// order.
-func (r *Recorder) Trace(program string) []Span {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Span(nil), r.spans[program]...)
-}
-
 // StageStats is one stage's aggregate across a run.
 type StageStats struct {
-	Stage   Stage
-	Count   int64
-	Total   time.Duration
-	Min     time.Duration
-	Max     time.Duration
-	Buckets [numBuckets]int64
+	Stage Stage
+	Count int64
+	Total time.Duration
+	Min   time.Duration
+	Max   time.Duration
+	// Buckets counts attempts per latency bucket: 1µs·4ⁱ upper bounds,
+	// then one unbounded overflow bucket.
+	Buckets []int64
 }
 
 // Mean returns the average span duration (0 when nothing was recorded).
@@ -230,38 +81,13 @@ func (s StageStats) Mean() time.Duration {
 
 // Metrics is the run summary embedded in a conversion Report.
 type Metrics struct {
-	// Wall is the elapsed time from recorder creation to snapshot.
+	// Wall is the elapsed time of the run.
 	Wall time.Duration
-	// Programs counts distinct instrumented programs.
+	// Programs counts the distinct programs that ran a stage.
 	Programs int
 	// ByStage holds per-stage aggregates in execution order; stages
 	// that never ran have Count 0.
 	ByStage []StageStats
-}
-
-// Snapshot freezes the recorder into a Metrics summary.
-func (r *Recorder) Snapshot() *Metrics {
-	if r == nil {
-		return nil
-	}
-	m := &Metrics{Wall: time.Since(r.start)}
-	r.mu.Lock()
-	m.Programs = len(r.spans)
-	r.mu.Unlock()
-	for i := range r.stages {
-		a := &r.stages[i]
-		st := StageStats{Stage: Stage(i), Count: a.count.Load(),
-			Total: time.Duration(a.nanos.Load())}
-		if st.Count > 0 {
-			st.Min = time.Duration(a.min.Load())
-			st.Max = time.Duration(a.max.Load())
-		}
-		for b := range st.Buckets {
-			st.Buckets[b] = a.buckets[b].Load()
-		}
-		m.ByStage = append(m.ByStage, st)
-	}
-	return m
 }
 
 // Stage returns the aggregate for one stage (zero stats if out of
@@ -276,7 +102,7 @@ func (m *Metrics) Stage(s Stage) StageStats {
 // sparkline renders a histogram as one glyph per occupied bucket range.
 var sparks = []rune("▁▂▃▄▅▆▇█")
 
-func sparkline(buckets [numBuckets]int64) string {
+func sparkline(buckets []int64) string {
 	lo, hi := -1, -1
 	var peak int64
 	for i, n := range buckets {
@@ -325,40 +151,6 @@ func (m *Metrics) String() string {
 			st.Min.Round(time.Microsecond), st.Max.Round(time.Microsecond),
 			sparkline(st.Buckets))
 	}
-	b.WriteString("histogram buckets: 1µs·4ⁱ upper bounds (<1µs, <4µs, <16µs, …; last bucket unbounded)\n")
+	b.WriteString("histogram buckets: 1µs·4ⁱ upper bounds (≤1µs, ≤4µs, ≤16µs, …; last bucket unbounded)\n")
 	return b.String()
-}
-
-// Slowest returns the n programs with the largest summed span time,
-// slowest first — the supervisor's answer to "which conversions cost".
-func (r *Recorder) Slowest(n int) []ProgramCost {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	costs := make([]ProgramCost, 0, len(r.spans))
-	for name, spans := range r.spans {
-		var total time.Duration
-		for _, s := range spans {
-			total += s.Dur
-		}
-		costs = append(costs, ProgramCost{Program: name, Total: total})
-	}
-	r.mu.Unlock()
-	sort.Slice(costs, func(i, j int) bool {
-		if costs[i].Total != costs[j].Total {
-			return costs[i].Total > costs[j].Total
-		}
-		return costs[i].Program < costs[j].Program
-	})
-	if n < len(costs) {
-		costs = costs[:n]
-	}
-	return costs
-}
-
-// ProgramCost is one program's summed stage time.
-type ProgramCost struct {
-	Program string
-	Total   time.Duration
 }

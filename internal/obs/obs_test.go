@@ -2,160 +2,29 @@ package obs
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
 
-func TestSpanAccumulation(t *testing.T) {
-	r := NewRecorder()
-	for i := 0; i < 3; i++ {
-		sp := r.StartSpan("P1", StageConvert)
-		time.Sleep(time.Millisecond)
-		sp.End()
-	}
-	sp := r.StartSpan("P2", StageAnalyze)
-	sp.End()
-
-	m := r.Snapshot()
-	if m.Programs != 2 {
-		t.Errorf("programs = %d, want 2", m.Programs)
-	}
-	conv := m.Stage(StageConvert)
-	if conv.Count != 3 {
-		t.Errorf("convert count = %d, want 3", conv.Count)
-	}
-	if conv.Total < 3*time.Millisecond {
-		t.Errorf("convert total = %v, want >= 3ms", conv.Total)
-	}
-	if conv.Min == 0 || conv.Max < conv.Min || conv.Mean() < conv.Min || conv.Mean() > conv.Max {
-		t.Errorf("min/mean/max inconsistent: %v/%v/%v", conv.Min, conv.Mean(), conv.Max)
-	}
-	if got := m.Stage(StageVerify).Count; got != 0 {
-		t.Errorf("verify count = %d, want 0", got)
-	}
-	if len(r.Trace("P1")) != 3 || len(r.Trace("P2")) != 1 {
-		t.Errorf("traces = %d/%d, want 3/1", len(r.Trace("P1")), len(r.Trace("P2")))
-	}
-}
-
-func TestNilRecorderIsInert(t *testing.T) {
-	var r *Recorder
-	sp := r.StartSpan("X", StageVerify)
-	if d := sp.End(); d != 0 { // must not panic
-		t.Errorf("nil-recorder span duration = %v, want 0", d)
-	}
-	(ActiveSpan{}).End() // the zero-value span is equally inert
-	r.Observe("X", StageVerify, time.Now(), time.Second)
-	if r.Snapshot() != nil || r.Trace("X") != nil || r.Slowest(5) != nil || r.Programs() != nil {
-		t.Error("nil recorder should return nil summaries")
-	}
-}
-
-func TestConcurrentSpans(t *testing.T) {
-	r := NewRecorder()
-	var wg sync.WaitGroup
-	const workers, per = 8, 50
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				sp := r.StartSpan("P", Stage(i%int(numStages)))
-				sp.End()
-			}
-		}(w)
-	}
-	wg.Wait()
-	m := r.Snapshot()
-	var total int64
-	for _, st := range m.ByStage {
-		total += st.Count
-		var hist int64
-		for _, b := range st.Buckets {
-			hist += b
-		}
-		if hist != st.Count {
-			t.Errorf("%s: histogram sums %d, count %d", st.Stage, hist, st.Count)
-		}
-	}
-	if total != workers*per {
-		t.Errorf("total spans = %d, want %d", total, workers*per)
-	}
-}
-
-func TestBucketOf(t *testing.T) {
-	if b := bucketOf(0); b != 0 {
-		t.Errorf("bucketOf(0) = %d", b)
-	}
-	if b := bucketOf(2 * time.Microsecond); b != 1 {
-		t.Errorf("bucketOf(2µs) = %d", b)
-	}
-	if b := bucketOf(time.Hour); b != numBuckets-1 {
-		t.Errorf("bucketOf(1h) = %d", b)
-	}
-}
-
 func TestMetricsString(t *testing.T) {
-	r := NewRecorder()
-	sp := r.StartSpan("P", StageGenerate)
-	sp.End()
-	s := r.Snapshot().String()
-	for _, want := range []string{"STAGE TIMINGS", "generate", "histogram",
-		"histogram buckets: 1µs·4ⁱ"} {
+	m := &Metrics{Wall: 3 * time.Millisecond, Programs: 1, ByStage: []StageStats{
+		{Stage: StageAnalyze},
+		{Stage: StageGenerate, Count: 3, Total: 60 * time.Microsecond,
+			Min: 10 * time.Microsecond, Max: 30 * time.Microsecond,
+			Buckets: []int64{0, 0, 1, 2, 0}},
+	}}
+	s := m.String()
+	for _, want := range []string{"STAGE TIMINGS (wall 3ms, 1 programs)", "generate",
+		"20µs", "histogram", "▄█", "histogram buckets: 1µs·4ⁱ"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)
 		}
 	}
-	if strings.Contains(s, "verify") {
+	if strings.Contains(s, "analyze") {
 		t.Errorf("empty stage rendered:\n%s", s)
 	}
-}
-
-func TestSlowest(t *testing.T) {
-	r := NewRecorder()
-	slow := r.StartSpan("SLOW", StageConvert)
-	time.Sleep(2 * time.Millisecond)
-	slow.End()
-	fast := r.StartSpan("FAST", StageConvert)
-	fast.End()
-	costs := r.Slowest(1)
-	if len(costs) != 1 || costs[0].Program != "SLOW" {
-		t.Errorf("slowest = %+v", costs)
-	}
-}
-
-// TestSlowestTieBreak: equal totals order by program name, so the
-// ranking (like every other report surface) is deterministic.
-func TestSlowestTieBreak(t *testing.T) {
-	r := NewRecorder()
-	now := time.Now()
-	for _, name := range []string{"ZEBRA", "ALPHA", "MIDDLE"} {
-		r.Observe(name, StageConvert, now, 5*time.Millisecond)
-	}
-	costs := r.Slowest(3)
-	if len(costs) != 3 {
-		t.Fatalf("costs = %d, want 3", len(costs))
-	}
-	for i, want := range []string{"ALPHA", "MIDDLE", "ZEBRA"} {
-		if costs[i].Program != want {
-			t.Errorf("costs[%d] = %s, want %s (name tie-break)", i, costs[i].Program, want)
-		}
-	}
-	// n larger than the population returns everything.
-	if got := r.Slowest(10); len(got) != 3 {
-		t.Errorf("Slowest(10) = %d entries, want 3", len(got))
-	}
-}
-
-func TestProgramsSorted(t *testing.T) {
-	r := NewRecorder()
-	now := time.Now()
-	r.Observe("B", StageAnalyze, now, time.Microsecond)
-	r.Observe("A", StageAnalyze, now, time.Microsecond)
-	got := r.Programs()
-	if len(got) != 2 || got[0] != "A" || got[1] != "B" {
-		t.Errorf("Programs() = %v, want [A B]", got)
+	if (*Metrics)(nil).String() != "" {
+		t.Error("nil metrics rendered a table")
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 
 // directRun executes the testSpec workload through the public facade
 // exactly as cmd/progconv would — the reference the daemon's wire
-// output must match byte for byte.
-func directRun(t *testing.T, parallelism int) ([]byte, []progconv.Event) {
+// output must match byte for byte. opts adds observers.
+func directRun(t *testing.T, parallelism int, opts ...progconv.Option) ([]byte, []progconv.Event) {
 	t.Helper()
 	spec := testSpec()
 	src, err := progconv.ParseNetworkSchema(spec.SourceDDL)
@@ -42,9 +42,9 @@ func directRun(t *testing.T, parallelism int) ([]byte, []progconv.Event) {
 	}
 	ring := progconv.NewRingSink(4096)
 	report, err := progconv.Convert(context.Background(), src, dst, nil, programs,
-		progconv.WithParallelism(parallelism),
-		progconv.WithEventSink(ring),
-		progconv.WithVerifyDB(db))
+		append([]progconv.Option{progconv.WithParallelism(parallelism),
+			progconv.WithEventSink(ring),
+			progconv.WithVerifyDB(db)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"progconv/internal/dbprog"
 	"progconv/internal/fault"
 	"progconv/internal/netstore"
+	"progconv/internal/telemetry"
 	"progconv/internal/wire"
 )
 
@@ -67,10 +68,12 @@ type job struct {
 	verifyDB         *progconv.Database
 	hierVerifyDB     *progconv.HierDatabase
 
-	// trace and submitted are set under the server mutex at admission
-	// and read-only afterwards; the builder itself is internally
-	// synchronized, so handlers may snapshot it mid-run.
-	trace     *progconv.TraceBuilder
+	// tid names the job's trace and remote the caller's span from an
+	// inbound traceparent (zero without one). They and submitted are set
+	// under the server mutex at admission and read-only afterwards. The
+	// span tree itself is not kept: trace folds it from hub on read.
+	tid       telemetry.TraceID
+	remote    telemetry.SpanID
 	submitted time.Time
 
 	mu         sync.Mutex
@@ -81,6 +84,11 @@ type job struct {
 	errCode    wire.ErrorCode
 	errMsg     string
 	reportJSON []byte
+	// started is when a runner picked the job up (zero before that, and
+	// for a job canceled in the queue); runDur is how long its
+	// conversion ran (zero until the conversion returned).
+	started time.Time
+	runDur  time.Duration
 }
 
 // snapshotState is the consistent view handlers render from.
@@ -100,15 +108,41 @@ func (j *job) snapshot() snapshotState {
 
 func (j *job) status() wire.JobStatus {
 	st := j.snapshot()
-	doc := wire.JobStatus{V: wire.Version, ID: j.id, State: st.state.String(), Error: st.errMsg}
-	if j.trace != nil {
-		doc.TraceID = j.trace.TraceID().String()
-	}
+	doc := wire.JobStatus{V: wire.Version, ID: j.id, State: st.state.String(),
+		Error: st.errMsg, TraceID: j.tid.String()}
 	if st.state == stateDone || st.state == stateFailed || st.state == stateCanceled {
 		code := int(st.exit)
 		doc.ExitCode = &code
 	}
 	return doc
+}
+
+// trace folds the job's span tree from the events the hub retains: a
+// fresh builder fed them in arrival order holds the tree an eager
+// builder would hold at this point of the run, so the tree is built
+// only when someone reads it.
+func (j *job) trace() *telemetry.Trace {
+	b := telemetry.NewTraceBuilder(j.tid, j.id)
+	b.SetRemoteParent(j.remote)
+	names := make([]string, len(j.programs))
+	for i, p := range j.programs {
+		names[i] = p.Name
+	}
+	b.SetPrograms(names)
+	// Read the run's bounds before its events: a set run duration then
+	// implies the hub already holds every event.
+	j.mu.Lock()
+	started, runDur := j.started, j.runDur
+	j.mu.Unlock()
+	if !started.IsZero() {
+		b.Phase("queue-wait", 0, started.Sub(j.submitted))
+	}
+	events, _, _ := j.hub.since(0)
+	for _, ev := range events {
+		b.Emit(ev)
+	}
+	b.End(runDur)
+	return b.Snapshot()
 }
 
 // traceSeed returns the job-content strings a fallback trace ID is
@@ -214,9 +248,6 @@ func (s *Server) options(j *job) []progconv.Option {
 		progconv.WithMetrics(),
 		progconv.WithEventSink(progconv.MultiSink(j.hub, s.tally, s.inst.StageSink())),
 	}
-	if j.trace != nil {
-		opts = append(opts, progconv.WithTraceSink(j.trace))
-	}
 	if s.cfg.Cache != nil {
 		opts = append(opts, progconv.WithCache(s.cfg.Cache))
 	}
@@ -264,16 +295,12 @@ func (s *Server) runJob(j *job) {
 	}
 	j.state = stateRunning
 	j.cancel = cancel
+	// Queue wait ends here; the job trace shows it as a leading phase
+	// so the gap between submission and first stage is visible.
+	j.started = time.Now()
 	j.mu.Unlock()
 
-	// Queue wait ends here; the job trace records it as a leading phase
-	// so the gap between submission and first stage is visible.
-	wait := time.Since(j.submitted)
-	s.inst.QueueWait.ObserveDuration("", wait)
-	if j.trace != nil {
-		j.trace.Phase("queue-wait", 0, wait)
-	}
-	jobStart := time.Now()
+	s.inst.QueueWait.ObserveDuration("", j.started.Sub(j.submitted))
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
@@ -285,10 +312,8 @@ func (s *Server) runJob(j *job) {
 		report, err = progconv.Convert(ctx, j.src, j.dst, nil, j.programs, s.options(j)...)
 	}
 
-	s.inst.JobDur.ObserveDuration("", time.Since(jobStart))
-	if j.trace != nil {
-		j.trace.End(time.Since(jobStart))
-	}
+	runDur := time.Since(j.started)
+	s.inst.JobDur.ObserveDuration("", runDur)
 	if err == nil && report != nil {
 		s.tally.AddDataPlane(report.DataPlane)
 		s.inst.ObserveDataPlane(report.DataPlane)
@@ -297,6 +322,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.cancel = nil
+	j.runDur = runDur
 	if err != nil {
 		// A client cancel lands at canceled; everything else — including
 		// an expired job deadline, whose cause the error message names —

@@ -122,6 +122,7 @@ func New(cfg Config) *Server {
 		queue:       make(chan *job, cfg.queueDepth()),
 		runnersDone: make(chan struct{}),
 	}
+	s.reg.Tally(s.tally)
 	s.inst = telemetry.NewInstruments(s.reg)
 	s.reg.Gauge("progconv_queue_depth",
 		"Jobs admitted but not yet picked up by a runner.",
@@ -191,10 +192,6 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := progconv.WritePrometheus(w, s.tally, nil); err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
 		if err := s.reg.WritePrometheus(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
@@ -332,17 +329,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j.id = fmt.Sprintf("j-%06d", s.nextID)
 	if tpErr != nil {
 		tid = telemetry.DeriveTraceID(append(j.traceSeed(), strconv.Itoa(s.nextID))...)
+		remote = telemetry.SpanID{}
 	}
+	j.tid, j.remote = tid, remote
 	j.submitted = time.Now()
-	j.trace = telemetry.NewTraceBuilder(tid, j.id)
-	if tpErr == nil {
-		j.trace.SetRemoteParent(remote)
-	}
-	names := make([]string, len(j.programs))
-	for i, p := range j.programs {
-		names[i] = p.Name
-	}
-	j.trace.SetPrograms(names)
 	// The 202 body reports the admission itself: snapshot it before a
 	// runner can pick the job up, or a fast job could already read done.
 	accepted := j.status()
@@ -361,7 +351,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
-	w.Header().Set("traceparent", telemetry.Traceparent(j.trace.TraceID(), j.trace.Root()))
+	w.Header().Set("traceparent", telemetry.Traceparent(j.tid, telemetry.RootSpanID(j.tid)))
 	writeJSON(w, http.StatusAccepted, accepted)
 }
 
@@ -375,9 +365,9 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("traceparent", telemetry.Traceparent(j.trace.TraceID(), j.trace.Root()))
+	w.Header().Set("traceparent", telemetry.Traceparent(j.tid, telemetry.RootSpanID(j.tid)))
 	omit := r.URL.Query().Get("omit_timing") != ""
-	if err := wire.EncodeTrace(w, j.trace.Snapshot(), omit); err != nil {
+	if err := wire.EncodeTrace(w, j.trace(), omit); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

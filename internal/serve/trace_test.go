@@ -14,6 +14,7 @@ import (
 
 	"progconv"
 	"progconv/internal/telemetry"
+	"progconv/internal/telemetry/promlint"
 	"progconv/internal/wire"
 )
 
@@ -316,6 +317,85 @@ func TestScrapeMidRun(t *testing.T) {
 		if sp.ParentID != "" && sp.ParentID != doc.RemoteParentID && !ids[sp.ParentID] {
 			t.Errorf("span %s has dangling parent %s", sp.ID, sp.ParentID)
 		}
+	}
+}
+
+// TestTraceBuiltOnReadMatchesEagerBuilder: the daemon keeps no span
+// tree; it folds the job's retained events when /trace is read. At
+// parallelism 8 that fold serves exactly the omit-timing bytes an
+// eager builder installed on the same conversion at parallelism 1
+// holds.
+func TestTraceBuiltOnReadMatchesEagerBuilder(t *testing.T) {
+	const inbound = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	tid, remote, err := progconv.ParseTraceparent(inbound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	spec := testSpec()
+	spec.Options.Parallelism = 8
+	resp := submitWithHeader(t, ts.URL, spec, map[string]string{"traceparent": inbound})
+	var st wire.JobStatus
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done := waitTerminal(t, ts.URL, st.ID); done.State != "done" {
+		t.Fatalf("job ended %q: %s", done.State, done.Error)
+	}
+	code, served := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/trace?omit_timing=1")
+	if code != http.StatusOK {
+		t.Fatalf("trace: HTTP %d", code)
+	}
+
+	b := progconv.NewTraceBuilder(tid, st.ID)
+	b.SetRemoteParent(remote)
+	b.Phase("queue-wait", 0, 0)
+	directRun(t, 1, progconv.WithMetrics(), progconv.WithTraceSink(b))
+	var want bytes.Buffer
+	if err := progconv.EncodeTraceJSON(&want, b.Snapshot(), true); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), served) {
+		t.Errorf("trace folded on read differs from the eager builder's:\n--- eager ---\n%s\n--- served ---\n%s",
+			want.Bytes(), served)
+	}
+}
+
+// TestMetricsExpositionFormat lints the daemon's /metrics after a job
+// and pins its families and their order: the event tally's counters,
+// the four histograms, then the gauges.
+func TestMetricsExpositionFormat(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	waitTerminal(t, ts.URL, submitOK(t, ts.URL, testSpec()))
+	code, body := getBody(t, ts.URL+"/metrics")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: HTTP %d", code)
+	}
+	for _, err := range promlint.Lint(string(body)) {
+		t.Error(err)
+	}
+	var families []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if name, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			families = append(families, strings.Fields(name)[0])
+		}
+	}
+	want := []string{
+		"progconv_programs_total", "progconv_hazards_total", "progconv_dml_rewrites_total",
+		"progconv_verifications_total", "progconv_faults_total", "progconv_cache_hits_total",
+		"progconv_cache_misses_total", "progconv_cache_evictions_total",
+		"progconv_index_probes_total", "progconv_index_scans_total",
+		"progconv_migration_fused_steps_total", "progconv_migration_stepwise_steps_total",
+		"progconv_migration_shards_total", "progconv_bulk_loaded_records_total",
+		"progconv_queue_wait_seconds", "progconv_job_duration_seconds",
+		"progconv_stage_latency_seconds", "progconv_dataplane_probe_count",
+		"progconv_queue_depth", "progconv_inflight_jobs", "progconv_jobs_total",
+		"progconv_cache_entries",
+	}
+	if strings.Join(families, " ") != strings.Join(want, " ") {
+		t.Errorf("/metrics families = %v\nwant %v", families, want)
 	}
 }
 

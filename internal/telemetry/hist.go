@@ -1,16 +1,18 @@
 package telemetry
 
-// Histogram instruments and gauges with a Prometheus text exporter.
-// Bucket boundaries are fixed at construction — the same deterministic
-// 1µs·4ⁱ geometry internal/obs uses for stage spans — and every
-// registered series is rendered unconditionally (zero counts
-// included), so scrapers never see series appear, disappear, or shift
-// buckets between scrapes.
+// Histogram instruments, counters and gauges with the repository's
+// only Prometheus text exporter. Bucket boundaries are fixed at
+// construction and every registered series is rendered
+// unconditionally (zero counts included), so scrapers never see
+// series appear, disappear, or shift buckets between scrapes.
 
 import (
 	"fmt"
 	"io"
+	"math"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -18,7 +20,7 @@ import (
 )
 
 // LatencyBuckets returns the standard duration boundaries in seconds:
-// 1µs·4ⁱ for i in [0, 16), matching the obs stage histogram geometry.
+// 1µs·4ⁱ for i in [0, 16).
 func LatencyBuckets() []float64 {
 	out := make([]float64, 16)
 	b := 1e-6
@@ -47,6 +49,7 @@ type series struct {
 	buckets []int64 // finite buckets; observations above the last bound
 	sum     float64 // and the count make the implicit +Inf bucket
 	count   int64
+	min     float64
 	max     float64
 }
 
@@ -73,6 +76,9 @@ func (f *Family) Observe(label string, v float64) {
 	}
 	s.count++
 	s.sum += v
+	if s.count == 1 || v < s.min {
+		s.min = v
+	}
 	if v > s.max {
 		s.max = v
 	}
@@ -165,38 +171,85 @@ func (c *Counters) register(label string) *counterSeries {
 
 func (c *Counters) writePrometheus(w io.Writer) error {
 	c.mu.Lock()
-	type snap struct {
-		label string
-		n     int64
-	}
-	snaps := make([]snap, 0, len(c.series))
+	snaps := make([]counterSeries, 0, len(c.series))
 	for _, s := range c.series {
-		snaps = append(snaps, snap{s.label, s.n})
+		snaps = append(snaps, *s)
 	}
 	c.mu.Unlock()
+	return writeCounter(w, c.name, c.help, c.labelKey, snaps)
+}
 
-	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", c.name, c.help, c.name); err != nil {
+// writeCounter renders one counter family: HELP and TYPE, then one
+// sample per series in the given order, labelled unless labelKey is "".
+func writeCounter(w io.Writer, name, help, labelKey string, series []counterSeries) error {
+	if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name); err != nil {
 		return err
 	}
-	for _, s := range snaps {
+	for _, s := range series {
 		sel := ""
-		if c.labelKey != "" {
-			sel = fmt.Sprintf("{%s=%q}", c.labelKey, s.label)
+		if labelKey != "" {
+			sel = fmt.Sprintf("{%s=%q}", labelKey, s.label)
 		}
-		if _, err := fmt.Fprintf(w, "%s%s %d\n", c.name, sel, s.n); err != nil {
+		if _, err := fmt.Fprintf(w, "%s%s %d\n", name, sel, s.n); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Registry holds an instrument set for one process: histogram
-// families, counter families and gauges, rendered together by
-// WritePrometheus. Families, counters and gauges render in
-// registration order, series in label-registration order, so the
-// exposition is byte-stable for a deterministic observation sequence.
+// tallyFamilies names the Prometheus counter family behind each
+// obs.Tally Snapshot family, in exposition order. A family with a
+// label key collects every "key/label" entry, labels sorted for
+// byte-stable output; one without renders the single "key" total,
+// which Snapshot always carries, zero included.
+var tallyFamilies = []struct{ key, name, help, labelKey string }{
+	{"programs", "progconv_programs_total", "Programs by conversion disposition.", "disposition"},
+	{"hazards", "progconv_hazards_total", "Hazard findings by kind.", "kind"},
+	{"rewrites", "progconv_dml_rewrites_total", "DML statements rewritten by verb.", "verb"},
+	{"verifications", "progconv_verifications_total", "Equivalence verdicts by result.", "result"},
+	{"faults", "progconv_faults_total", "Resilience faults by kind (retry, panic, timeout).", "kind"},
+	{"cache_hits", "progconv_cache_hits_total", "Conversion-cache hits by scope.", "scope"},
+	{"cache_misses", "progconv_cache_misses_total", "Conversion-cache misses by scope.", "scope"},
+	{"cache_evictions", "progconv_cache_evictions_total", "Conversion-cache LRU evictions by scope.", "scope"},
+	{"dataplane/index_probes", "progconv_index_probes_total", "FIND requests answered by an exact-key index probe.", ""},
+	{"dataplane/index_scans", "progconv_index_scans_total", "FIND requests answered by a full occurrence scan.", ""},
+	{"dataplane/migration_fused_steps", "progconv_migration_fused_steps_total", "Migration steps executed inside fused single-pass runs.", ""},
+	{"dataplane/migration_stepwise_steps", "progconv_migration_stepwise_steps_total", "Migration steps executed as their own full-database pass.", ""},
+	{"dataplane/migration_shards", "progconv_migration_shards_total", "Shards the sharded migration rebuild passes fanned out into.", ""},
+	{"dataplane/bulk_loaded_records", "progconv_bulk_loaded_records_total", "Records inserted through the bulk-load merge phase.", ""},
+}
+
+// writeTally renders an event tally as the tallyFamilies counters.
+func writeTally(w io.Writer, t *obs.Tally) error {
+	snap := t.Snapshot()
+	for _, f := range tallyFamilies {
+		var series []counterSeries
+		if f.labelKey == "" {
+			series = append(series, counterSeries{n: snap[f.key]})
+		} else {
+			for k, n := range snap {
+				if label, ok := strings.CutPrefix(k, f.key+"/"); ok {
+					series = append(series, counterSeries{label, n})
+				}
+			}
+			sort.Slice(series, func(i, j int) bool { return series[i].label < series[j].label })
+		}
+		if err := writeCounter(w, f.name, f.help, f.labelKey, series); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Registry holds an instrument set for one process: an event tally,
+// histogram families, counter families and gauges, rendered together
+// by WritePrometheus in that order. Families, counters and gauges
+// render in registration order, series in label-registration order,
+// so the exposition is byte-stable for a deterministic observation
+// sequence.
 type Registry struct {
 	mu       sync.Mutex
+	tally    *obs.Tally
 	families []*Family
 	counters []*Counters
 	gauges   []gauge
@@ -210,6 +263,16 @@ func NewRegistry() *Registry { return &Registry{} }
 // upper bounds in ascending order; labels pre-registers series so they
 // export before their first observation.
 func (r *Registry) Family(name, help, labelKey string, bounds []float64, labels ...string) *Family {
+	f := newFamily(name, help, labelKey, bounds, labels...)
+	r.mu.Lock()
+	r.families = append(r.families, f)
+	r.mu.Unlock()
+	return f
+}
+
+// newFamily builds an unregistered histogram family; see
+// Registry.Family.
+func newFamily(name, help, labelKey string, bounds []float64, labels ...string) *Family {
 	f := &Family{
 		name: name, help: help, labelKey: labelKey,
 		bounds:  append([]float64(nil), bounds...),
@@ -221,10 +284,15 @@ func (r *Registry) Family(name, help, labelKey string, bounds []float64, labels 
 	for _, l := range labels {
 		f.register(l)
 	}
-	r.mu.Lock()
-	r.families = append(r.families, f)
-	r.mu.Unlock()
 	return f
+}
+
+// Tally registers the event tally whose counter families lead the
+// exposition; a nil tally renders nothing.
+func (r *Registry) Tally(t *obs.Tally) {
+	r.mu.Lock()
+	r.tally = t
+	r.mu.Unlock()
 }
 
 // Counters registers a counter family. labelKey is the label
@@ -256,22 +324,27 @@ func (r *Registry) Gauge(name, help string, fn func() float64) {
 
 // snapshotFamilies copies the family list so rendering never holds the
 // registry lock while calling into family locks.
-func (r *Registry) snapshotFamilies() ([]*Family, []*Counters, []gauge) {
+func (r *Registry) snapshotFamilies() (*obs.Tally, []*Family, []*Counters, []gauge) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]*Family(nil), r.families...),
+	return r.tally, append([]*Family(nil), r.families...),
 		append([]*Counters(nil), r.counters...),
 		append([]gauge(nil), r.gauges...)
 }
 
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// WritePrometheus renders every registered family and gauge in
-// Prometheus text exposition format. All registered series are written
-// unconditionally — including zero-count ones — so no time series ever
-// disappears between scrapes.
+// WritePrometheus renders the tally, every registered family and every
+// gauge in Prometheus text exposition format. All registered series
+// are written unconditionally — including zero-count ones — so no time
+// series ever disappears between scrapes.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	families, counters, gauges := r.snapshotFamilies()
+	tally, families, counters, gauges := r.snapshotFamilies()
+	if tally != nil {
+		if err := writeTally(w, tally); err != nil {
+			return err
+		}
+	}
 	for _, f := range families {
 		if err := f.writePrometheus(w); err != nil {
 			return err
@@ -342,7 +415,7 @@ func (f *Family) writePrometheus(w io.Writer) error {
 // WriteSummary renders one human-readable line per series — the
 // /statusz histogram section.
 func (r *Registry) WriteSummary(w io.Writer) {
-	families, counters, gauges := r.snapshotFamilies()
+	_, families, counters, gauges := r.snapshotFamilies()
 	for _, f := range families {
 		f.mu.Lock()
 		for _, s := range f.series {
@@ -396,10 +469,6 @@ type Instruments struct {
 // are pre-registered for every pipeline stage so all five export from
 // the first scrape.
 func NewInstruments(r *Registry) *Instruments {
-	stages := make([]string, 0, len(obs.Stages()))
-	for _, st := range obs.Stages() {
-		stages = append(stages, st.String())
-	}
 	return &Instruments{
 		QueueWait: r.Family("progconv_queue_wait_seconds",
 			"Time a job waited in the admission queue before a runner picked it up.",
@@ -409,11 +478,20 @@ func NewInstruments(r *Registry) *Instruments {
 			"", LatencyBuckets()),
 		Stage: r.Family("progconv_stage_latency_seconds",
 			"Per-program pipeline stage attempt latency.",
-			"stage", LatencyBuckets(), stages...),
+			"stage", LatencyBuckets(), stageLabels()...),
 		Probes: r.Family("progconv_dataplane_probe_count",
 			"Per-job data-plane FIND lookups by resolution (index probe vs full scan).",
 			"op", CountBuckets(), "probe", "scan"),
 	}
+}
+
+// stageLabels returns every stage name in execution order.
+func stageLabels() []string {
+	out := make([]string, 0, len(obs.Stages()))
+	for _, st := range obs.Stages() {
+		out = append(out, st.String())
+	}
+	return out
 }
 
 // stageSink folds stage-end events into the stage latency family.
@@ -434,3 +512,67 @@ func (in *Instruments) ObserveDataPlane(dp obs.DataPlane) {
 	in.Probes.Observe("probe", float64(dp.IndexProbes))
 	in.Probes.Observe("scan", float64(dp.IndexScans))
 }
+
+// RunMetrics folds one run's stage-end durations into the per-stage
+// summary a Report carries: a stage latency family like the standard
+// instruments' Stage, the distinct programs that ran a stage, and the
+// run's wall time. It is an obs.Sink; the supervisor installs one per
+// timed Run.
+type RunMetrics struct {
+	start time.Time
+	stage *Family
+
+	mu    sync.Mutex
+	progs map[string]bool
+}
+
+// NewRunMetrics starts the run's wall clock.
+func NewRunMetrics() *RunMetrics {
+	return &RunMetrics{
+		start: time.Now(),
+		stage: newFamily("", "", "stage", LatencyBuckets(), stageLabels()...),
+		progs: map[string]bool{},
+	}
+}
+
+// Emit implements obs.Sink.
+func (m *RunMetrics) Emit(ev obs.Event) {
+	if ev.Kind != obs.EvStageEnd {
+		return
+	}
+	m.stage.ObserveDuration(ev.Stage.String(), ev.Dur)
+	m.mu.Lock()
+	m.progs[ev.Prog] = true
+	m.mu.Unlock()
+}
+
+// Metrics freezes the fold into the Report summary. Each stage's
+// buckets are the family's finite buckets plus the overflow bucket. A
+// nil receiver (an untimed run) yields nil.
+func (m *RunMetrics) Metrics() *obs.Metrics {
+	if m == nil {
+		return nil
+	}
+	out := &obs.Metrics{Wall: time.Since(m.start)}
+	m.mu.Lock()
+	out.Programs = len(m.progs)
+	m.mu.Unlock()
+	m.stage.mu.Lock()
+	defer m.stage.mu.Unlock()
+	for _, st := range obs.Stages() {
+		s := m.stage.byLabel[st.String()]
+		stats := obs.StageStats{Stage: st, Count: s.count, Total: duration(s.sum),
+			Min: duration(s.min), Max: duration(s.max)}
+		overflow := s.count
+		for _, n := range s.buckets {
+			overflow -= n
+		}
+		stats.Buckets = append(append([]int64(nil), s.buckets...), overflow)
+		out.ByStage = append(out.ByStage, stats)
+	}
+	return out
+}
+
+// duration converts seconds back to a Duration, rounding to the
+// nanosecond the observations carried.
+func duration(sec float64) time.Duration { return time.Duration(math.Round(sec * 1e9)) }

@@ -1,8 +1,9 @@
 package telemetry
 
 // The satellite-3 hammer: eight goroutines pushing events into a
-// TraceBuilder and observations into a Registry while two scrapers
-// snapshot the trace and render the Prometheus exposition mid-run.
+// TraceBuilder, a tally, a RunMetrics fold and a Registry while two
+// scrapers snapshot the trace and the fold and render the Prometheus
+// exposition mid-run.
 // Meaningful under -race (the CI telemetry leg); still a liveness
 // check without it.
 
@@ -20,8 +21,11 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 	id := DeriveTraceID("race-test")
 	b := NewTraceBuilder(id, "race")
 	r := NewRegistry()
+	tally := obs.NewTally()
+	r.Tally(tally)
 	in := NewInstruments(r)
-	sink := obs.MultiSink(b, in.StageSink())
+	m := NewRunMetrics()
+	sink := obs.MultiSink(b, in.StageSink(), tally, m)
 	e := obs.NewEmitter(sink)
 
 	var names []string
@@ -47,6 +51,7 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 				t.Error("snapshot lost the trace ID")
 				return
 			}
+			_ = m.Metrics().String()
 			for _, sp := range tr.Spans {
 				_ = sp.ID.String()
 			}
@@ -105,5 +110,22 @@ func TestConcurrentEmitAndScrape(t *testing.T) {
 	}
 	if got := in.Stage.Count("analyze"); got != 8*rounds {
 		t.Errorf("analyze observations = %d, want %d", got, 8*rounds)
+	}
+	got := m.Metrics()
+	if got.Programs != 8 {
+		t.Errorf("metrics programs = %d, want 8", got.Programs)
+	}
+	for _, st := range []obs.Stage{obs.StageAnalyze, obs.StageConvert} {
+		stats := got.Stage(st)
+		var sum int64
+		for _, n := range stats.Buckets {
+			sum += n
+		}
+		if stats.Count != 8*rounds || sum != stats.Count {
+			t.Errorf("%s: count %d, buckets sum %d, want %d", st, stats.Count, sum, 8*rounds)
+		}
+	}
+	if got := tally.Snapshot()["rewrites/get"]; got != 8*rounds {
+		t.Errorf("tallied rewrites = %d, want %d", got, 8*rounds)
 	}
 }

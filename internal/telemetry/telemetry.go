@@ -1,9 +1,11 @@
-// Package telemetry is the end-to-end tracing and latency-distribution
-// layer over the conversion pipeline: per-job traces assembled from the
-// structured event log (trace.go), fixed-bucket histogram instruments
-// and gauges with a Prometheus text exporter (hist.go), and the shared
-// operational debug plane — pprof, expvar, /statusz — mounted by both
-// the CLI and the daemon (debug.go).
+// Package telemetry is the only renderer of the conversion pipeline's
+// structured event log (internal/obs): per-job span trees folded from
+// the events (trace.go) and their Chrome trace_event rendering
+// (chrome.go); fixed-bucket histogram instruments, counters, gauges
+// and the event tally behind the one Prometheus text exporter, plus
+// the per-stage summary a timed Report carries (hist.go); and the
+// shared operational debug plane — pprof, expvar, /statusz — mounted
+// by both the CLI and the daemon (debug.go).
 //
 // The paper's cost model is per stage: analysis, conversion, code
 // generation, verification each carry their own price, and the
@@ -23,7 +25,6 @@
 package telemetry
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -95,6 +96,12 @@ func DeriveSpanID(t TraceID, parts ...string) SpanID {
 	return s
 }
 
+// RootSpanID derives a trace's root span ID. It depends on the trace
+// ID alone, so every party holding the trace ID — the trace builder,
+// the daemon's traceparent echo, a coordinator standing in for a
+// worker — names the same root without asking.
+func RootSpanID(t TraceID) SpanID { return DeriveSpanID(t, "root") }
+
 // Traceparent renders the W3C traceparent header (version 00, sampled)
 // for a trace/span pair — what the daemon injects into submission
 // responses so callers can continue the trace.
@@ -137,23 +144,3 @@ func ParseTraceparent(h string) (TraceID, SpanID, error) {
 
 // ordinal renders a span ordinal for ID-derivation paths.
 func ordinal(n int) string { return strconv.Itoa(n) }
-
-// traceKey carries a TraceBuilder through a context alongside the
-// obs.Emitter, so pipeline layers can attach spans to the active trace.
-type traceKey struct{}
-
-// WithTrace returns a context carrying the trace builder; a nil
-// builder returns ctx unchanged.
-func WithTrace(ctx context.Context, b *TraceBuilder) context.Context {
-	if b == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, traceKey{}, b)
-}
-
-// TraceFrom extracts the context's trace builder; nil when the run is
-// untraced.
-func TraceFrom(ctx context.Context) *TraceBuilder {
-	b, _ := ctx.Value(traceKey{}).(*TraceBuilder)
-	return b
-}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"progconv/internal/obs"
+	"progconv/internal/telemetry/promlint"
 )
 
 func TestTraceparentRoundTrip(t *testing.T) {
@@ -251,6 +252,141 @@ func TestRegistryWritePrometheus(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
 		t.Error("two scrapes of an idle registry differ")
+	}
+}
+
+// TestWritePrometheusFormat is the format lint over everything the one
+// Prometheus writer renders: a registry holding a tally with every
+// family non-empty, the standard instruments and a gauge. Every line
+// parses, HELP/TYPE precede their samples, and the families keep the
+// daemon's order: tally counters, histograms, gauges.
+func TestWritePrometheusFormat(t *testing.T) {
+	tally := obs.NewTally()
+	e := obs.NewEmitter(tally)
+	e.Outcome("A", "auto", "r")
+	e.Outcome("B", "manual", "r")
+	e.Outcome("C", "auto", "r")
+	e.Hazard("B", "order-dependence", "m")
+	e.Rewrite("A", "get", "EMP")
+	e.Rewrite("A", "move", "EMP")
+	e.Rewrite("C", "get", "EMP")
+	e.Verify("A", true, "ok")
+	e.Verify("C", false, "diff")
+	e.Retry("A", "analyze", 1, 50*time.Millisecond, "transient: boom")
+	e.Retry("B", "generate", 1, 50*time.Millisecond, "transient: boom")
+	e.Panic("C", "convert", "injected")
+	e.Timeout("D", "analyze", 25*time.Millisecond)
+	e.Timeout("E", "program", time.Second)
+	e.CacheHit("", "pair", "k1")
+	e.CacheMiss("A", "analysis", "k2")
+	e.CacheEvict("codegen", "k3")
+	tally.AddDataPlane(obs.DataPlane{IndexProbes: 5, IndexScans: 1, FusedSteps: 2,
+		StepwiseSteps: 1, MigrationShards: 4, BulkLoadedRecords: 9})
+
+	r := NewRegistry()
+	r.Tally(tally)
+	in := NewInstruments(r)
+	in.Stage.ObserveDuration("analyze", 3*time.Microsecond)
+	in.JobDur.ObserveDuration("", time.Millisecond)
+	r.Gauge("progconv_test_gauge", "A test gauge.", func() float64 { return 7 })
+
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, err := range promlint.Lint(out) {
+		t.Error(err)
+	}
+	for _, want := range []string{
+		`progconv_programs_total{disposition="auto"} 2`,
+		`progconv_hazards_total{kind="order-dependence"} 1`,
+		`progconv_dml_rewrites_total{verb="get"} 2`,
+		`progconv_verifications_total{result="pass"} 1`,
+		`progconv_faults_total{kind="retry"} 2`,
+		`progconv_faults_total{kind="panic"} 1`,
+		`progconv_faults_total{kind="timeout"} 2`,
+		`progconv_cache_hits_total{scope="pair"} 1`,
+		`progconv_cache_misses_total{scope="analysis"} 1`,
+		`progconv_cache_evictions_total{scope="codegen"} 1`,
+		"progconv_index_probes_total 5",
+		"progconv_bulk_loaded_records_total 9",
+		`progconv_stage_latency_seconds_bucket{stage="analyze",le="4e-06"} 1`,
+		"progconv_test_gauge 7",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	var types []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "# TYPE ") {
+			types = append(types, strings.TrimPrefix(line, "# TYPE "))
+		}
+	}
+	wantTypes := []string{
+		"progconv_programs_total counter", "progconv_hazards_total counter",
+		"progconv_dml_rewrites_total counter", "progconv_verifications_total counter",
+		"progconv_faults_total counter", "progconv_cache_hits_total counter",
+		"progconv_cache_misses_total counter", "progconv_cache_evictions_total counter",
+		"progconv_index_probes_total counter", "progconv_index_scans_total counter",
+		"progconv_migration_fused_steps_total counter", "progconv_migration_stepwise_steps_total counter",
+		"progconv_migration_shards_total counter", "progconv_bulk_loaded_records_total counter",
+		"progconv_queue_wait_seconds histogram", "progconv_job_duration_seconds histogram",
+		"progconv_stage_latency_seconds histogram", "progconv_dataplane_probe_count histogram",
+		"progconv_test_gauge gauge",
+	}
+	if strings.Join(types, "\n") != strings.Join(wantTypes, "\n") {
+		t.Errorf("families = %q\nwant %q", types, wantTypes)
+	}
+}
+
+// TestRunMetrics: stage-end durations fold into the per-stage summary —
+// count, total, min, max, the distinct programs, and buckets that sum
+// to the count with the overflow bucket last; other events are
+// ignored and an untimed run has no summary.
+func TestRunMetrics(t *testing.T) {
+	m := NewRunMetrics()
+	e := obs.NewEmitter(m)
+	for _, d := range []time.Duration{time.Millisecond, 3 * time.Microsecond, 2 * time.Millisecond} {
+		e.StageStart("P1", obs.StageConvert)
+		e.StageEnd("P1", obs.StageConvert, d)
+	}
+	e.StageEnd("P2", obs.StageAnalyze, time.Hour)
+	e.Outcome("P3", "auto", "no stage ran")
+
+	got := m.Metrics()
+	if got.Programs != 2 {
+		t.Errorf("programs = %d, want 2", got.Programs)
+	}
+	if got.Wall <= 0 {
+		t.Errorf("wall = %v, want > 0", got.Wall)
+	}
+	conv := got.Stage(obs.StageConvert)
+	if conv.Count != 3 || conv.Total != 3*time.Millisecond+3*time.Microsecond ||
+		conv.Min != 3*time.Microsecond || conv.Max != 2*time.Millisecond {
+		t.Errorf("convert = %+v", conv)
+	}
+	if conv.Mean() != conv.Total/3 {
+		t.Errorf("convert mean = %v", conv.Mean())
+	}
+	for _, st := range got.ByStage {
+		var sum int64
+		for _, n := range st.Buckets {
+			sum += n
+		}
+		if sum != st.Count || len(st.Buckets) != len(LatencyBuckets())+1 {
+			t.Errorf("%s: %d buckets summing to %d, count %d", st.Stage, len(st.Buckets), sum, st.Count)
+		}
+	}
+	if an := got.Stage(obs.StageAnalyze); an.Buckets[len(an.Buckets)-1] != 1 {
+		t.Errorf("1h attempt not in the overflow bucket: %v", an.Buckets)
+	}
+	if v := got.Stage(obs.StageVerify); v.Count != 0 || v.Min != 0 || v.Max != 0 {
+		t.Errorf("verify = %+v, want empty", v)
+	}
+	if (*RunMetrics)(nil).Metrics() != nil {
+		t.Error("nil RunMetrics returned a summary")
 	}
 }
 

@@ -90,7 +90,7 @@ type Span struct {
 	Label  string
 	Detail string
 	// Start is the offset from the run's emitter start; Dur the span
-	// duration (0 when the run has no metrics recorder).
+	// duration (0 when the run is not timed).
 	Start time.Duration
 	Dur   time.Duration
 }
@@ -160,17 +160,10 @@ type TraceBuilder struct {
 func NewTraceBuilder(id TraceID, name string) *TraceBuilder {
 	return &TraceBuilder{
 		id:    id,
-		root:  Span{ID: DeriveSpanID(id, "root"), Kind: KindJob, Name: name},
+		root:  Span{ID: RootSpanID(id), Kind: KindJob, Name: name},
 		progs: map[string]*progSpans{},
 	}
 }
-
-// TraceID returns the trace's ID.
-func (b *TraceBuilder) TraceID() TraceID { return b.id }
-
-// Root returns the root span's ID — what the daemon injects into its
-// response traceparent.
-func (b *TraceBuilder) Root() SpanID { return b.root.ID }
 
 // SetRemoteParent records the caller's span ID from an inbound
 // traceparent header.

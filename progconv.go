@@ -81,11 +81,8 @@ type (
 	Retry         = core.Retry
 
 	// Metrics is the per-stage timing summary embedded in a Report when
-	// the run was instrumented with WithMetrics; Recorder collects it and
-	// Span is one completed stage execution.
-	Metrics  = obs.Metrics
-	Recorder = obs.Recorder
-	Span     = obs.Span
+	// the run was timed with WithMetrics.
+	Metrics = obs.Metrics
 
 	// The structured event log: Events of the listed EventKinds flow to a
 	// Sink installed via WithEventSink. RingSink, JSONLSink and Tally are
@@ -304,7 +301,6 @@ type options struct {
 	metrics              bool
 	verifyDB             *Database
 	verifyHierDB         *HierDatabase
-	recorder             *Recorder
 	sink                 Sink
 	programTimeout       time.Duration
 	stageTimeout         time.Duration
@@ -342,9 +338,13 @@ func WithMigrationParallelism(n int) Option {
 	return func(o *options) { o.migrationParallelism = n }
 }
 
-// WithMetrics instruments the run: each program's analyze → convert →
-// optimize → generate → verify chain is timed per stage and the summary
-// lands in Report.Metrics.
+// WithMetrics times the run: every stage attempt of each program's
+// analyze → convert → optimize → generate → verify chain is measured,
+// its duration rides the attempt's stage-end event (EvStageEnd's Dur,
+// and so the trace's stage spans and any stage-latency histogram fed
+// from the events), and Convert and ConvertHier summarize the
+// durations per stage in Report.Metrics. Untimed runs carry zero
+// durations.
 func WithMetrics() Option {
 	return func(o *options) { o.metrics = true }
 }
@@ -371,15 +371,6 @@ func WithVerifyHierDB(db *HierDatabase) Option {
 // with MultiSink; a nil sink leaves the run unobserved.
 func WithEventSink(s Sink) Option {
 	return func(o *options) { o.sink = s }
-}
-
-// WithRecorder instruments the run with a caller-owned span recorder —
-// like WithMetrics, but the recorder outlives the run so its per-program
-// traces can feed WriteChromeTrace or span-level analysis. When both
-// WithRecorder and WithMetrics are given, the recorder wins and
-// Report.Metrics is snapshotted from it.
-func WithRecorder(r *Recorder) Option {
-	return func(o *options) { o.recorder = r }
 }
 
 // WithProgramTimeout budgets one program's whole analyze → verify
@@ -431,8 +422,7 @@ func WithCache(c *Cache) Option {
 
 // WithTraceSink installs a trace builder (NewTraceBuilder): the run's
 // event stream is folded into its span tree alongside any WithEventSink
-// sink, the builder rides the context next to the event emitter, and
-// Convert attaches the finished tree as Report.Trace. The tree's
+// sink, and Convert attaches the finished tree as Report.Trace. The tree's
 // structure — span IDs, parentage, order — is byte-identical at any
 // parallelism; only the timing fields vary. ConvertJobs routes events
 // into the builder too but leaves Report.Trace nil: one batch is one
@@ -455,14 +445,7 @@ func Convert(ctx context.Context, src, dst *Schema, plan *Plan,
 	}
 	sup := o.supervisor()
 	sup.Verify = o.verifyDB != nil
-	if o.trace != nil {
-		names := make([]string, len(programs))
-		for i, p := range programs {
-			names[i] = p.Name
-		}
-		o.trace.SetPrograms(names)
-		ctx = telemetry.WithTrace(ctx, o.trace)
-	}
+	o.traceOrder([]Job{{Programs: programs}})
 	report, err := sup.Run(ctx, src, dst, plan, o.verifyDB, programs)
 	if err == nil && o.trace != nil {
 		report.Trace = o.trace.Snapshot()
@@ -483,14 +466,7 @@ func ConvertHier(ctx context.Context, src, dst *Hierarchy, plan *HierPlan,
 	}
 	sup := o.supervisor()
 	sup.Verify = o.verifyHierDB != nil
-	if o.trace != nil {
-		names := make([]string, len(programs))
-		for i, p := range programs {
-			names[i] = p.Name
-		}
-		o.trace.SetPrograms(names)
-		ctx = telemetry.WithTrace(ctx, o.trace)
-	}
+	o.traceOrder([]Job{{Programs: programs}})
 	report, err := sup.RunHier(ctx, src, dst, plan, o.verifyHierDB, programs)
 	if err == nil && o.trace != nil {
 		report.Trace = o.trace.Snapshot()
@@ -513,17 +489,23 @@ func ConvertJobs(ctx context.Context, jobs []Job, opts ...Option) ([]*Report, er
 	}
 	sup := o.supervisor()
 	sup.Verify = true // per-job: only jobs with a DB verify
-	if o.trace != nil {
-		var names []string
-		for _, j := range jobs {
-			for _, p := range j.Programs {
-				names = append(names, p.Name)
-			}
-		}
-		o.trace.SetPrograms(names)
-		ctx = telemetry.WithTrace(ctx, o.trace)
-	}
+	o.traceOrder(jobs)
 	return sup.RunJobs(ctx, jobs)
+}
+
+// traceOrder fixes the trace builder's program order to the jobs'
+// submission order.
+func (o *options) traceOrder(jobs []Job) {
+	if o.trace == nil {
+		return
+	}
+	var names []string
+	for _, j := range jobs {
+		for _, p := range j.Programs {
+			names = append(names, p.Name)
+		}
+	}
+	o.trace.SetPrograms(names)
 }
 
 // supervisor builds the configured core.Supervisor shared by Convert
@@ -535,11 +517,7 @@ func (o *options) supervisor() *core.Supervisor {
 	}
 	sup.Parallelism = o.parallelism
 	sup.MigrationParallelism = o.migrationParallelism
-	rec := o.recorder
-	if rec == nil && o.metrics {
-		rec = obs.NewRecorder()
-	}
-	sup.Metrics = rec
+	sup.Metrics = o.metrics
 	sup.Events = o.sink
 	if o.trace != nil {
 		sup.Events = obs.MultiSink(o.trace, o.sink)
@@ -559,9 +537,6 @@ func (o *options) supervisor() *core.Supervisor {
 // Install it with WithCache; one cache may serve any number of
 // concurrent Convert and ConvertJobs calls.
 func NewCache(maxPairs int) *Cache { return plancache.New(maxPairs) }
-
-// NewRecorder returns a span recorder for WithRecorder.
-func NewRecorder() *Recorder { return obs.NewRecorder() }
 
 // NewRingSink returns a bounded in-memory event sink keeping the newest
 // capacity events.
@@ -600,12 +575,6 @@ func ExitCodeFor(r *Report, failOn string) (ExitCode, string) {
 	return wire.ExitFor(r, failOn)
 }
 
-// WriteChromeTrace exports a recorder's spans as Chrome trace_event JSON
-// loadable in chrome://tracing or Perfetto.
-func WriteChromeTrace(w io.Writer, r *Recorder) error {
-	return obs.WriteChromeTrace(w, r)
-}
-
 // NewTraceBuilder starts a trace for WithTraceSink: id becomes the
 // TraceID (DeriveTraceID, or an inbound traceparent's), name the root
 // span's display name.
@@ -641,19 +610,19 @@ func EncodeTraceJSON(w io.Writer, tr *Trace, omitTiming bool) error {
 }
 
 // WriteTraceChrome renders a span tree as Chrome trace_event JSON
-// loadable in chrome://tracing or Perfetto — the span-tree successor
-// of WriteChromeTrace's recorder rendering, carrying cache probes,
-// retries, verdicts, and faults alongside the stage spans.
+// loadable in chrome://tracing or Perfetto: one thread per program,
+// stage spans as complete events, and cache probes, retries, verdicts
+// and faults as instant events.
 func WriteTraceChrome(w io.Writer, tr *Trace) error {
 	return telemetry.WriteChromeTrace(w, tr)
 }
 
-// WritePrometheus renders a tally (and optionally a Report's Metrics)
-// in Prometheus text exposition format. A nil tally is valid — only the
-// metrics sections are written — so runs instrumented with WithMetrics
-// alone export without constructing a Tally.
-func WritePrometheus(w io.Writer, t *Tally, m *Metrics) error {
-	return t.WritePrometheus(w, m)
+// WritePrometheus renders a tally's counter families in Prometheus
+// text exposition format; a nil tally writes nothing.
+func WritePrometheus(w io.Writer, t *Tally) error {
+	reg := telemetry.NewRegistry()
+	reg.Tally(t)
+	return reg.WritePrometheus(w)
 }
 
 // ParseProgram parses database-program source text in any of the four

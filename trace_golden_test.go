@@ -3,9 +3,9 @@ package progconv
 // Satellite-4 acceptance: the wire trace JSON (timing omitted) and the
 // Prometheus histogram exposition for the Figure 4.3 conversion are
 // byte-identical at parallelism 1 and 8, pinned by golden files.
-// Without a metrics recorder every stage duration is zero, so the
-// histograms land in deterministic buckets; span IDs derive from the
-// trace ID and structural paths, never wall clock.
+// The run is untimed (no WithMetrics), so every stage duration is zero
+// and the histograms land in deterministic buckets; span IDs derive
+// from the trace ID and structural paths, never wall clock.
 
 import (
 	"bytes"
