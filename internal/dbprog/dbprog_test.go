@@ -293,6 +293,54 @@ END PROGRAM.
 	}
 }
 
+// GET refills the record buffer: fields MOVEd in that the record type
+// lacks are gone, a failed GET leaves the buffer as it was, and a failed
+// GET makes no buffer where there was none.
+func TestGetRefillsBuffer(t *testing.T) {
+	db := companyNet(t)
+	p := mustParse(t, `
+PROGRAM REFILL DIALECT NETWORK.
+  MOVE 'X' TO EXTRA IN EMP.
+  MOVE 'CLARK' TO EMP-NAME IN EMP.
+  FIND ANY EMP USING EMP-NAME.
+  GET EMP.
+  PRINT RECORD EMP.
+  FIND OWNER WITHIN DIV-EMP.
+  GET EMP.
+  PRINT DB-STATUS.
+  PRINT RECORD EMP.
+  FIND FIRST EMP WITHIN DIV-EMP.
+  GET EMP.
+  PRINT RECORD EMP.
+END PROGRAM.
+`)
+	tr, err := Run(p, Config{Net: db})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"{EMP-NAME=CLARK, DEPT-NAME=WELDING, AGE=33, DIV-NAME=MACHINERY}",
+		"WRONG-TYPE",
+		"{EMP-NAME=CLARK, DEPT-NAME=WELDING, AGE=33, DIV-NAME=MACHINERY}",
+		"{EMP-NAME=ADAMS, DEPT-NAME=SALES, AGE=45, DIV-NAME=MACHINERY}",
+	}
+	if got := terminalLines(tr); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Errorf("terminal = %v, want %v", got, want)
+	}
+
+	p = mustParse(t, `
+PROGRAM NOBUF DIALECT NETWORK.
+  MOVE 'CLARK' TO EMP-NAME IN EMP.
+  FIND ANY EMP USING EMP-NAME.
+  GET DIV.
+  PRINT RECORD DIV.
+END PROGRAM.
+`)
+	if _, err := Run(p, Config{Net: db}); err == nil || !strings.Contains(err.Error(), "no record buffer DIV") {
+		t.Errorf("failed GET into no buffer: err = %v", err)
+	}
+}
+
 func TestMarylandDialect(t *testing.T) {
 	db := companyNet(t)
 	p := mustParse(t, `

@@ -292,14 +292,19 @@ func (in *interp) exec(st Stmt) error {
 		_, err := in.netSession().FindOwner(s.Set)
 		return err
 	case GetRec:
-		rec, st, err := in.netSession().Get(s.Record)
-		if err != nil {
-			return err
+		// GET refills the buffer in place; a failed GET leaves it as it
+		// was, and makes none where there was none. Nothing holds the
+		// buffer across statements: STORE and MODIFY copy it through
+		// storedOnly, and FIND copies it into matchBuf.
+		buf, ok := in.bufs[s.Record]
+		if !ok {
+			buf = value.NewRecord()
 		}
-		if st == netstore.OK {
-			in.bufs[s.Record] = rec
+		st, err := in.netSession().GetInto(s.Record, buf)
+		if st == netstore.OK && err == nil {
+			in.bufs[s.Record] = buf
 		}
-		return nil
+		return err
 	case StoreRec:
 		buf := in.buffer(s.Record)
 		stored := in.storedOnly(s.Record, buf)
@@ -401,10 +406,13 @@ func (in *interp) storedOnly(recType string, buf *value.Record) *value.Record {
 	if rt == nil {
 		return buf
 	}
-	out := value.NewRecord()
-	for _, f := range rt.StoredFieldNames() {
-		if v, ok := buf.Get(f); ok {
-			out.Set(f, v)
+	out := value.NewRecordSize(len(rt.Fields))
+	for _, f := range rt.Fields {
+		if f.Virtual != nil {
+			continue
+		}
+		if v, ok := buf.Get(f.Name); ok {
+			out.Set(f.Name, v)
 		}
 	}
 	return out
@@ -533,7 +541,7 @@ func (in *interp) execMStore(s MStore) error {
 }
 
 func (in *interp) assignsToRecord(assigns []FieldAssign) (*value.Record, error) {
-	rec := value.NewRecord()
+	rec := value.NewRecordSize(len(assigns))
 	for _, a := range assigns {
 		v, err := in.eval(a.E)
 		if err != nil {

@@ -15,6 +15,7 @@ package mdml
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"progconv/internal/netstore"
@@ -324,17 +325,25 @@ func (e *Evaluator) Eval(f *Find) ([]netstore.RecordID, error) {
 			}
 			current = next
 		case RecordStep:
-			if e.db.Schema().Record(step.Name) == nil {
+			typ := e.db.Schema().Record(step.Name)
+			if typ == nil {
 				return nil, fmt.Errorf("mdml: unknown record type %s", step.Name)
 			}
-			var next []netstore.RecordID
+			// Every candidate is read into one record, and the survivors
+			// are kept in place: current is this evaluation's own slice.
+			var rec *value.Record
+			if step.Qual != nil {
+				rec = value.NewRecordSize(len(typ.Fields))
+			}
+			next := current[:0]
 			for _, id := range current {
 				if e.db.TypeOf(id) != step.Name {
 					return nil, fmt.Errorf("mdml: path yields %s records where %s expected",
 						e.db.TypeOf(id), step.Name)
 				}
 				if step.Qual != nil {
-					keep, err := step.Qual.Eval(e.db.Data(id), e.Params)
+					e.db.DataInto(id, rec)
+					keep, err := step.Qual.Eval(rec, e.Params)
 					if err != nil {
 						return nil, err
 					}
@@ -364,34 +373,41 @@ func (e *Evaluator) EvalSort(s *Sort) ([]netstore.RecordID, error) {
 }
 
 // SortIDs orders a collection by the given fields of the records' data.
+// Each record is read into one reused buffer and only its sort keys are
+// kept, row-major in keys; the stable sort then permutes positions, so
+// equal keys keep the collection's order.
 func (e *Evaluator) SortIDs(ids []netstore.RecordID, on []string) ([]netstore.RecordID, error) {
-	type pair struct {
-		id  netstore.RecordID
-		rec *value.Record
-	}
-	pairs := make([]pair, len(ids))
-	for i, id := range ids {
-		rec := e.db.Data(id)
-		if rec == nil {
+	w := len(on)
+	keys := make([]value.Value, 0, len(ids)*w)
+	rec := value.NewRecord()
+	for _, id := range ids {
+		if !e.db.DataInto(id, rec) {
 			return nil, fmt.Errorf("mdml: stale record %d in collection", id)
 		}
 		for _, f := range on {
-			if !rec.Has(f) {
+			v, ok := rec.Get(f)
+			if !ok {
 				return nil, fmt.Errorf("mdml: sort field %s not in record", f)
 			}
+			keys = append(keys, v)
 		}
-		pairs[i] = pair{id, rec}
 	}
-	recs := make([]*value.Record, len(pairs))
-	order := make(map[*value.Record]netstore.RecordID, len(pairs))
-	for i, p := range pairs {
-		recs[i] = p.rec
-		order[p.rec] = p.id
+	order := make([]int, len(ids))
+	for i := range order {
+		order[i] = i
 	}
-	value.SortRecords(recs, on)
-	out := make([]netstore.RecordID, len(recs))
-	for i, r := range recs {
-		out[i] = order[r]
+	slices.SortStableFunc(order, func(a, b int) int {
+		ka, kb := keys[a*w:(a+1)*w], keys[b*w:(b+1)*w]
+		for k := range ka {
+			if c := ka[k].Order(kb[k]); c != 0 {
+				return c
+			}
+		}
+		return 0
+	})
+	out := make([]netstore.RecordID, len(order))
+	for i, pos := range order {
+		out[i] = ids[pos]
 	}
 	return out, nil
 }

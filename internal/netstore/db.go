@@ -178,14 +178,8 @@ func (db *DB) Data(id RecordID) *value.Record {
 	if !ok {
 		return nil
 	}
-	out := value.NewRecord()
-	for _, f := range o.typ.Fields {
-		if f.Virtual == nil {
-			out.Set(f.Name, o.data.MustGet(f.Name))
-		} else {
-			out.Set(f.Name, db.resolveVirtual(o, &f))
-		}
-	}
+	out := value.NewRecordSize(len(o.typ.Fields))
+	db.DataInto(id, out)
 	return out
 }
 
@@ -383,7 +377,7 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 	if typ == nil {
 		return 0, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	data := value.NewRecord()
+	data := value.NewRecordSize(len(typ.Fields))
 	for _, f := range typ.Fields {
 		if f.Virtual != nil {
 			continue

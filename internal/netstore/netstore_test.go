@@ -276,6 +276,58 @@ func TestGetStatuses(t *testing.T) {
 	}
 }
 
+// GetInto follows Get's statuses and currency, and touches its buffer
+// only when the status is OK.
+func TestGetIntoStatuses(t *testing.T) {
+	db, s := seedCompany(t)
+	sentinel := value.FromPairs("X", 1)
+	buf := sentinel.Clone()
+	if _, err := s.GetInto("NOPE", buf); err == nil {
+		t.Error("unknown type")
+	}
+	if st, _ := NewSession(db).GetInto("EMP", buf); st != NoCurrency {
+		t.Errorf("no currency: %v", st)
+	}
+	s.FindAny("DIV", value.FromPairs("DIV-NAME", "MACHINERY"))
+	if st, _ := s.GetInto("EMP", buf); st != WrongType || s.Status() != WrongType {
+		t.Errorf("wrong type: %v", st)
+	}
+	if !buf.Equal(sentinel) || buf.String() != sentinel.String() {
+		t.Errorf("failed GetInto changed its buffer to %v", buf)
+	}
+	s.FindAny("EMP", value.FromPairs("EMP-NAME", "CLARK"))
+	if st, err := s.GetInto("EMP", buf); st != OK || err != nil || s.Status() != OK {
+		t.Fatalf("GetInto: %v %v", st, err)
+	}
+	want, _, _ := s.Get("EMP")
+	if buf.String() != want.String() || buf.String() != "{EMP-NAME=CLARK, DEPT-NAME=WELDING, AGE=33, DIV-NAME=MACHINERY}" {
+		t.Errorf("GetInto = %v, Get = %v", buf, want)
+	}
+	s.Erase("EMP")
+	if st, _ := s.GetInto("EMP", buf); st != NoCurrency {
+		t.Errorf("after erase: %v", st)
+	}
+}
+
+// Reading into a warmed record allocates nothing, virtual fields
+// included: the Maryland qualification and GET paths rely on it.
+func TestDataIntoAndGetIntoAllocs(t *testing.T) {
+	db, s := seedCompany(t)
+	id := db.AllOf("EMP")[0]
+	rec := value.NewRecord()
+	db.DataInto(id, rec)
+	if n := testing.AllocsPerRun(100, func() { db.DataInto(id, rec) }); n != 0 {
+		t.Errorf("DataInto allocated %v per run, want 0", n)
+	}
+	if !rec.Equal(db.Data(id)) || rec.MustGet("DIV-NAME").AsString() != "MACHINERY" {
+		t.Errorf("DataInto = %v, Data = %v", rec, db.Data(id))
+	}
+	s.Position(id)
+	if n := testing.AllocsPerRun(100, func() { s.GetInto("EMP", rec) }); n != 0 {
+		t.Errorf("GetInto allocated %v per run, want 0", n)
+	}
+}
+
 func TestModifyRepositionsInSet(t *testing.T) {
 	_, s := seedCompany(t)
 	s.FindAny("EMP", value.FromPairs("EMP-NAME", "ADAMS"))

@@ -126,21 +126,16 @@ func (s *Session) matches(o *occurrence, match *value.Record) bool {
 	if match == nil {
 		return true
 	}
-	var resolved *value.Record
 	for _, n := range match.Names() {
 		want := match.MustGet(n)
 		if want.IsNull() {
 			continue
 		}
-		f := o.typ.Field(n)
 		var got value.Value
-		if f.Virtual == nil {
+		if f := o.typ.Field(n); f.Virtual == nil {
 			got = o.data.MustGet(n)
 		} else {
-			if resolved == nil {
-				resolved = s.db.Data(o.id)
-			}
-			got = resolved.MustGet(n)
+			got = s.db.resolveVirtual(o, f)
 		}
 		if !got.Equal(want) {
 			return false
@@ -162,7 +157,7 @@ func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, er
 	if typ == nil {
 		return 0, s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	data := value.NewRecord()
+	data := value.NewRecordSize(len(typ.Fields))
 	for _, f := range typ.Fields {
 		if f.Virtual != nil {
 			continue
@@ -419,20 +414,33 @@ func (s *Session) FindOwner(set string) (Status, error) {
 }
 
 // Get implements GET <record>: delivers the current of run-unit, which
-// must be of the stated type, with virtual fields resolved.
+// must be of the stated type, with virtual fields resolved, as a fresh
+// record (nil unless the status is OK).
 func (s *Session) Get(recType string) (*value.Record, Status, error) {
+	rec := value.NewRecord()
+	st, err := s.GetInto(recType, rec)
+	if err != nil || st != OK {
+		return nil, st, err
+	}
+	return rec, OK, nil
+}
+
+// GetInto is Get into a record the caller reuses, the allocation-free
+// counterpart for loops that GET into one buffer: with status OK, out is
+// reset and filled; with any other outcome it is left untouched.
+func (s *Session) GetInto(recType string, out *value.Record) (Status, error) {
 	if s.db.schema.Record(recType) == nil {
-		return nil, s.status, fmt.Errorf("netstore: unknown record type %s", recType)
+		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
 	if s.runUnit == 0 || !s.db.Exists(s.runUnit) {
-		return nil, s.fail(NoCurrency), nil
+		return s.fail(NoCurrency), nil
 	}
 	o := s.db.recs[s.runUnit]
 	if o.typ.Name != recType {
-		return nil, s.fail(WrongType), nil
+		return s.fail(WrongType), nil
 	}
-	s.status = OK
-	return s.db.Data(o.id), OK, nil
+	s.db.DataInto(o.id, out)
+	return s.fail(OK), nil
 }
 
 // Modify implements MODIFY <record>: replaces the stated stored fields of

@@ -10,20 +10,25 @@ import (
 // case-sensitive and follow the paper's hyphenated 1979 convention
 // (EMP-NAME, DIV-LOC). Lookup is by name; the declared order is preserved
 // for rendering and for positional operations in the engines.
+//
+// The fields live in two parallel slices, names and vals, and a lookup
+// scans names. The engines' record types have a handful of fields (the
+// widest built-in one, COMPANY V1 EMP, has four), where a scan beats a
+// hash and a record costs two slices instead of a map.
 type Record struct {
-	names  []string
-	fields map[string]Value
+	names []string
+	vals  []Value // vals[i] is the value of names[i]
 }
 
 // NewRecord returns an empty record.
 func NewRecord() *Record {
-	return &Record{fields: make(map[string]Value)}
+	return &Record{}
 }
 
 // NewRecordSize returns an empty record pre-sized for n fields, so hot
 // paths that know the destination field count allocate exactly once.
 func NewRecordSize(n int) *Record {
-	return &Record{names: make([]string, 0, n), fields: make(map[string]Value, n)}
+	return &Record{names: make([]string, 0, n), vals: make([]Value, 0, n)}
 }
 
 // FromPairs builds a record from alternating name, value arguments,
@@ -32,7 +37,7 @@ func FromPairs(pairs ...any) *Record {
 	if len(pairs)%2 != 0 {
 		panic("value.FromPairs: odd argument count")
 	}
-	r := NewRecord()
+	r := NewRecordSize(len(pairs) / 2)
 	for i := 0; i < len(pairs); i += 2 {
 		name, ok := pairs[i].(string)
 		if !ok {
@@ -60,61 +65,77 @@ func FromPairs(pairs ...any) *Record {
 	return r
 }
 
+// index returns the position of the named field, or -1.
+func (r *Record) index(name string) int {
+	for i, n := range r.names {
+		if n == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // Set stores a field, appending it to the declared order if new.
 func (r *Record) Set(name string, v Value) {
-	if _, ok := r.fields[name]; !ok {
-		r.names = append(r.names, name)
+	if i := r.index(name); i >= 0 {
+		r.vals[i] = v
+		return
 	}
-	r.fields[name] = v
+	r.names = append(r.names, name)
+	r.vals = append(r.vals, v)
 }
 
 // Get returns the named field's value and whether the field exists.
 func (r *Record) Get(name string) (Value, bool) {
-	v, ok := r.fields[name]
-	return v, ok
+	if i := r.index(name); i >= 0 {
+		return r.vals[i], true
+	}
+	return Value{}, false
 }
 
 // MustGet returns the named field's value, or null if absent.
 func (r *Record) MustGet(name string) Value {
-	return r.fields[name]
+	v, _ := r.Get(name)
+	return v
 }
 
 // Has reports whether the field exists.
-func (r *Record) Has(name string) bool {
-	_, ok := r.fields[name]
-	return ok
-}
+func (r *Record) Has(name string) bool { return r.index(name) >= 0 }
 
 // Delete removes a field if present.
 func (r *Record) Delete(name string) {
-	if _, ok := r.fields[name]; !ok {
-		return
-	}
-	delete(r.fields, name)
-	for i, n := range r.names {
-		if n == name {
-			copy(r.names[i:], r.names[i+1:])
-			r.names[len(r.names)-1] = "" // clear the tail: no aliasing, no pinned string
-			r.names = r.names[:len(r.names)-1]
-			break
-		}
+	if i := r.index(name); i >= 0 {
+		r.deleteAt(i)
 	}
 }
 
-// Rename changes a field's name in place, preserving its position.
+// deleteAt removes the i'th field, keeping the order of the rest.
+func (r *Record) deleteAt(i int) {
+	last := len(r.names) - 1
+	copy(r.names[i:], r.names[i+1:])
+	copy(r.vals[i:], r.vals[i+1:])
+	// Clear the tail: no aliasing, no pinned string.
+	r.names[last] = ""
+	r.vals[last] = Value{}
+	r.names = r.names[:last]
+	r.vals = r.vals[:last]
+}
+
+// Rename changes a field's name in place, preserving its position. If
+// another field already has the new name, it is dropped: exactly one
+// field named to remains, at from's position, holding from's value.
 func (r *Record) Rename(from, to string) {
-	v, ok := r.fields[from]
-	if !ok {
+	i := r.index(from)
+	if i < 0 || from == to {
 		return
 	}
-	delete(r.fields, from)
-	r.fields[to] = v
-	for i, n := range r.names {
-		if n == from {
-			r.names[i] = to
-			break
+	if j := r.index(to); j >= 0 {
+		r.deleteAt(j)
+		if j < i {
+			i--
 		}
 	}
+	r.names[i] = to
 }
 
 // Names returns the field names in declared order. The slice is shared;
@@ -127,8 +148,10 @@ func (r *Record) Len() int { return len(r.names) }
 // Reset removes every field while keeping the allocated capacity, so
 // hot paths can refill one record per call instead of allocating.
 func (r *Record) Reset() {
+	clear(r.names)
+	clear(r.vals)
 	r.names = r.names[:0]
-	clear(r.fields)
+	r.vals = r.vals[:0]
 }
 
 // CopyFrom resets r and refills it with o's fields in declared order,
@@ -136,31 +159,25 @@ func (r *Record) Reset() {
 // Clone for loops that stage one record per iteration.
 func (r *Record) CopyFrom(o *Record) {
 	r.Reset()
-	for _, n := range o.names {
-		r.names = append(r.names, n)
-		r.fields[n] = o.fields[n]
-	}
+	r.names = append(r.names, o.names...)
+	r.vals = append(r.vals, o.vals...)
 }
 
 // Clone returns a deep copy of the record.
 func (r *Record) Clone() *Record {
-	c := &Record{
-		names:  append([]string(nil), r.names...),
-		fields: make(map[string]Value, len(r.fields)),
+	return &Record{
+		names: append([]string(nil), r.names...),
+		vals:  append([]Value(nil), r.vals...),
 	}
-	for k, v := range r.fields {
-		c.fields[k] = v
-	}
-	return c
 }
 
 // Project returns a new record holding only the given fields, in the
 // given order. Missing fields project to null, matching how the engines
 // surface absent virtual fields.
 func (r *Record) Project(names []string) *Record {
-	p := NewRecord()
+	p := NewRecordSize(len(names))
 	for _, n := range names {
-		p.Set(n, r.fields[n])
+		p.Set(n, r.MustGet(n))
 	}
 	return p
 }
@@ -168,12 +185,17 @@ func (r *Record) Project(names []string) *Record {
 // Equal reports whether two records have the same fields (by name) with
 // equal values. Declared order is not significant for equality.
 func (r *Record) Equal(o *Record) bool {
-	if len(r.fields) != len(o.fields) {
+	if len(r.names) != len(o.names) {
 		return false
 	}
-	for k, v := range r.fields {
-		w, ok := o.fields[k]
-		if !ok || !v.Equal(w) {
+	for i, n := range r.names {
+		j := i // records of one type share the declared order
+		if o.names[j] != n {
+			if j = o.index(n); j < 0 {
+				return false
+			}
+		}
+		if !r.vals[i].Equal(o.vals[j]) {
 			return false
 		}
 	}
@@ -185,7 +207,7 @@ func (r *Record) Equal(o *Record) bool {
 func (r *Record) KeyOf(names []string) string {
 	var b strings.Builder
 	for _, n := range names {
-		b.WriteString(r.fields[n].Key())
+		b.WriteString(r.MustGet(n).Key())
 		b.WriteByte('\x1f')
 	}
 	return b.String()
@@ -200,25 +222,17 @@ func (r *Record) String() string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "%s=%s", n, r.fields[n].String())
+		fmt.Fprintf(&b, "%s=%s", n, r.vals[i].String())
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
 // CompareBy orders two records by the named fields, for set-key and SORT
-// orderings. Records incomparable on some field order by the field's
-// String form so that sorting is still total and deterministic.
+// orderings, one field at a time by Value.Order.
 func CompareBy(a, b *Record, fields []string) int {
 	for _, f := range fields {
-		av, bv := a.MustGet(f), b.MustGet(f)
-		if c, ok := av.Compare(bv); ok {
-			if c != 0 {
-				return c
-			}
-			continue
-		}
-		if c := strings.Compare(av.String(), bv.String()); c != 0 {
+		if c := a.MustGet(f).Order(b.MustGet(f)); c != 0 {
 			return c
 		}
 	}

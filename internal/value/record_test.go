@@ -1,6 +1,7 @@
 package value
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -67,17 +68,30 @@ func TestRecordDelete(t *testing.T) {
 }
 
 func TestRecordRename(t *testing.T) {
-	r := FromPairs("A", 1, "B", 2)
-	r.Rename("A", "AA")
-	if r.Has("A") || r.MustGet("AA").AsInt() != 1 {
-		t.Error("Rename")
-	}
-	if r.Names()[0] != "AA" {
-		t.Errorf("rename should preserve position, names=%v", r.Names())
-	}
-	r.Rename("NOPE", "X") // no-op
-	if r.Len() != 2 {
-		t.Error("renaming absent field changed record")
+	for _, tc := range []struct {
+		rec      *Record
+		from, to string
+		want     *Record // also pins the declared order, through String
+	}{
+		{FromPairs("A", 1, "B", 2), "A", "AA", FromPairs("AA", 1, "B", 2)},
+		{FromPairs("A", 1, "B", 2), "NOPE", "X", FromPairs("A", 1, "B", 2)},
+		{FromPairs("A", 1, "B", 2), "A", "A", FromPairs("A", 1, "B", 2)},
+		// Onto an existing name: exactly one field of that name remains,
+		// at the renamed field's position, holding its value.
+		{FromPairs("A", 1, "B", 2), "A", "B", FromPairs("B", 1)},
+		{FromPairs("A", 1, "B", 2, "C", 3), "C", "A", FromPairs("B", 2, "A", 3)},
+	} {
+		name := fmt.Sprintf("%v.Rename(%s,%s)", tc.rec, tc.from, tc.to)
+		tc.rec.Rename(tc.from, tc.to)
+		if got, want := tc.rec.String(), tc.want.String(); got != want {
+			t.Errorf("%s = %s, want %s", name, got, want)
+		}
+		if tc.rec.Len() != tc.want.Len() || len(tc.rec.Names()) != tc.want.Len() {
+			t.Errorf("%s: Len %d, Names %v, want %d fields", name, tc.rec.Len(), tc.rec.Names(), tc.want.Len())
+		}
+		if !tc.rec.Equal(tc.want) || !tc.want.Equal(tc.rec) {
+			t.Errorf("%s: not Equal to %s", name, tc.want)
+		}
 	}
 }
 
@@ -194,5 +208,25 @@ func TestCloneEqualProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// A warmed record refills and reads without allocating: Reset keeps its
+// capacity, and lookups scan the names in place.
+func TestRecordRefillAllocs(t *testing.T) {
+	src := FromPairs("EMP-NAME", "ADAMS", "DEPT-NAME", "SALES", "AGE", 45, "DIV-NAME", "MACHINERY")
+	r := src.Clone()
+	if n := testing.AllocsPerRun(100, func() {
+		r.Reset()
+		for i, n := range src.Names() {
+			r.Set(n, src.vals[i])
+		}
+		r.CopyFrom(src)
+		r.Rename("AGE", "YEARS")
+		r.Delete("YEARS")
+		_ = r.MustGet("DIV-NAME").Order(src.MustGet("DEPT-NAME"))
+		_ = r.Has("AGE") || r.Equal(src) || CompareBy(r, src, []string{"EMP-NAME", "AGE"}) == 0
+	}); n != 0 {
+		t.Errorf("refilling a warmed record allocated %v per run, want 0", n)
 	}
 }

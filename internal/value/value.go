@@ -219,6 +219,16 @@ func (v Value) Compare(w Value) (int, bool) {
 	return 0, false
 }
 
+// Order is Compare made total, the per-field rule of CompareBy and of
+// SORT: values incomparable with each other (a string and an int) order
+// by their String forms, so sorting stays deterministic.
+func (v Value) Order(w Value) int {
+	if c, ok := v.Compare(w); ok {
+		return c
+	}
+	return strings.Compare(v.String(), w.String())
+}
+
 // Key returns a representation usable as a Go map key that respects Equal:
 // equal values produce equal keys. Numeric values are normalized to the
 // float form only when they carry a fractional part, so Int(3) and
