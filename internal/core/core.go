@@ -445,12 +445,6 @@ type runState struct {
 	analystMu *sync.Mutex
 }
 
-// PairContext is the immutable pair-scoped layer of the network
-// pipeline: every artifact derived from (source schema, plan) alone,
-// computed once per pair — and, through a Cache, shared across runs.
-// Workers only read it.
-type PairContext = plancache.Pair
-
 // PreparePair assembles the model pair for one spec, serving the
 // pair-scoped artifacts from the supervisor's Cache when one is
 // installed (building and memoizing on miss) and building them cold
@@ -727,7 +721,9 @@ func (s *Supervisor) convertOne(ctx context.Context, run *runState, p *dbprog.Pr
 	em := run.em
 	var abs *analyzer.Abstract
 	if err := s.stage(ctx, run, p.Name, obs.StageAnalyze, &o, func(ctx context.Context) error {
-		abs = run.pair.analyze(ctx, s.Cache, ph, p)
+		abs = s.Cache.Analyze(ctx, ph, run.pair.srcKey(), p.Name, func() *analyzer.Abstract {
+			return run.pair.analyze(ctx, p)
+		})
 		return nil
 	}); err != nil {
 		return o, err
@@ -736,7 +732,9 @@ func (s *Supervisor) convertOne(ctx context.Context, run *runState, p *dbprog.Pr
 	var res *convert.Result
 	if err := s.stage(ctx, run, p.Name, obs.StageConvert, &o, func(ctx context.Context) error {
 		var err error
-		res, err = run.pair.convertProg(ctx, s.Cache, ph, abs)
+		res, err = s.Cache.Convert(ctx, ph, run.pair.Key(), p.Name, func() (*convert.Result, error) {
+			return run.pair.convertProg(ctx, abs)
+		})
 		return err
 	}); err != nil {
 		return o, err
@@ -768,23 +766,20 @@ func (s *Supervisor) convertOne(ctx context.Context, run *runState, p *dbprog.Pr
 		o.Audit.Reason = "a blocking hazard stopped conversion"
 	}
 	if o.Converted != nil {
+		// One memo covers optimize and generate; the rendering is kept
+		// aside for the generate stage.
 		var generated string
 		if err := s.stage(ctx, run, p.Name, obs.StageOptimize, &o, func(ctx context.Context) error {
-			opt, applied, gen := run.pair.optimize(ctx, s.Cache, ph, p.Name, o.Converted)
-			o.Converted = opt
-			o.Optimizations = applied
-			generated = gen
+			converted := o.Converted
+			o.Converted, o.Optimizations, generated = s.Cache.Codegen(ctx, ph, run.pair.Key(), p.Name,
+				func() (*dbprog.Program, []optimizer.Optimization) { return run.pair.optimize(ctx, converted) })
 			return nil
 		}); err != nil {
 			return o, err
 		}
 
 		if err := s.stage(ctx, run, p.Name, obs.StageGenerate, &o, func(ctx context.Context) error {
-			if generated != "" {
-				o.Generated = generated
-				return nil
-			}
-			o.Generated = dbprog.Format(o.Converted)
+			o.Generated = generated
 			return nil
 		}); err != nil {
 			return o, err

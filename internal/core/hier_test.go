@@ -8,9 +8,11 @@ package core
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"progconv/internal/corpus"
+	"progconv/internal/obs"
 	"progconv/internal/plancache"
 	"progconv/internal/schema"
 )
@@ -27,16 +29,20 @@ func imsEntry(t *testing.T) *corpus.HierEntry {
 // TestHierRunByteIdentical: the hierarchical pipeline's report is
 // byte-identical at parallelism 1 and 8, uncached, cache-cold, and
 // cache-warm — the same invariant TestCachedRunByteIdentical pins for
-// the network model.
+// the network model. So is its event stream once the cache's own
+// events are dropped: a warm run's memo hits replay the hazards and
+// rewrites the cold run emitted.
 func TestHierRunByteIdentical(t *testing.T) {
 	entry := imsEntry(t)
 	for _, par := range []int{1, 8} {
 		t.Run(fmt.Sprintf("parallelism=%d", par), func(t *testing.T) {
-			run := func(sup *Supervisor) string {
+			run := func(sup *Supervisor) (string, map[string][]obs.Event) {
 				t.Helper()
+				ring := obs.NewRingSink(4096)
 				sup.Analyst = Policy{}
 				sup.Verify = true
 				sup.Parallelism = par
+				sup.Events = ring
 				report, err := sup.RunHier(context.Background(),
 					entry.Source, entry.Target, nil, entry.Seed(), entry.Programs())
 				if err != nil {
@@ -45,17 +51,47 @@ func TestHierRunByteIdentical(t *testing.T) {
 				if report.Model != ModelHierarchical {
 					t.Errorf("report model = %q, want %q", report.Model, ModelHierarchical)
 				}
-				return report.String()
+				// Programs interleave at parallelism 8, so there the
+				// stream is compared per program.
+				events := map[string][]obs.Event{}
+				for _, ev := range ring.Events() {
+					switch ev.Kind {
+					case obs.EvCacheHit, obs.EvCacheMiss, obs.EvCacheEvict:
+						continue
+					}
+					ev.Seq, ev.T, ev.Dur = 0, 0, 0
+					key := ""
+					if par > 1 {
+						key = ev.Prog
+					}
+					events[key] = append(events[key], ev)
+				}
+				return report.String(), events
 			}
-			base := run(&Supervisor{})
+			base, baseEvents := run(&Supervisor{})
 			cache := plancache.New(8)
-			cold := run(&Supervisor{Cache: cache})
-			warm := run(&Supervisor{Cache: cache})
+			cold, coldEvents := run(&Supervisor{Cache: cache})
+			warm, warmEvents := run(&Supervisor{Cache: cache})
 			if cold != base {
 				t.Errorf("cold cached report differs from uncached:\n%s\nvs\n%s", cold, base)
 			}
 			if warm != base {
 				t.Errorf("warm cached report differs from uncached:\n%s\nvs\n%s", warm, base)
+			}
+			kinds := map[obs.EventKind]bool{}
+			for _, evs := range baseEvents {
+				for _, ev := range evs {
+					kinds[ev.Kind] = true
+				}
+			}
+			if !kinds[obs.EvHazard] || !kinds[obs.EvRewrite] {
+				t.Fatal("the study emitted no hazard or no rewrite; the replay check is vacuous")
+			}
+			if !reflect.DeepEqual(coldEvents, baseEvents) {
+				t.Errorf("cold cached event stream differs from uncached:\n%+v\nvs\n%+v", coldEvents, baseEvents)
+			}
+			if !reflect.DeepEqual(warmEvents, baseEvents) {
+				t.Errorf("warm cached event stream differs from uncached:\n%+v\nvs\n%+v", warmEvents, baseEvents)
 			}
 			s := cache.Stats()
 			if s.PairMisses != 1 || s.PairHits < 1 {

@@ -53,6 +53,9 @@ type ModelPair interface {
 	// Key is the content-addressed pair key; key spaces of different
 	// models are disjoint by fingerprint domain separation.
 	Key() fingerprint.Hash
+	// srcKey fingerprints the source schema alone; it keys the analysis
+	// memo, since analysis does not depend on the plan.
+	srcKey() fingerprint.Hash
 	// Description and Invertible are the plan's report-facing summary.
 	Description() string
 	Invertible() bool
@@ -69,14 +72,12 @@ type ModelPair interface {
 	// after the batch drains.
 	foldStats(r *Report)
 
-	// The per-program stage bodies. cache may be nil (cold run); ph is
-	// the program's content hash, computed only when cache is non-nil.
-	analyze(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, p *dbprog.Program) *analyzer.Abstract
-	convertProg(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, abs *analyzer.Abstract) (*convert.Result, error)
-	// optimize refines a converted program; generated is non-empty only
-	// when a cache hit already carries the rendering (the generate stage
-	// then reuses it instead of re-formatting).
-	optimize(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, name string, converted *dbprog.Program) (opt *dbprog.Program, applied []optimizer.Optimization, generated string)
+	// The per-program stage bodies, computed cold; the supervisor
+	// serves each through its cache's memo for the stage.
+	analyze(ctx context.Context, p *dbprog.Program) *analyzer.Abstract
+	convertProg(ctx context.Context, abs *analyzer.Abstract) (*convert.Result, error)
+	// optimize refines a converted program.
+	optimize(ctx context.Context, converted *dbprog.Program) (*dbprog.Program, []optimizer.Optimization)
 	// verifiable reports whether a database was supplied to verify
 	// automatic conversions against.
 	verifiable() bool
@@ -105,13 +106,7 @@ type NetworkSpec struct {
 func (NetworkSpec) Model() string { return ModelNetwork }
 
 func (sp NetworkSpec) prepare(ctx context.Context, s *Supervisor) (ModelPair, error) {
-	var pair *plancache.Pair
-	var err error
-	if s.Cache != nil {
-		pair, err = s.Cache.Pair(ctx, sp.Src, sp.Dst, sp.Plan)
-	} else {
-		pair, err = plancache.BuildPair(sp.Src, sp.Dst, sp.Plan)
-	}
+	pair, err := s.Cache.Pair(ctx, sp.Src, sp.Dst, sp.Plan)
 	if err != nil {
 		return nil, err
 	}
@@ -128,11 +123,12 @@ type networkPair struct {
 	tgtProbes, tgtScans int64
 }
 
-func (np *networkPair) Model() string         { return ModelNetwork }
-func (np *networkPair) Key() fingerprint.Hash { return np.pair.Key }
-func (np *networkPair) Description() string   { return np.pair.Description }
-func (np *networkPair) Invertible() bool      { return np.pair.Invertible }
-func (np *networkPair) attach(r *Report)      { r.TargetSchema = np.pair.Target }
+func (np *networkPair) Model() string            { return ModelNetwork }
+func (np *networkPair) Key() fingerprint.Hash    { return np.pair.Key }
+func (np *networkPair) srcKey() fingerprint.Hash { return np.pair.SrcHash }
+func (np *networkPair) Description() string      { return np.pair.Description }
+func (np *networkPair) Invertible() bool         { return np.pair.Invertible }
+func (np *networkPair) attach(r *Report)         { r.TargetSchema = np.pair.Target }
 
 func (np *networkPair) migrate(ctx context.Context, s *Supervisor, r *Report) error {
 	if np.srcDB == nil {
@@ -171,28 +167,16 @@ func (np *networkPair) foldStats(r *Report) {
 	}
 }
 
-func (np *networkPair) analyze(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, p *dbprog.Program) *analyzer.Abstract {
-	if cache != nil {
-		return cache.Analyze(ctx, ph, p, np.pair)
-	}
+func (np *networkPair) analyze(ctx context.Context, p *dbprog.Program) *analyzer.Abstract {
 	return analyzer.Analyze(ctx, p, np.pair.Src)
 }
 
-func (np *networkPair) convertProg(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, abs *analyzer.Abstract) (*convert.Result, error) {
-	if cache != nil {
-		return cache.Convert(ctx, ph, abs, np.pair)
-	}
+func (np *networkPair) convertProg(ctx context.Context, abs *analyzer.Abstract) (*convert.Result, error) {
 	return convert.ConvertPrepared(ctx, abs, np.pair.Src, np.pair.Rewriters)
 }
 
-func (np *networkPair) optimize(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, name string, converted *dbprog.Program) (*dbprog.Program, []optimizer.Optimization, string) {
-	if cache != nil {
-		// One memo covers optimize and generate; the rendering is kept
-		// aside for the generate stage.
-		return cache.Codegen(ctx, ph, name, converted, np.pair)
-	}
-	opt, applied := optimizer.OptimizeWith(ctx, converted, np.pair.Target, np.pair.Cost)
-	return opt, applied, ""
+func (np *networkPair) optimize(ctx context.Context, converted *dbprog.Program) (*dbprog.Program, []optimizer.Optimization) {
+	return optimizer.OptimizeWith(ctx, converted, np.pair.Target, np.pair.Cost)
 }
 
 func (np *networkPair) verifiable() bool { return np.srcDB != nil }
@@ -221,13 +205,7 @@ type HierSpec struct {
 func (HierSpec) Model() string { return ModelHierarchical }
 
 func (sp HierSpec) prepare(ctx context.Context, s *Supervisor) (ModelPair, error) {
-	var pair *plancache.HierPair
-	var err error
-	if s.Cache != nil {
-		pair, err = s.Cache.HierPair(ctx, sp.Src, sp.Dst, sp.Plan)
-	} else {
-		pair, err = plancache.BuildHierPair(sp.Src, sp.Dst, sp.Plan)
-	}
+	pair, err := s.Cache.HierPair(ctx, sp.Src, sp.Dst, sp.Plan)
 	if err != nil {
 		return nil, err
 	}
@@ -240,11 +218,12 @@ type hierPair struct {
 	srcDB, targetDB *hierstore.DB
 }
 
-func (hp *hierPair) Model() string         { return ModelHierarchical }
-func (hp *hierPair) Key() fingerprint.Hash { return hp.pair.Key }
-func (hp *hierPair) Description() string   { return hp.pair.Description }
-func (hp *hierPair) Invertible() bool      { return hp.pair.Invertible }
-func (hp *hierPair) attach(r *Report)      { r.TargetHierarchy = hp.pair.Target }
+func (hp *hierPair) Model() string            { return ModelHierarchical }
+func (hp *hierPair) Key() fingerprint.Hash    { return hp.pair.Key }
+func (hp *hierPair) srcKey() fingerprint.Hash { return hp.pair.SrcHash }
+func (hp *hierPair) Description() string      { return hp.pair.Description }
+func (hp *hierPair) Invertible() bool         { return hp.pair.Invertible }
+func (hp *hierPair) attach(r *Report)         { r.TargetHierarchy = hp.pair.Target }
 
 func (hp *hierPair) migrate(ctx context.Context, s *Supervisor, r *Report) error {
 	if hp.srcDB == nil {
@@ -265,28 +244,18 @@ func (hp *hierPair) migrate(ctx context.Context, s *Supervisor, r *Report) error
 // foldStats is a no-op: the hierarchical store has no index plane.
 func (hp *hierPair) foldStats(r *Report) {}
 
-func (hp *hierPair) analyze(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, p *dbprog.Program) *analyzer.Abstract {
-	if cache != nil {
-		return cache.AnalyzeHier(ctx, ph, p, hp.pair)
-	}
+func (hp *hierPair) analyze(ctx context.Context, p *dbprog.Program) *analyzer.Abstract {
 	return analyzer.Analyze(ctx, p, nil)
 }
 
-func (hp *hierPair) convertProg(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, abs *analyzer.Abstract) (*convert.Result, error) {
-	if cache != nil {
-		return cache.ConvertHier(ctx, ph, abs, hp.pair)
-	}
+func (hp *hierPair) convertProg(ctx context.Context, abs *analyzer.Abstract) (*convert.Result, error) {
 	return convert.ConvertHierAnalyzed(ctx, abs, hp.pair.Src, hp.pair.Plan)
 }
 
-func (hp *hierPair) optimize(ctx context.Context, cache *plancache.Cache, ph fingerprint.Hash, name string, converted *dbprog.Program) (*dbprog.Program, []optimizer.Optimization, string) {
-	// The hierarchical optimizer is an identity pass; the memo carries
-	// the generated rendering only.
-	if cache != nil {
-		opt, gen := cache.CodegenHier(ctx, ph, name, converted, hp.pair)
-		return opt, nil, gen
-	}
-	return converted, nil, ""
+// optimize is an identity pass: the hierarchical catalogue has no
+// access-path refinements.
+func (hp *hierPair) optimize(_ context.Context, converted *dbprog.Program) (*dbprog.Program, []optimizer.Optimization) {
+	return converted, nil
 }
 
 func (hp *hierPair) verifiable() bool { return hp.srcDB != nil }

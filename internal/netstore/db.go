@@ -365,10 +365,10 @@ const OwnerSystem = systemOwner
 
 // StoreWith inserts a record with explicit set memberships (set name →
 // owner occurrence ID; OwnerSystem for SYSTEM sets), bypassing run-unit
-// currency. It is the entry point for the data translator, the bridge
-// reconstructor, and the DML emulator, which place records by mapping
-// description rather than by navigation. Insertion modes are not
-// consulted: the memberships map says exactly which sets to connect.
+// currency. Insertion modes are not consulted: the memberships map says
+// exactly which sets to connect. It is the one-record reference path
+// that TestBulkLoaderParity and xform's migration oracle compare
+// against; the data translator itself loads through BulkLoader.
 func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[string]RecordID) (RecordID, error) {
 	if db.readOnly {
 		return 0, ErrReadOnly

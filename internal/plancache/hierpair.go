@@ -1,13 +1,7 @@
 package plancache
 
 import (
-	"context"
-
-	"progconv/internal/analyzer"
-	"progconv/internal/convert"
-	"progconv/internal/dbprog"
 	"progconv/internal/fingerprint"
-	"progconv/internal/obs"
 	"progconv/internal/schema"
 	"progconv/internal/xform"
 )
@@ -57,150 +51,4 @@ func BuildHierPair(src, dst *schema.Hierarchy, plan *xform.HierPlan) (*HierPair,
 		Description: plan.Describe(),
 		Invertible:  plan.Invertible(),
 	}, nil
-}
-
-// HierPair returns the pair context for a hierarchical (src, dst,
-// plan), with the same single-build, LRU, and observability contract as
-// Pair. Both models share one pair store and flight map; their key
-// spaces are disjoint by fingerprint domain separation.
-func (c *Cache) HierPair(ctx context.Context, src, dst *schema.Hierarchy, plan *xform.HierPlan) (*HierPair, error) {
-	key := fingerprint.HierPairKey(src, dst, plan)
-	em := obs.EmitterFrom(ctx)
-	c.mu.Lock()
-	if v, ok := c.pairs.get(string(key)); ok {
-		c.stats.PairHits++
-		c.mu.Unlock()
-		em.CacheHit("", ScopePair, key.Short())
-		return v.(*HierPair), nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.stats.PairHits++
-		c.mu.Unlock()
-		em.CacheHit("", ScopePair, key.Short())
-		select {
-		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
-			}
-			return f.val.(*HierPair), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.stats.PairMisses++
-	c.mu.Unlock()
-	em.CacheMiss("", ScopePair, key.Short())
-
-	pair, err := BuildHierPair(src, dst, plan)
-	f.val, f.err = pair, err
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	var evicted string
-	var didEvict bool
-	if f.err == nil {
-		evicted, didEvict = c.pairs.add(string(key), pair)
-		if didEvict {
-			c.stats.PairEvictions++
-		}
-	}
-	c.mu.Unlock()
-	close(f.done)
-	if didEvict {
-		em.CacheEvict(ScopePair, fingerprint.Hash(evicted).Short())
-	}
-	return pair, err
-}
-
-// AnalyzeHier memoizes the Program Analyzer over a hierarchical pair's
-// programs, keyed by (program hash, source-hierarchy hash) — the hier
-// counterpart of Analyze, replaying hazard events on hits.
-func (c *Cache) AnalyzeHier(ctx context.Context, prog fingerprint.Hash, p *dbprog.Program, pair *HierPair) *analyzer.Abstract {
-	key := string(prog) + "\x00" + string(pair.SrcHash)
-	em := obs.EmitterFrom(ctx)
-	c.mu.Lock()
-	if v, ok := c.analyses.get(key); ok {
-		c.stats.AnalysisHits++
-		c.mu.Unlock()
-		em.CacheHit(p.Name, ScopeAnalysis, prog.Short())
-		abs := v.(*analyzer.Abstract)
-		for _, is := range abs.Issues {
-			em.Hazard(p.Name, is.Kind.String(), is.Msg)
-		}
-		return abs
-	}
-	c.stats.AnalysisMisses++
-	c.mu.Unlock()
-	em.CacheMiss(p.Name, ScopeAnalysis, prog.Short())
-
-	abs := analyzer.Analyze(ctx, p, nil)
-	if ctx.Err() != nil {
-		return abs
-	}
-	c.store(&c.analyses, key, abs, &c.stats.AnalysisEvictions, ScopeAnalysis, em)
-	return abs
-}
-
-// ConvertHier memoizes the hierarchical Program Converter by (program
-// hash, pair key), replaying the result's trail on hits — the hier
-// counterpart of Convert.
-func (c *Cache) ConvertHier(ctx context.Context, prog fingerprint.Hash, abs *analyzer.Abstract, pair *HierPair) (*convert.Result, error) {
-	key := string(prog) + "\x00" + string(pair.Key)
-	em := obs.EmitterFrom(ctx)
-	name := abs.Prog.Name
-	c.mu.Lock()
-	if v, ok := c.conversions.get(key); ok {
-		c.stats.ConversionHits++
-		c.mu.Unlock()
-		em.CacheHit(name, ScopeConversion, prog.Short())
-		res := v.(*convert.Result)
-		for _, t := range res.Trail {
-			if t.Rewrite {
-				em.Rewrite(name, t.Label, t.Detail)
-			} else {
-				em.Hazard(name, t.Label, t.Detail)
-			}
-		}
-		return res, nil
-	}
-	c.stats.ConversionMisses++
-	c.mu.Unlock()
-	em.CacheMiss(name, ScopeConversion, prog.Short())
-
-	res, err := convert.ConvertHierAnalyzed(ctx, abs, pair.Src, pair.Plan)
-	if err != nil || ctx.Err() != nil {
-		return res, err
-	}
-	c.store(&c.conversions, key, res, &c.stats.ConversionEvictions, ScopeConversion, em)
-	return res, nil
-}
-
-// CodegenHier memoizes the generated rendering of a converted DL/I
-// program by (program hash, pair key). The hierarchical optimizer is an
-// identity pass, so the memo carries no refinements — only the
-// Program Generator's canonical text.
-func (c *Cache) CodegenHier(ctx context.Context, prog fingerprint.Hash, name string, converted *dbprog.Program, pair *HierPair) (*dbprog.Program, string) {
-	key := string(prog) + "\x00" + string(pair.Key)
-	em := obs.EmitterFrom(ctx)
-	c.mu.Lock()
-	if v, ok := c.codegens.get(key); ok {
-		c.stats.CodegenHits++
-		c.mu.Unlock()
-		em.CacheHit(name, ScopeCodegen, prog.Short())
-		cg := v.(*codegen)
-		return cg.prog, cg.generated
-	}
-	c.stats.CodegenMisses++
-	c.mu.Unlock()
-	em.CacheMiss(name, ScopeCodegen, prog.Short())
-
-	generated := dbprog.Format(converted)
-	if ctx.Err() != nil {
-		return converted, generated
-	}
-	c.store(&c.codegens, key, &codegen{prog: converted, generated: generated},
-		&c.stats.CodegenEvictions, ScopeCodegen, em)
-	return converted, generated
 }

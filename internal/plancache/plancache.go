@@ -2,15 +2,22 @@
 // pipeline, made explicit: everything the Conversion Analyzer derives
 // from the schema pair alone — the classified transformation plan, the
 // target schema, the composed rewrite rules, the access-path graph, and
-// the optimizer's cost tables — is bundled into an immutable Pair and
-// memoized behind a content-addressed cache, so the work is paid once
-// per pair instead of once per Run.
+// the optimizer's cost tables — is bundled into an immutable Pair (a
+// HierPair for the hierarchical model) and memoized behind a
+// content-addressed cache, so the work is paid once per pair instead of
+// once per Run.
 //
 // The Cache also carries program-scoped memos keyed by content hash:
 // analysis results by (program, source schema), conversion and
 // optimize/generate results by (program, pair). Memoized results replay
 // their event trails on hits, so an observed warm run emits the same
 // per-program hazard and rewrite events as a cold one.
+//
+// Both data models take the same code path: one pair lookup serves
+// Pair and HierPair, and each program-scoped memo takes the model's
+// cold computation as a function. A nil *Cache is the uncached
+// pipeline: it computes on every lookup, counts nothing, and emits no
+// cache events.
 //
 // One Cache may serve many supervisors concurrently: pair builds are
 // deduplicated (concurrent requests for one key share a single build),
@@ -146,16 +153,22 @@ type Stats struct {
 func (s Stats) Entries() int { return s.Pairs + s.Memos }
 
 // Cache is the shared, concurrency-safe conversion cache. The zero
-// value is not usable; construct with New.
+// value is not usable; construct with New. A nil *Cache is the
+// uncached pipeline: every lookup computes, counts nothing and emits
+// no cache event.
 type Cache struct {
-	mu          sync.Mutex
-	pairs       lru
-	analyses    lru
-	conversions lru
-	codegens    lru
-	flights     map[fingerprint.Hash]*flight
-	stats       Stats
+	mu      sync.Mutex
+	pairs   layer
+	memos   [3]layer // indexed by analysisMemo, conversionMemo, codegenMemo
+	flights map[fingerprint.Hash]*flight
 }
+
+// The program-scoped layers, as indexes into Cache.memos.
+const (
+	analysisMemo = iota
+	conversionMemo
+	codegenMemo
+)
 
 // flight is one in-progress pair build; joiners wait on done. val is
 // the model's pair type (*Pair or *HierPair) — pair keys are
@@ -180,11 +193,13 @@ func New(maxPairs int) *Cache {
 		memoCap = 4096
 	}
 	return &Cache{
-		pairs:       newLRU(maxPairs),
-		analyses:    newLRU(memoCap),
-		conversions: newLRU(memoCap),
-		codegens:    newLRU(memoCap),
-		flights:     map[fingerprint.Hash]*flight{},
+		pairs: newLayer(ScopePair, maxPairs),
+		memos: [...]layer{
+			analysisMemo:   newLayer(ScopeAnalysis, memoCap),
+			conversionMemo: newLayer(ScopeConversion, memoCap),
+			codegenMemo:    newLayer(ScopeCodegen, memoCap),
+		},
+		flights: map[fingerprint.Hash]*flight{},
 	}
 }
 
@@ -192,133 +207,125 @@ func New(maxPairs int) *Cache {
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.Pairs = c.pairs.len()
-	s.Memos = c.analyses.len() + c.conversions.len() + c.codegens.len()
-	return s
+	p, a, v, g := &c.pairs, &c.memos[analysisMemo], &c.memos[conversionMemo], &c.memos[codegenMemo]
+	return Stats{
+		PairHits: p.hits, PairMisses: p.misses, PairEvictions: p.evictions,
+		AnalysisHits: a.hits, AnalysisMisses: a.misses, AnalysisEvictions: a.evictions,
+		ConversionHits: v.hits, ConversionMisses: v.misses, ConversionEvictions: v.evictions,
+		CodegenHits: g.hits, CodegenMisses: g.misses, CodegenEvictions: g.evictions,
+		Pairs: p.len(),
+		Memos: a.len() + v.len() + g.len(),
+	}
 }
 
-// Pair returns the pair context for (src, dst, plan), building it at
-// most once per content key across all concurrent callers and retaining
-// up to maxPairs contexts LRU. Build errors are returned to every
-// waiter but never cached. Cache events go to the ctx emitter.
+// Pair returns the network pair context for (src, dst, plan), building
+// it at most once per content key across all concurrent callers and
+// retaining up to maxPairs contexts LRU. Build errors are returned to
+// every waiter but never cached. Cache events go to the ctx emitter. A
+// nil cache builds the pair.
 func (c *Cache) Pair(ctx context.Context, src, dst *schema.Network, plan *xform.Plan) (*Pair, error) {
-	key := fingerprint.PairKey(src, dst, plan)
+	return lookupPair(ctx, c, func() fingerprint.Hash { return fingerprint.PairKey(src, dst, plan) },
+		func() (*Pair, error) { return BuildPair(src, dst, plan) })
+}
+
+// HierPair is Pair for a hierarchical (src, dst, plan). Both models
+// share one pair store and flight map; their key spaces are disjoint
+// by fingerprint domain separation.
+func (c *Cache) HierPair(ctx context.Context, src, dst *schema.Hierarchy, plan *xform.HierPlan) (*HierPair, error) {
+	return lookupPair(ctx, c, func() fingerprint.Hash { return fingerprint.HierPairKey(src, dst, plan) },
+		func() (*HierPair, error) { return BuildHierPair(src, dst, plan) })
+}
+
+// lookupPair is the pair layer's lookup for either model. The key is
+// computed only when there is a cache to probe, so an uncached build
+// hashes nothing beyond what the builder itself does.
+func lookupPair[P any](ctx context.Context, c *Cache, key func() fingerprint.Hash, build func() (P, error)) (P, error) {
+	if c == nil {
+		return build()
+	}
+	k := key()
 	em := obs.EmitterFrom(ctx)
 	c.mu.Lock()
-	if v, ok := c.pairs.get(string(key)); ok {
-		c.stats.PairHits++
+	if v, ok := c.pairs.get(string(k)); ok {
+		c.pairs.hits++
 		c.mu.Unlock()
-		em.CacheHit("", ScopePair, key.Short())
-		return v.(*Pair), nil
+		em.CacheHit("", ScopePair, k.Short())
+		return v.(P), nil
 	}
-	if f, ok := c.flights[key]; ok {
-		c.stats.PairHits++
+	if f, ok := c.flights[k]; ok {
+		c.pairs.hits++
 		c.mu.Unlock()
-		em.CacheHit("", ScopePair, key.Short())
+		em.CacheHit("", ScopePair, k.Short())
 		select {
 		case <-f.done:
-			if f.err != nil {
-				return nil, f.err
-			}
-			return f.val.(*Pair), nil
+			// The builder set val before closing done; on a failed
+			// build it holds the builder's typed nil.
+			return f.val.(P), f.err
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			var zero P
+			return zero, ctx.Err()
 		}
 	}
 	f := &flight{done: make(chan struct{})}
-	c.flights[key] = f
-	c.stats.PairMisses++
+	c.flights[k] = f
+	c.pairs.misses++
 	c.mu.Unlock()
-	em.CacheMiss("", ScopePair, key.Short())
+	em.CacheMiss("", ScopePair, k.Short())
 
-	pair, err := BuildPair(src, dst, plan)
+	pair, err := build()
 	f.val, f.err = pair, err
 
+	// Removing the flight and inserting the entry under one mutex hold
+	// means a racing caller sees one or the other: exactly one miss per
+	// key.
 	c.mu.Lock()
-	delete(c.flights, key)
-	var evicted string
-	var didEvict bool
-	if f.err == nil {
-		evicted, didEvict = c.pairs.add(string(key), pair)
-		if didEvict {
-			c.stats.PairEvictions++
-		}
+	delete(c.flights, k)
+	var evicted fingerprint.Hash
+	if err == nil {
+		evicted = c.pairs.add(string(k), pair)
 	}
 	c.mu.Unlock()
 	close(f.done)
-	if didEvict {
-		em.CacheEvict(ScopePair, fingerprint.Hash(evicted).Short())
+	if evicted != "" {
+		em.CacheEvict(ScopePair, evicted.Short())
 	}
 	return pair, err
 }
 
-// Analyze returns the Program Analyzer's result for the program,
-// memoized by (program hash, source-schema hash) — analysis is
-// plan-independent, so one entry serves every plan over a source
-// schema. On a hit the analyzer's hazard events are replayed from the
-// memoized findings, so the observed per-program stream matches a cold
-// analysis. A result computed under a done ctx may be partial and is
-// never memoized.
-func (c *Cache) Analyze(ctx context.Context, prog fingerprint.Hash, p *dbprog.Program, pair *Pair) *analyzer.Abstract {
-	key := string(prog) + "\x00" + string(pair.SrcHash)
-	em := obs.EmitterFrom(ctx)
-	c.mu.Lock()
-	if v, ok := c.analyses.get(key); ok {
-		c.stats.AnalysisHits++
-		c.mu.Unlock()
-		em.CacheHit(p.Name, ScopeAnalysis, prog.Short())
-		abs := v.(*analyzer.Abstract)
-		for _, is := range abs.Issues {
-			em.Hazard(p.Name, is.Kind.String(), is.Msg)
-		}
-		return abs
-	}
-	c.stats.AnalysisMisses++
-	c.mu.Unlock()
-	em.CacheMiss(p.Name, ScopeAnalysis, prog.Short())
-
-	abs := analyzer.Analyze(ctx, p, pair.Src)
-	if ctx.Err() != nil {
-		return abs
-	}
-	c.store(&c.analyses, key, abs, &c.stats.AnalysisEvictions, ScopeAnalysis, em)
+// Analyze returns the Program Analyzer's result for the program named
+// name, computed by analyze and memoized by (program hash, source-schema
+// hash) — analysis is plan-independent, so one entry serves every plan
+// over a source schema. On a hit the analyzer's hazard events are
+// replayed from the memoized findings, so the observed per-program
+// stream matches a cold analysis. A result computed under a done ctx
+// may be partial and is never memoized.
+func (c *Cache) Analyze(ctx context.Context, prog, src fingerprint.Hash, name string, analyze func() *analyzer.Abstract) *analyzer.Abstract {
+	abs, _ := memo(ctx, c, analysisMemo, prog, src, name,
+		func() (*analyzer.Abstract, error) { return analyze(), nil },
+		func(em *obs.Emitter, abs *analyzer.Abstract) {
+			for _, is := range abs.Issues {
+				em.Hazard(name, is.Kind.String(), is.Msg)
+			}
+		})
 	return abs
 }
 
-// Convert returns the Program Converter's result, memoized by (program
-// hash, pair key). On a hit the converter's hazards and rewrites are
-// replayed from the result's trail. Errors and results computed under a
-// done ctx are never memoized.
-func (c *Cache) Convert(ctx context.Context, prog fingerprint.Hash, abs *analyzer.Abstract, pair *Pair) (*convert.Result, error) {
-	key := string(prog) + "\x00" + string(pair.Key)
-	em := obs.EmitterFrom(ctx)
-	name := abs.Prog.Name
-	c.mu.Lock()
-	if v, ok := c.conversions.get(key); ok {
-		c.stats.ConversionHits++
-		c.mu.Unlock()
-		em.CacheHit(name, ScopeConversion, prog.Short())
-		res := v.(*convert.Result)
-		for _, t := range res.Trail {
-			if t.Rewrite {
-				em.Rewrite(name, t.Label, t.Detail)
-			} else {
-				em.Hazard(name, t.Label, t.Detail)
+// Convert returns the Program Converter's result, computed by
+// convertProg and memoized by (program hash, pair key). On a hit the
+// converter's hazards and rewrites are replayed from the result's
+// trail. Errors and results computed under a done ctx are never
+// memoized.
+func (c *Cache) Convert(ctx context.Context, prog, pair fingerprint.Hash, name string, convertProg func() (*convert.Result, error)) (*convert.Result, error) {
+	return memo(ctx, c, conversionMemo, prog, pair, name, convertProg,
+		func(em *obs.Emitter, res *convert.Result) {
+			for _, t := range res.Trail {
+				if t.Rewrite {
+					em.Rewrite(name, t.Label, t.Detail)
+				} else {
+					em.Hazard(name, t.Label, t.Detail)
+				}
 			}
-		}
-		return res, nil
-	}
-	c.stats.ConversionMisses++
-	c.mu.Unlock()
-	em.CacheMiss(name, ScopeConversion, prog.Short())
-
-	res, err := convert.ConvertPrepared(ctx, abs, pair.Src, pair.Rewriters)
-	if err != nil || ctx.Err() != nil {
-		return res, err
-	}
-	c.store(&c.conversions, key, res, &c.stats.ConversionEvictions, ScopeConversion, em)
-	return res, nil
+		})
 }
 
 // codegen is one memoized optimize+generate result.
@@ -328,69 +335,75 @@ type codegen struct {
 	generated string
 }
 
-// Codegen returns the Optimizer's refinement and the Program
-// Generator's rendering of a converted program, memoized by (program
-// hash, pair key); converted must be the pair's conversion of that
-// program (which is itself content-determined, making the key sound).
-// A result computed under a done ctx may be unrefined and is never
-// memoized.
-func (c *Cache) Codegen(ctx context.Context, prog fingerprint.Hash, name string, converted *dbprog.Program, pair *Pair) (*dbprog.Program, []optimizer.Optimization, string) {
-	key := string(prog) + "\x00" + string(pair.Key)
+// Codegen returns the Optimizer's refinement (computed by optimize) of
+// a converted program and the Program Generator's rendering of it,
+// memoized by (program hash, pair key); the program must be the pair's
+// conversion of that program, which is itself content-determined,
+// making the key sound. A result computed under a done ctx may be
+// unrefined and is never memoized.
+func (c *Cache) Codegen(ctx context.Context, prog, pair fingerprint.Hash, name string,
+	optimize func() (*dbprog.Program, []optimizer.Optimization)) (*dbprog.Program, []optimizer.Optimization, string) {
+	cg, _ := memo(ctx, c, codegenMemo, prog, pair, name, func() (codegen, error) {
+		opt, applied := optimize()
+		return codegen{prog: opt, applied: applied, generated: dbprog.Format(opt)}, nil
+	}, nil)
+	return cg.prog, cg.applied, cg.generated
+}
+
+// memo is the one lookup body of the program-scoped layers, keyed by
+// (program hash, scope hash). A hit returns the memoized value and
+// passes it to replay, which re-emits the events its computation
+// emitted; a miss computes it and memoizes it unless compute failed or
+// ctx ended first. A nil cache only computes.
+func memo[T any](ctx context.Context, c *Cache, which int, prog, scopeKey fingerprint.Hash, name string,
+	compute func() (T, error), replay func(*obs.Emitter, T)) (T, error) {
+	if c == nil {
+		return compute()
+	}
+	l := &c.memos[which]
+	key := string(prog) + "\x00" + string(scopeKey)
 	em := obs.EmitterFrom(ctx)
 	c.mu.Lock()
-	if v, ok := c.codegens.get(key); ok {
-		c.stats.CodegenHits++
+	if v, ok := l.get(key); ok {
+		l.hits++
 		c.mu.Unlock()
-		em.CacheHit(name, ScopeCodegen, prog.Short())
-		cg := v.(*codegen)
-		return cg.prog, cg.applied, cg.generated
-	}
-	c.stats.CodegenMisses++
-	c.mu.Unlock()
-	em.CacheMiss(name, ScopeCodegen, prog.Short())
-
-	opt, applied := optimizer.OptimizeWith(ctx, converted, pair.Target, pair.Cost)
-	generated := dbprog.Format(opt)
-	if ctx.Err() != nil {
-		return opt, applied, generated
-	}
-	c.store(&c.codegens, key, &codegen{prog: opt, applied: applied, generated: generated},
-		&c.stats.CodegenEvictions, ScopeCodegen, em)
-	return opt, applied, generated
-}
-
-// store inserts one memo entry, accounting and announcing any eviction.
-// Losing a concurrent insert race for the same key is harmless: both
-// values are content-determined, so either copy answers future hits.
-func (c *Cache) store(l *lru, key string, v any, evictions *int64, scope string, em *obs.Emitter) {
-	c.mu.Lock()
-	evicted, didEvict := l.add(key, v)
-	if didEvict {
-		*evictions++
-	}
-	c.mu.Unlock()
-	if didEvict {
-		em.CacheEvict(scope, memoShort(evicted))
-	}
-}
-
-// memoShort renders an evicted memo key (progHash \x00 scopeHash) as
-// the program hash's short form.
-func memoShort(key string) string {
-	for i := 0; i < len(key); i++ {
-		if key[i] == 0 {
-			return fingerprint.Hash(key[:i]).Short()
+		em.CacheHit(name, l.scope, prog.Short())
+		if replay != nil {
+			replay(em, v.(T))
 		}
+		return v.(T), nil
 	}
-	return fingerprint.Hash(key).Short()
+	l.misses++
+	c.mu.Unlock()
+	em.CacheMiss(name, l.scope, prog.Short())
+
+	val, err := compute()
+	if err != nil || ctx.Err() != nil {
+		return val, err
+	}
+	// Losing a concurrent insert race for the same key is harmless:
+	// both values are content-determined, so either copy answers
+	// future hits.
+	c.mu.Lock()
+	evicted := l.add(key, val)
+	c.mu.Unlock()
+	if evicted != "" {
+		// A memo key leads with the 64-digit program hash, so its short
+		// form is the program's.
+		em.CacheEvict(l.scope, evicted.Short())
+	}
+	return val, nil
 }
 
-// lru is a minimal LRU map: container/list for recency, at most one
-// eviction per insert. Callers hold the cache mutex.
-type lru struct {
-	cap int
-	ll  *list.List
-	idx map[string]*list.Element
+// layer is one cache scope: a minimal LRU map (container/list for
+// recency, at most one eviction per insert) and its counters. Callers
+// hold the cache mutex.
+type layer struct {
+	scope                   string
+	cap                     int
+	ll                      *list.List
+	idx                     map[string]*list.Element
+	hits, misses, evictions int64
 }
 
 type lruEntry struct {
@@ -398,13 +411,13 @@ type lruEntry struct {
 	val any
 }
 
-func newLRU(capacity int) lru {
-	return lru{cap: capacity, ll: list.New(), idx: map[string]*list.Element{}}
+func newLayer(scope string, capacity int) layer {
+	return layer{scope: scope, cap: capacity, ll: list.New(), idx: map[string]*list.Element{}}
 }
 
-func (l *lru) len() int { return l.ll.Len() }
+func (l *layer) len() int { return l.ll.Len() }
 
-func (l *lru) get(key string) (any, bool) {
+func (l *layer) get(key string) (any, bool) {
 	el, ok := l.idx[key]
 	if !ok {
 		return nil, false
@@ -413,21 +426,22 @@ func (l *lru) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// add inserts (or refreshes) key and returns the evicted key, if the
-// bound forced one out.
-func (l *lru) add(key string, v any) (evicted string, didEvict bool) {
+// add inserts (or refreshes) key and returns the key the bound forced
+// out, counting the eviction, or "" when none was.
+func (l *layer) add(key string, v any) (evicted fingerprint.Hash) {
 	if el, ok := l.idx[key]; ok {
 		el.Value.(*lruEntry).val = v
 		l.ll.MoveToFront(el)
-		return "", false
+		return ""
 	}
 	l.idx[key] = l.ll.PushFront(&lruEntry{key: key, val: v})
 	if l.ll.Len() <= l.cap {
-		return "", false
+		return ""
 	}
 	oldest := l.ll.Back()
 	ent := oldest.Value.(*lruEntry)
 	l.ll.Remove(oldest)
 	delete(l.idx, ent.key)
-	return ent.key, true
+	l.evictions++
+	return fingerprint.Hash(ent.key)
 }

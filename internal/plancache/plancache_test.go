@@ -6,9 +6,11 @@ import (
 	"testing"
 
 	"progconv/internal/analyzer"
+	"progconv/internal/convert"
 	"progconv/internal/dbprog"
 	"progconv/internal/fingerprint"
 	"progconv/internal/obs"
+	"progconv/internal/optimizer"
 	"progconv/internal/schema"
 	"progconv/internal/xform"
 )
@@ -58,6 +60,22 @@ PROGRAM PF DIALECT NETWORK.
   PRINT EMP-NAME IN EMP.
 END PROGRAM.
 `
+
+// analyzeFn, convertFn and optimizeFn are the network model's cold
+// stage computations, as the supervisor hands them to the memos.
+func analyzeFn(ctx context.Context, p *dbprog.Program, pair *Pair) func() *analyzer.Abstract {
+	return func() *analyzer.Abstract { return analyzer.Analyze(ctx, p, pair.Src) }
+}
+
+func convertFn(ctx context.Context, abs *analyzer.Abstract, pair *Pair) func() (*convert.Result, error) {
+	return func() (*convert.Result, error) { return convert.ConvertPrepared(ctx, abs, pair.Src, pair.Rewriters) }
+}
+
+func optimizeFn(ctx context.Context, converted *dbprog.Program, pair *Pair) func() (*dbprog.Program, []optimizer.Optimization) {
+	return func() (*dbprog.Program, []optimizer.Optimization) {
+		return optimizer.OptimizeWith(ctx, converted, pair.Target, pair.Cost)
+	}
+}
 
 func TestBuildPairExplicitAndClassified(t *testing.T) {
 	explicit, err := BuildPair(schema.CompanyV1(), nil, figurePlan())
@@ -224,14 +242,14 @@ func TestAnalyzeMemoReplaysHazards(t *testing.T) {
 
 	coldSink := obs.NewRingSink(64)
 	coldCtx := obs.WithEmitter(context.Background(), obs.NewEmitter(coldSink))
-	cold := c.Analyze(coldCtx, ph, p, pair)
+	cold := c.Analyze(coldCtx, ph, pair.SrcHash, p.Name, analyzeFn(coldCtx, p, pair))
 	if len(cold.Issues) == 0 {
 		t.Fatal("fixture program produced no issues; replay test is vacuous")
 	}
 
 	warmSink := obs.NewRingSink(64)
 	warmCtx := obs.WithEmitter(context.Background(), obs.NewEmitter(warmSink))
-	warm := c.Analyze(warmCtx, ph, p, pair)
+	warm := c.Analyze(warmCtx, ph, pair.SrcHash, p.Name, analyzeFn(warmCtx, p, pair))
 	if warm != cold {
 		t.Error("memo missed: analysis recomputed")
 	}
@@ -255,8 +273,8 @@ func TestAnalyzeMemoIsPlanIndependent(t *testing.T) {
 	}
 	p := parse(t, sweepProgram)
 	ph := fingerprint.Program(p)
-	a := c.Analyze(ctx, ph, p, figure)
-	b := c.Analyze(ctx, ph, p, diff)
+	a := c.Analyze(ctx, ph, figure.SrcHash, p.Name, analyzeFn(ctx, p, figure))
+	b := c.Analyze(ctx, ph, diff.SrcHash, p.Name, analyzeFn(ctx, p, diff))
 	if a != b {
 		t.Error("same source schema, different plan: analysis recomputed")
 	}
@@ -277,7 +295,7 @@ func TestConvertMemoReplaysTrail(t *testing.T) {
 
 	coldSink := obs.NewRingSink(128)
 	coldCtx := obs.WithEmitter(context.Background(), obs.NewEmitter(coldSink))
-	cold, err := c.Convert(coldCtx, ph, abs, pair)
+	cold, err := c.Convert(coldCtx, ph, pair.Key, p.Name, convertFn(coldCtx, abs, pair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +305,7 @@ func TestConvertMemoReplaysTrail(t *testing.T) {
 
 	warmSink := obs.NewRingSink(128)
 	warmCtx := obs.WithEmitter(context.Background(), obs.NewEmitter(warmSink))
-	warm, err := c.Convert(warmCtx, ph, abs, pair)
+	warm, err := c.Convert(warmCtx, ph, pair.Key, p.Name, convertFn(warmCtx, abs, pair))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,13 +328,13 @@ func TestCodegenMemo(t *testing.T) {
 	p := parse(t, sweepProgram)
 	ph := fingerprint.Program(p)
 	abs := analyzer.Analyze(ctx, p, pair.Src)
-	res, err := c.Convert(ctx, ph, abs, pair)
+	res, err := c.Convert(ctx, ph, pair.Key, p.Name, convertFn(ctx, abs, pair))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	prog1, opts1, gen1 := c.Codegen(ctx, ph, p.Name, res.Program, pair)
-	prog2, opts2, gen2 := c.Codegen(ctx, ph, p.Name, res.Program, pair)
+	prog1, opts1, gen1 := c.Codegen(ctx, ph, pair.Key, p.Name, optimizeFn(ctx, res.Program, pair))
+	prog2, opts2, gen2 := c.Codegen(ctx, ph, pair.Key, p.Name, optimizeFn(ctx, res.Program, pair))
 	if prog1 != prog2 || gen1 != gen2 || len(opts1) != len(opts2) {
 		t.Error("codegen memo returned a different result")
 	}
@@ -325,5 +343,75 @@ func TestCodegenMemo(t *testing.T) {
 	}
 	if s := c.Stats(); s.CodegenHits != 1 || s.CodegenMisses != 1 {
 		t.Errorf("stats = %+v", s)
+	}
+}
+
+// TestNilCacheComputes: a nil *Cache is the uncached pipeline. Every
+// lookup, in every scope and for either model, calls its compute
+// function, and none emits a cache event.
+func TestNilCacheComputes(t *testing.T) {
+	var c *Cache
+	sink := obs.NewRingSink(256)
+	ctx := obs.WithEmitter(context.Background(), obs.NewEmitter(sink))
+	pair, err := BuildPair(schema.CompanyV1(), nil, figurePlan())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reorder := &xform.HierPlan{Steps: []xform.HierReorder{{Promote: "EMP"}}}
+	p := parse(t, sweepProgram)
+	ph := fingerprint.Program(p)
+	var analyses, conversions, codegens int
+	for i := 0; i < 2; i++ {
+		a, err := c.Pair(ctx, schema.CompanyV1(), nil, figurePlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Pair(ctx, schema.CompanyV1(), nil, figurePlan())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a == b {
+			t.Error("nil cache returned one pair twice: it memoized")
+		}
+		h1, err := c.HierPair(ctx, schema.EmpDeptHierarchy(), nil, reorder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h2, err := c.HierPair(ctx, schema.EmpDeptHierarchy(), nil, reorder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h1 == h2 {
+			t.Error("nil cache returned one hierarchical pair twice: it memoized")
+		}
+		abs := c.Analyze(ctx, ph, pair.SrcHash, p.Name, func() *analyzer.Abstract {
+			analyses++
+			return analyzeFn(ctx, p, pair)()
+		})
+		res, err := c.Convert(ctx, ph, pair.Key, p.Name, func() (*convert.Result, error) {
+			conversions++
+			return convertFn(ctx, abs, pair)()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt, _, gen := c.Codegen(ctx, ph, pair.Key, p.Name, func() (*dbprog.Program, []optimizer.Optimization) {
+			codegens++
+			return optimizeFn(ctx, res.Program, pair)()
+		})
+		if gen != dbprog.Format(opt) {
+			t.Errorf("generated text does not match the optimized program:\n%s", gen)
+		}
+	}
+	if analyses != 2 || conversions != 2 || codegens != 2 {
+		t.Errorf("computes: analysis %d, conversion %d, codegen %d; want 2 each", analyses, conversions, codegens)
+	}
+	for _, ev := range sink.Events() {
+		if ev.Kind == obs.EvCacheHit || ev.Kind == obs.EvCacheMiss || ev.Kind == obs.EvCacheEvict {
+			t.Errorf("nil cache emitted %+v", ev)
+		}
+	}
+	if len(trail(sink)) == 0 {
+		t.Error("the computations emitted nothing; the event check is vacuous")
 	}
 }
