@@ -1,21 +1,21 @@
-// Command exper regenerates every experiment in EXPERIMENTS.md: the
-// paper's figures and worked examples (EXP-F*, EXP-S*), its quantitative
-// claims (EXP-C*), the hazard-detector audit (EXP-H1), the resilience
-// demonstration (EXP-R1), and the conversion-service measurement
-// (EXP-S1). Run with no arguments for all experiments, or name them:
+// Command exper regenerates the paper-shape experiments in
+// EXPERIMENTS.md: the paper's figures and worked examples (EXP-F*,
+// EXP-S4.1*), its quantitative claims (EXP-C1 to C4), the
+// hazard-detector audit (EXP-H1), the resilience demonstration (EXP-R1),
+// the fleet's worker scaling (EXP-S2) and the §2.2 study end to end
+// (EXP-M1). Performance claims are measured by bench/ and the root
+// testing.B benchmarks instead. Run with no arguments for all
+// experiments, or name them:
 //
-//	exper [f3.1] [f4.1] [f4.3] [f4.4] [s4.1a] [s4.1b] [c1] [c2] [c3] [c4] [c5] [c6] [c7] [h1] [r1] [s1] [s2] [m1]
+//	exper [f3.1] [f4.1] [f4.3] [f4.4] [s4.1a] [s4.1b] [c1] [c2] [c3] [c4] [h1] [r1] [s2] [m1]
 package main
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -40,7 +40,6 @@ import (
 	"progconv/internal/netstore"
 	"progconv/internal/obs"
 	"progconv/internal/optimizer"
-	"progconv/internal/plancache"
 	"progconv/internal/relstore"
 	"progconv/internal/schema"
 	"progconv/internal/schema/ddl"
@@ -56,11 +55,10 @@ func main() {
 	all := map[string]func(){
 		"f3.1": expF31, "f4.1": expF41, "f4.3": expF43, "f4.4": expF44,
 		"s4.1a": expS41a, "s4.1b": expS41b,
-		"c1": expC1, "c2": expC2, "c3": expC3, "c4": expC4, "c5": expC5, "c6": expC6,
-		"c7": expC7,
-		"h1": expH1, "r1": expR1, "s1": expS1, "s2": expS2, "m1": expM1,
+		"c1": expC1, "c2": expC2, "c3": expC3, "c4": expC4,
+		"h1": expH1, "r1": expR1, "s2": expS2, "m1": expM1,
 	}
-	order := []string{"f3.1", "f4.1", "f4.3", "f4.4", "s4.1a", "s4.1b", "c1", "c2", "c3", "c4", "c5", "c6", "c7", "h1", "r1", "s1", "s2", "m1"}
+	order := []string{"f3.1", "f4.1", "f4.3", "f4.4", "s4.1a", "s4.1b", "c1", "c2", "c3", "c4", "h1", "r1", "s2", "m1"}
 	args := os.Args[1:]
 	if len(args) == 0 {
 		args = order
@@ -712,207 +710,6 @@ func expC4() {
 	fmt.Println("bridge programs (and Housel-style substitution) are confined to those.")
 }
 
-// ---- EXP-C5 ----
-
-func expC5() {
-	banner("EXP-C5", "pair-scoped conversion cache: cold vs warm re-conversion across cache sizes")
-	members, err := corpus.Programs(corpus.PeriodProfile(42))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	progs := make([]*dbprog.Program, len(members))
-	for i, m := range members {
-		progs[i] = m.Program
-	}
-	// Three distinct schema pairs over the same source: a batch shop
-	// cycling through plan variants, the workload the pair cache exists
-	// for.
-	jobs := []core.Job{
-		{Spec: core.NetworkSpec{Src: schema.CompanyV1(), Plan: figurePlan()}, Programs: progs},
-		{Spec: core.NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
-			xform.RenameField{Record: "EMP", Old: "AGE", New: "YEARS"},
-		}}}, Programs: progs},
-		{Spec: core.NetworkSpec{Src: schema.CompanyV1(), Plan: &xform.Plan{Steps: []xform.Transformation{
-			xform.RenameSet{Old: "DIV-EMP", New: "DIV-STAFF"},
-		}}}, Programs: progs},
-	}
-	fmt.Printf("\ncorpus: %d programs × %d plan variants, two conversion rounds per cache\n",
-		len(progs), len(jobs))
-	fmt.Printf("\n%-10s %10s %10s %8s %8s %8s %8s\n",
-		"cache", "cold", "warm", "speedup", "hits", "misses", "evicted")
-	for _, size := range []int{1, 2, 8} {
-		cache := plancache.New(size)
-		round := func() time.Duration {
-			start := time.Now()
-			sup := core.NewSupervisor()
-			sup.Verify = false
-			sup.Cache = cache
-			if _, err := sup.RunJobs(context.Background(), jobs); err != nil {
-				panic(err)
-			}
-			return time.Since(start)
-		}
-		cold := round()
-		warm := round()
-		s := cache.Stats()
-		hits := s.PairHits + s.AnalysisHits + s.ConversionHits + s.CodegenHits
-		misses := s.PairMisses + s.AnalysisMisses + s.ConversionMisses + s.CodegenMisses
-		evicted := s.PairEvictions + s.AnalysisEvictions + s.ConversionEvictions + s.CodegenEvictions
-		fmt.Printf("%-10s %10s %10s %7.1fx %8d %8d %8d\n",
-			fmt.Sprintf("pairs=%d", size),
-			cold.Round(time.Microsecond), warm.Round(time.Microsecond),
-			float64(cold)/float64(warm), hits, misses, evicted)
-	}
-	fmt.Println("\n(cold = first round, every pair built and every program analyzed,")
-	fmt.Println(" converted and generated; warm = second round over the same cache.")
-	fmt.Println(" pairs=1 thrashes: three variants round-robin through one slot, so")
-	fmt.Println(" warm pair lookups still miss; pairs>=3 makes the warm round all hits.)")
-}
-
-// ---- EXP-C6 ----
-
-// fourStepPlan is the migration fixture shared with the root
-// BenchmarkParallelMigration: four per-record mapping steps over
-// CompanyV1 that compose into one pass.
-func fourStepPlan() *xform.Plan {
-	return &xform.Plan{Steps: []xform.Transformation{
-		xform.RenameRecord{Old: "EMP", New: "EMPLOYEE"},
-		xform.RenameField{Record: "DIV", Old: "DIV-LOC", New: "LOCATION"},
-		xform.AddField{Record: "EMPLOYEE", Field: "STATUS", Kind: value.String, Default: value.Str("ACTIVE")},
-		xform.RenameSet{Old: "DIV-EMP", New: "DIV-EMPLOYEE"},
-	}}
-}
-
-func expC6() {
-	banner("EXP-C6", "data-plane fast path: keyed indexes, parallel verification")
-
-	// (a) Exact-key FIND over 1000 employees: index probe vs full scan.
-	db := corpus.Database(corpus.Profile{Seed: 7, Divisions: 10, DeptsPerDiv: 10, EmpsPerDept: 10})
-	match := value.FromPairs("EMP-NAME", "E-00500")
-	const reps = 5000
-	sess := netstore.NewSession(db)
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		sess.FindAny("EMP", match)
-	}
-	indexed := time.Since(start)
-	db.SetIndexing(false)
-	start = time.Now()
-	for i := 0; i < reps; i++ {
-		sess.FindAny("EMP", match)
-	}
-	scanned := time.Since(start)
-	db.SetIndexing(true)
-	probes, scans := db.IndexStatsOf().Snapshot()
-	fmt.Printf("\n(a) FIND ANY EMP by EMP-NAME (the DIV-EMP set key) over %d employees, %d calls each way:\n",
-		db.Count("EMP"), reps)
-	fmt.Printf("    indexed %.2fµs/call vs scan %.2fµs/call — x%.1f; counters: %d probes, %d scans\n",
-		us(indexed, reps), us(scanned, reps), float64(scanned)/float64(indexed), probes, scans)
-
-	// (b) A verified conversion batch: source and converted programs run
-	// concurrently per check, the report surfaces the data-plane counters,
-	// and the rendered report is byte-identical at parallelism 1 and 8,
-	// with the verify database's indexes on and off.
-	members, err := corpus.Programs(corpus.PeriodProfile(42))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	progs := make([]*dbprog.Program, len(members))
-	for i, m := range members {
-		progs[i] = m.Program
-	}
-	run := func(parallelism int, indexes bool) *core.Report {
-		vdb := corpus.Database(corpus.Profile{Seed: 42, Divisions: 3, DeptsPerDiv: 3, EmpsPerDept: 4})
-		vdb.SetIndexing(indexes)
-		sup := core.NewSupervisor()
-		sup.Parallelism = parallelism
-		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), vdb, progs)
-		if err != nil {
-			fmt.Println("error:", err)
-			os.Exit(int(wire.ExitError))
-		}
-		return report
-	}
-	r1 := run(1, true)
-	r8 := run(8, true)
-	n1 := run(1, false)
-	n8 := run(8, false)
-	fmt.Printf("\n(b) verified conversion batch, %d programs:\n", len(progs))
-	dp, ndp := r8.DataPlane, n8.DataPlane
-	fmt.Printf("    indexed verify DB: %d index probes, %d scans; migration %d fused / %d stepwise steps\n",
-		dp.IndexProbes, dp.IndexScans, dp.FusedSteps, dp.StepwiseSteps)
-	fmt.Printf("    scan-only verify DB: %d index probes, %d scans\n", ndp.IndexProbes, ndp.IndexScans)
-	same := r1.String() == r8.String() && r1.String() == n1.String() && n1.String() == n8.String()
-	fmt.Printf("    report byte-identical at parallelism 1 and 8, indexes on and off: %v\n", same)
-}
-
-func expC7() {
-	banner("EXP-C7", "sharded parallel migration: the bulk-load rebuild across shard counts")
-	fmt.Printf("\nenvironment: GOMAXPROCS=%d — shard speedup needs cores\n", runtime.GOMAXPROCS(0))
-
-	// (a) The four-step migration fixture through the sharded rebuild.
-	mdb := corpus.Database(corpus.Profile{Seed: 7, Divisions: 8, DeptsPerDiv: 5, EmpsPerDept: 25})
-	plan4 := fourStepPlan()
-	ctx := context.Background()
-	const mreps = 20
-	fmt.Printf("\n(a) 4-step migration of %d records, %d runs per configuration:\n",
-		mdb.Count("DIV")+mdb.Count("EMP"), mreps)
-	var base time.Duration
-	var baseOut *netstore.DB
-	for _, par := range []int{1, 2, 8} {
-		start := time.Now()
-		var stats xform.MigrateStats
-		var out *netstore.DB
-		var err error
-		for i := 0; i < mreps; i++ {
-			if out, stats, err = plan4.Migrate(ctx, mdb, xform.MigrateOptions{Parallelism: par}); err != nil {
-				fmt.Println("error:", err)
-				return
-			}
-		}
-		elapsed := time.Since(start)
-		if baseOut == nil {
-			base, baseOut = elapsed, out
-		}
-		identical := out.Len() == baseOut.Len() && out.IndexDump() == baseOut.IndexDump()
-		fmt.Printf("    %d shard workers %8.0fµs/run — x%.1f; %d shards, %d bulk-loaded records, identical: %v\n",
-			par, us(elapsed, mreps), float64(base)/float64(elapsed),
-			stats.Shards, stats.BulkRecords, identical)
-	}
-
-	// (b) End to end through the supervisor: the rendered report is
-	// byte-identical whether the migration runs serial or 8-way.
-	members, err := corpus.Programs(corpus.PeriodProfile(42))
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	progs := make([]*dbprog.Program, len(members))
-	for i, m := range members {
-		progs[i] = m.Program
-	}
-	run := func(migratePar int) *core.Report {
-		vdb := corpus.Database(corpus.Profile{Seed: 42, Divisions: 3, DeptsPerDiv: 3, EmpsPerDept: 4})
-		sup := core.NewSupervisor()
-		sup.MigrationParallelism = migratePar
-		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, fourStepPlan(), vdb, progs)
-		if err != nil {
-			fmt.Println("error:", err)
-			os.Exit(int(wire.ExitError))
-		}
-		return report
-	}
-	r1, r8 := run(1), run(8)
-	fmt.Printf("\n(b) verified conversion batch, %d programs:\n", len(progs))
-	fmt.Printf("    migration shards: %d serial vs %d at 8 workers; bulk-loaded records: %d vs %d\n",
-		r1.DataPlane.MigrationShards, r8.DataPlane.MigrationShards,
-		r1.DataPlane.BulkLoadedRecords, r8.DataPlane.BulkLoadedRecords)
-	fmt.Printf("    report byte-identical at migration parallelism 1 and 8: %v\n",
-		r1.String() == r8.String())
-}
-
 // ---- EXP-H1 ----
 
 func expH1() {
@@ -1077,12 +874,10 @@ func indent(s string, n int) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// ---- EXP-S1 ----
+// ---- EXP-S2 ----
 
-// serveSpec is the wire-v1 job EXP-S1 submits repeatedly: the COMPANY
-// pair, a three-program inventory (two automatic, one qualified), and
-// a verify-init program that populates the source database so the
-// daemon verifies the automatic conversions it reports.
+// serveSpec is the wire-v1 job EXP-S2 builds on: the COMPANY pair and
+// a three-program inventory (two automatic, one qualified).
 func serveSpec() wire.JobSpec {
 	return wire.JobSpec{
 		V:         wire.Version,
@@ -1127,206 +922,8 @@ PROGRAM ROSTER DIALECT NETWORK.
 END PROGRAM.
 `},
 		},
-		Options: wire.JobOptions{
-			Parallelism: 2,
-			VerifyInit: `
-PROGRAM INIT-DB DIALECT NETWORK.
-  MOVE 'MACHINERY' TO DIV-NAME IN DIV.
-  MOVE 'DETROIT' TO DIV-LOC IN DIV.
-  STORE DIV.
-  MOVE 'TEXTILES' TO DIV-NAME IN DIV.
-  MOVE 'ATLANTA' TO DIV-LOC IN DIV.
-  STORE DIV.
-  MOVE 'MACHINERY' TO DIV-NAME IN DIV.
-  FIND ANY DIV USING DIV-NAME.
-  MOVE 'ADAMS' TO EMP-NAME IN EMP.
-  MOVE 'SALES' TO DEPT-NAME IN EMP.
-  MOVE 45 TO AGE IN EMP.
-  STORE EMP.
-  MOVE 'BAKER' TO EMP-NAME IN EMP.
-  MOVE 'SALES' TO DEPT-NAME IN EMP.
-  MOVE 28 TO AGE IN EMP.
-  STORE EMP.
-  MOVE 'CLARK' TO EMP-NAME IN EMP.
-  MOVE 'WELDING' TO DEPT-NAME IN EMP.
-  MOVE 33 TO AGE IN EMP.
-  STORE EMP.
-  MOVE 'TEXTILES' TO DIV-NAME IN DIV.
-  FIND ANY DIV USING DIV-NAME.
-  MOVE 'DAVIS' TO EMP-NAME IN EMP.
-  MOVE 'SALES' TO DEPT-NAME IN EMP.
-  MOVE 51 TO AGE IN EMP.
-  STORE EMP.
-END PROGRAM.
-`,
-		},
+		Options: wire.JobOptions{Parallelism: 1},
 	}
-}
-
-// submitS1 posts one job and returns its id, or the non-202 response.
-func submitS1(base string, body []byte) (string, *http.Response, error) {
-	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		var ed wire.ErrorDoc
-		json.NewDecoder(resp.Body).Decode(&ed)
-		return "", resp, fmt.Errorf("HTTP %d: %s", resp.StatusCode, ed.Error)
-	}
-	var st wire.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return "", resp, err
-	}
-	return st.ID, resp, nil
-}
-
-// waitS1 polls a job until it reaches a terminal state.
-func waitS1(base, id string) wire.JobStatus {
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + id)
-		if err != nil {
-			time.Sleep(5 * time.Millisecond)
-			continue
-		}
-		var st wire.JobStatus
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if st.ExitCode != nil {
-			return st
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-// expS1 measures the conversion service end to end: job throughput
-// and latency through the shared pair cache, admission control under
-// a deliberately tiny queue, and a graceful drain.
-func expS1() {
-	banner("EXP-S1", "conversion service: throughput, admission control, graceful drain")
-	body, err := json.Marshal(serveSpec())
-	if err != nil {
-		panic(err)
-	}
-
-	// (a) Throughput: 24 identical jobs from 8 concurrent submitters on
-	// 4 runners sharing one conversion cache. The first jobs pay the
-	// plan search; the rest hit the pair cache.
-	srv := serve.New(serve.Config{QueueDepth: 32, Runners: 4, Cache: progconv.NewCache(0)})
-	ts := httptest.NewServer(srv.Handler())
-	const jobs = 24
-	var (
-		mu   sync.Mutex
-		lats []time.Duration
-	)
-	start := time.Now()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i := 0; i < jobs; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			t0 := time.Now()
-			id, _, err := submitS1(ts.URL, body)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "  submit:", err)
-				return
-			}
-			waitS1(ts.URL, id)
-			mu.Lock()
-			lats = append(lats, time.Since(t0))
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	fmt.Printf("\n(a) %d jobs, 8 submitters, 4 runners, shared pair cache:\n", jobs)
-	fmt.Printf("    wall time %v, throughput %.1f jobs/s\n",
-		wall.Round(time.Millisecond), float64(len(lats))/wall.Seconds())
-	if n := len(lats); n > 0 {
-		fmt.Printf("    job latency min/median/max = %v / %v / %v\n",
-			lats[0].Round(10*time.Microsecond), lats[n/2].Round(10*time.Microsecond),
-			lats[n-1].Round(10*time.Microsecond))
-	}
-
-	// Every finished report must be byte-identical: same inputs, any
-	// submitter, any runner.
-	var list struct {
-		Jobs []wire.JobStatus `json:"jobs"`
-	}
-	resp, err := http.Get(ts.URL + "/v1/jobs")
-	if err != nil {
-		panic(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&list)
-	resp.Body.Close()
-	var first []byte
-	identical := true
-	for _, st := range list.Jobs {
-		r, err := http.Get(ts.URL + "/v1/jobs/" + st.ID + "/report")
-		if err != nil {
-			panic(err)
-		}
-		b := new(bytes.Buffer)
-		b.ReadFrom(r.Body)
-		r.Body.Close()
-		if first == nil {
-			first = b.Bytes()
-		} else if !bytes.Equal(first, b.Bytes()) {
-			identical = false
-		}
-	}
-	fmt.Printf("    all %d reports byte-identical: %v\n", len(list.Jobs), identical)
-	ts.Close()
-	srv.Drain(context.Background())
-
-	// (b) Admission control: queue depth 1, one runner, jobs slowed by
-	// the fault injector. Back-to-back submissions overflow the queue
-	// and get 429 + Retry-After instead of unbounded buffering.
-	slow := serveSpec()
-	slow.Options.Inject = "delay=150ms@*/analyze"
-	slowBody, _ := json.Marshal(slow)
-	srv = serve.New(serve.Config{QueueDepth: 1, Runners: 1, RetryAfter: 2 * time.Second})
-	ts = httptest.NewServer(srv.Handler())
-	accepted, rejected, retryAfter := 0, 0, ""
-	var ids []string
-	for i := 0; i < 8; i++ {
-		id, resp, err := submitS1(ts.URL, slowBody)
-		if err == nil {
-			accepted++
-			ids = append(ids, id)
-		} else if resp != nil && resp.StatusCode == http.StatusTooManyRequests {
-			rejected++
-			retryAfter = resp.Header.Get("Retry-After")
-		}
-	}
-	fmt.Printf("\n(b) queue depth 1, 1 runner, 8 back-to-back submissions of slowed jobs:\n")
-	fmt.Printf("    accepted %d, rejected %d with 429 (Retry-After: %ss)\n", accepted, rejected, retryAfter)
-
-	// (c) Graceful drain: admitted jobs finish, new submissions get
-	// 503, and finished reports stay readable.
-	srv.StartDrain()
-	_, resp503, err := submitS1(ts.URL, slowBody)
-	code := 0
-	if err != nil && resp503 != nil {
-		code = resp503.StatusCode
-	}
-	if err := srv.Wait(context.Background()); err != nil {
-		panic(err)
-	}
-	done := 0
-	for _, id := range ids {
-		if st := waitS1(ts.URL, id); st.State == "done" {
-			done++
-		}
-	}
-	fmt.Printf("\n(c) drain: submission during drain answered %d; all %d admitted jobs finished (%d done)\n",
-		code, len(ids), done)
-	ts.Close()
 }
 
 // s2Spec is the EXP-S2 job: the COMPANY pair with a PAD-<n> field
@@ -1341,8 +938,6 @@ func s2Spec(pad int) wire.JobSpec {
 	padField := fmt.Sprintf("AGE INT.\n    PAD-%d CHAR.", pad)
 	spec.SourceDDL = strings.Replace(spec.SourceDDL, "AGE INT.", padField, 1)
 	spec.TargetDDL = strings.Replace(spec.TargetDDL, "AGE INT.", padField, 1)
-	spec.Options.Parallelism = 1
-	spec.Options.VerifyInit = ""
 	spec.Options.Inject = "delay=100ms@*/analyze"
 	return spec
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"progconv/client"
+	"progconv/internal/leakcheck"
 	"progconv/internal/serve"
 	"progconv/internal/wire"
 )
@@ -148,6 +149,7 @@ func TestPairAffinityRouting(t *testing.T) {
 func TestFailoverDeterminism(t *testing.T) {
 	for _, parallel := range []int{1, 8} {
 		t.Run("parallel="+itoa(parallel), func(t *testing.T) {
+			leakcheck.Check(t)
 			f := newFleet(t, 2, Config{})
 			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 			defer cancel()
@@ -285,6 +287,7 @@ func TestCoordinatorListPaginates(t *testing.T) {
 }
 
 func TestCoordinatorErrorCodesAndDrain(t *testing.T) {
+	leakcheck.Check(t)
 	f := newFleet(t, 1, Config{RetryAfter: 2 * time.Second})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -414,7 +417,7 @@ func newExtraWorker(t *testing.T) *httptest.Server {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		srv.StartDrain()
+		drainWorker(t, srv)
 	})
 	return ts
 }

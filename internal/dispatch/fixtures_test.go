@@ -120,11 +120,23 @@ func newFleet(t *testing.T, n int, cfg Config) *fleet {
 	t.Cleanup(func() {
 		f.ts.Close()
 		f.co.Close()
-		for _, ts := range f.workers {
+		for i, ts := range f.workers {
 			ts.Close()
+			drainWorker(t, f.servers[i])
 		}
 	})
 	return f
+}
+
+// drainWorker stops a worker's admissions and waits for its runners to
+// finish what it admitted, so no runner outlives the test.
+func drainWorker(t *testing.T, srv *serve.Server) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Error(err)
+	}
 }
 
 // killWorker tears down worker i mid-flight and lets the coordinator
@@ -166,7 +178,7 @@ func directReport(t *testing.T, spec wire.JobSpec) ([]byte, int) {
 	ts := httptest.NewServer(srv.Handler())
 	defer func() {
 		ts.Close()
-		srv.StartDrain()
+		drainWorker(t, srv)
 	}()
 	cli := client.New(ts.URL)
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

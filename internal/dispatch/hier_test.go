@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"progconv/internal/corpus"
+	"progconv/internal/leakcheck"
 	"progconv/internal/wire"
 )
 
@@ -115,6 +116,7 @@ func TestMixedModelFleet(t *testing.T) {
 // dies mid-run is re-dispatched and still produces bytes identical to
 // the single-node run — the model flows through the failover path.
 func TestHierFailoverDeterminism(t *testing.T) {
+	leakcheck.Check(t)
 	f := newFleet(t, 2, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"progconv"
+	"progconv/internal/leakcheck"
 	"progconv/internal/schema"
 	"progconv/internal/wire"
 )
@@ -97,14 +98,19 @@ func testSpec() wire.JobSpec {
 	return spec
 }
 
-// newTestServer boots a Server over httptest and registers cleanup.
+// newTestServer boots a Server over httptest and registers cleanup:
+// close the listener, then drain the runner pool and wait for it.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
-		srv.StartDrain()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Error(err)
+		}
 	})
 	return srv, ts
 }
@@ -360,6 +366,7 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 func TestCancel(t *testing.T) {
+	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{QueueDepth: 4, Runners: 1})
 	running := submitOK(t, ts.URL, slowSpec("400ms"))
 	queued := submitOK(t, ts.URL, slowSpec("400ms"))
@@ -396,6 +403,7 @@ func TestCancel(t *testing.T) {
 }
 
 func TestJobDeadline(t *testing.T) {
+	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{})
 	spec := slowSpec("30s")
 	spec.Options.Deadline = "50ms"
@@ -407,6 +415,7 @@ func TestJobDeadline(t *testing.T) {
 }
 
 func TestMaxDeadlineClamps(t *testing.T) {
+	leakcheck.Check(t)
 	_, ts := newTestServer(t, Config{MaxDeadline: 50 * time.Millisecond})
 	spec := slowSpec("30s")
 	spec.Options.Deadline = "1h"
@@ -418,6 +427,7 @@ func TestMaxDeadlineClamps(t *testing.T) {
 }
 
 func TestGracefulDrain(t *testing.T) {
+	leakcheck.Check(t)
 	srv, ts := newTestServer(t, Config{Runners: 1})
 	slow := submitOK(t, ts.URL, slowSpec("100ms"))
 	quick := submitOK(t, ts.URL, testSpec())
