@@ -2,220 +2,283 @@ package dbprog
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"sync"
 )
 
 // Format renders a program back to source text. The Program Generator of
 // Figure 4.1 is a printer over the converted AST; Parse(Format(p)) yields
-// a program that formats identically, which the tests rely on.
+// a program that formats identically, which the tests rely on. Format
+// renders through AppendFormat into a pooled buffer, so once the pool is
+// warm the returned string is its one allocation.
 func Format(p *Program) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "PROGRAM %s DIALECT %s.\n", p.Name, p.Dialect)
-	formatBlock(&b, p.Stmts, 1)
-	b.WriteString("END PROGRAM.\n")
-	return b.String()
+	bp := formatPool.Get().(*[]byte)
+	b := AppendFormat((*bp)[:0], p)
+	s := string(b)
+	if cap(b) <= maxPooled {
+		*bp = b
+		formatPool.Put(bp)
+	}
+	return s
 }
 
-func indent(b *strings.Builder, depth int) {
+// maxPooled bounds the buffers Format returns to its pool, so one huge
+// program does not pin its buffer for the life of the process.
+const maxPooled = 64 << 10
+
+var formatPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// AppendFormat appends Format's rendering of p to dst and returns the
+// extended buffer. It is the one program renderer: Format, the program
+// fingerprint and the codegen memo all reach it, and the network,
+// Maryland and DL/I statements render without fmt, so a warm buffer
+// takes no allocation.
+func AppendFormat(dst []byte, p *Program) []byte {
+	dst = appendStrings(dst, "PROGRAM ", p.Name, " DIALECT ", p.Dialect.String(), ".\n")
+	dst = appendBlock(dst, p.Stmts, 1)
+	return append(dst, "END PROGRAM.\n"...)
+}
+
+// appendStrings appends each string in turn.
+func appendStrings(dst []byte, ss ...string) []byte {
+	for _, s := range ss {
+		dst = append(dst, s...)
+	}
+	return dst
+}
+
+func appendIndent(dst []byte, depth int) []byte {
 	for i := 0; i < depth; i++ {
-		b.WriteString("  ")
+		dst = append(dst, "  "...)
 	}
+	return dst
 }
 
-func formatBlock(b *strings.Builder, stmts []Stmt, depth int) {
+func appendBlock(dst []byte, stmts []Stmt, depth int) []byte {
 	for _, s := range stmts {
-		formatStmt(b, s, depth)
+		dst = appendStmt(dst, s, depth)
 	}
+	return dst
 }
 
-func formatStmt(b *strings.Builder, st Stmt, depth int) {
-	indent(b, depth)
+// appendLine renders an indented line of fixed text.
+func appendLine(dst []byte, depth int, text string) []byte {
+	return append(appendIndent(dst, depth), text...)
+}
+
+// appendBody renders a nested block and its indented closing line.
+func appendBody(dst []byte, body []Stmt, depth int, end string) []byte {
+	return appendLine(appendBlock(dst, body, depth+1), depth, end)
+}
+
+// appendStmt renders one statement line, or a block statement and its
+// body, at depth. Single-line statements leave the switch to share the
+// ".\n" terminator; block statements return after their closing line.
+func appendStmt(dst []byte, st Stmt, depth int) []byte {
+	dst = appendIndent(dst, depth)
 	switch s := st.(type) {
 	case Let:
-		fmt.Fprintf(b, "LET %s = %s.\n", s.Var, FormatExpr(s.E))
+		dst = AppendExpr(appendStrings(dst, "LET ", s.Var, " = "), s.E)
 	case Print:
-		fmt.Fprintf(b, "PRINT %s.\n", formatExprList(s.Args))
+		dst = appendExprList(append(dst, "PRINT "...), s.Args)
 	case Accept:
-		fmt.Fprintf(b, "ACCEPT %s.\n", s.Var)
+		dst = appendStrings(dst, "ACCEPT ", s.Var)
 	case ReadFile:
-		fmt.Fprintf(b, "READ '%s' INTO %s.\n", s.File, s.Var)
+		dst = appendStrings(dst, "READ '", s.File, "' INTO ", s.Var)
 	case WriteFile:
-		fmt.Fprintf(b, "WRITE '%s' %s.\n", s.File, formatExprList(s.Args))
+		dst = appendExprList(appendStrings(dst, "WRITE '", s.File, "' "), s.Args)
 	case If:
-		fmt.Fprintf(b, "IF %s\n", FormatExpr(s.Cond))
-		formatBlock(b, s.Then, depth+1)
+		dst = AppendExpr(append(dst, "IF "...), s.Cond)
+		dst = appendBlock(append(dst, '\n'), s.Then, depth+1)
 		if len(s.Else) > 0 {
-			indent(b, depth)
-			b.WriteString("ELSE\n")
-			formatBlock(b, s.Else, depth+1)
+			dst = appendLine(dst, depth, "ELSE\n")
+			dst = appendBlock(dst, s.Else, depth+1)
 		}
-		indent(b, depth)
-		b.WriteString("END-IF.\n")
+		return appendLine(dst, depth, "END-IF.\n")
 	case PerformUntil:
-		fmt.Fprintf(b, "PERFORM UNTIL %s\n", FormatExpr(s.Cond))
-		formatBlock(b, s.Body, depth+1)
-		indent(b, depth)
-		b.WriteString("END-PERFORM.\n")
+		dst = AppendExpr(append(dst, "PERFORM UNTIL "...), s.Cond)
+		return appendBody(append(dst, '\n'), s.Body, depth, "END-PERFORM.\n")
 	case Stop:
-		b.WriteString("STOP.\n")
+		dst = append(dst, "STOP"...)
 	case Move:
-		fmt.Fprintf(b, "MOVE %s TO %s IN %s.\n", FormatExpr(s.E), s.Field, s.Record)
+		dst = AppendExpr(append(dst, "MOVE "...), s.E)
+		dst = appendStrings(dst, " TO ", s.Field, " IN ", s.Record)
 	case FindAny:
-		fmt.Fprintf(b, "FIND ANY %s%s.\n", s.Record, usingSuffix(s.Using))
+		dst = appendUsing(appendStrings(dst, "FIND ANY ", s.Record), s.Using)
 	case FindDup:
-		fmt.Fprintf(b, "FIND DUPLICATE %s%s.\n", s.Record, usingSuffix(s.Using))
+		dst = appendUsing(appendStrings(dst, "FIND DUPLICATE ", s.Record), s.Using)
 	case FindInSet:
-		fmt.Fprintf(b, "FIND %s %s WITHIN %s%s.\n", s.Dir, s.Record, s.Set, usingSuffix(s.Using))
+		dst = appendStrings(dst, "FIND ", s.Dir, " ", s.Record, " WITHIN ", s.Set)
+		dst = appendUsing(dst, s.Using)
 	case FindOwner:
-		fmt.Fprintf(b, "FIND OWNER WITHIN %s.\n", s.Set)
+		dst = appendStrings(dst, "FIND OWNER WITHIN ", s.Set)
 	case GetRec:
-		fmt.Fprintf(b, "GET %s.\n", s.Record)
+		dst = appendStrings(dst, "GET ", s.Record)
 	case StoreRec:
-		fmt.Fprintf(b, "STORE %s.\n", s.Record)
+		dst = appendStrings(dst, "STORE ", s.Record)
 	case ModifyRec:
-		fmt.Fprintf(b, "MODIFY %s%s.\n", s.Record, usingSuffix(s.Using))
+		dst = appendUsing(appendStrings(dst, "MODIFY ", s.Record), s.Using)
 	case EraseRec:
-		fmt.Fprintf(b, "ERASE %s.\n", s.Record)
+		dst = appendStrings(dst, "ERASE ", s.Record)
 	case ConnectRec:
-		fmt.Fprintf(b, "CONNECT %s TO %s.\n", s.Record, s.Set)
+		dst = appendStrings(dst, "CONNECT ", s.Record, " TO ", s.Set)
 	case DisconnectRec:
-		fmt.Fprintf(b, "DISCONNECT %s FROM %s.\n", s.Record, s.Set)
+		dst = appendStrings(dst, "DISCONNECT ", s.Record, " FROM ", s.Set)
 	case MFind:
 		if s.Sort != nil {
-			fmt.Fprintf(b, "%s INTO %s.\n", s.Sort, s.Coll)
+			dst = s.Sort.AppendTo(dst)
 		} else {
-			fmt.Fprintf(b, "%s INTO %s.\n", s.Find, s.Coll)
+			dst = s.Find.AppendTo(dst)
 		}
+		dst = appendStrings(dst, " INTO ", s.Coll)
 	case ForEach:
-		fmt.Fprintf(b, "FOR EACH %s IN %s\n", s.Var, s.Coll)
-		formatBlock(b, s.Body, depth+1)
-		indent(b, depth)
-		b.WriteString("END-FOR.\n")
+		dst = appendStrings(dst, "FOR EACH ", s.Var, " IN ", s.Coll, "\n")
+		return appendBody(dst, s.Body, depth, "END-FOR.\n")
 	case MDelete:
-		fmt.Fprintf(b, "DELETE %s.\n", s.Coll)
+		dst = appendStrings(dst, "DELETE ", s.Coll)
 	case MModify:
-		fmt.Fprintf(b, "MODIFY %s SET (%s).\n", s.Coll, formatAssigns(s.Assigns))
+		dst = appendAssigns(appendStrings(dst, "MODIFY ", s.Coll, " SET ("), s.Assigns)
+		dst = append(dst, ')')
 	case MStore:
-		fmt.Fprintf(b, "STORE %s (%s)", s.Record, formatAssigns(s.Assigns))
-		sets := make([]string, 0, len(s.Owners))
+		dst = appendAssigns(appendStrings(dst, "STORE ", s.Record, " ("), s.Assigns)
+		dst = append(dst, ')')
+		// Owners render in set-name order; the names sort in a stack
+		// array for the usual one or two owners.
+		var arr [4]string
+		sets := arr[:0]
 		for set := range s.Owners {
 			sets = append(sets, set)
 		}
-		sort.Strings(sets)
+		slices.Sort(sets)
 		for i, set := range sets {
 			if i == 0 {
-				b.WriteString("\n")
-				indent(b, depth+1)
-				b.WriteString("VIA ")
+				dst = appendLine(append(dst, '\n'), depth+1, "VIA ")
 			} else {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			fmt.Fprintf(b, "%s = %s", set, s.Owners[set])
+			dst = s.Owners[set].AppendTo(appendStrings(dst, set, " = "))
 		}
-		b.WriteString(".\n")
 	case SqlForEach:
-		fmt.Fprintf(b, "FOR EACH %s IN (%s)\n", s.Var, s.Query)
-		formatBlock(b, s.Body, depth+1)
-		indent(b, depth)
-		b.WriteString("END-FOR.\n")
+		// SEQUEL statements render through their own fmt.Stringers.
+		dst = fmt.Appendf(dst, "FOR EACH %s IN (%s)\n", s.Var, s.Query)
+		return appendBody(dst, s.Body, depth, "END-FOR.\n")
 	case SqlExec:
-		fmt.Fprintf(b, "%s.\n", s.Stmt)
+		dst = fmt.Appendf(dst, "%s", s.Stmt)
 	case DLIGet:
-		fmt.Fprintf(b, "%s%s.\n", s.Func, ssaSuffix(s.SSAs))
+		dst = appendSSAs(append(dst, s.Func...), s.SSAs)
 	case DLIInsert:
-		fmt.Fprintf(b, "ISRT %s (%s)", s.Record, formatAssigns(s.Assigns))
+		dst = appendAssigns(appendStrings(dst, "ISRT ", s.Record, " ("), s.Assigns)
+		dst = append(dst, ')')
 		if len(s.Under) > 0 {
-			fmt.Fprintf(b, " UNDER%s", ssaSuffix(s.Under))
+			dst = appendSSAs(append(dst, " UNDER"...), s.Under)
 		}
-		b.WriteString(".\n")
 	case DLIDelete:
-		b.WriteString("DLET.\n")
+		dst = append(dst, "DLET"...)
 	case DLIRepl:
-		fmt.Fprintf(b, "REPL (%s).\n", formatAssigns(s.Assigns))
+		dst = appendAssigns(append(dst, "REPL ("...), s.Assigns)
+		dst = append(dst, ')')
 	default:
-		fmt.Fprintf(b, "*> unformattable statement %T\n", st)
+		return fmt.Appendf(dst, "*> unformattable statement %T\n", st)
 	}
+	return append(dst, ".\n"...)
 }
 
-func formatExprList(args []Expr) string {
-	parts := make([]string, len(args))
+func appendExprList(dst []byte, args []Expr) []byte {
 	for i, a := range args {
-		parts[i] = FormatExpr(a)
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendExpr(dst, a)
 	}
-	return strings.Join(parts, ", ")
+	return dst
 }
 
-func usingSuffix(using []string) string {
-	if len(using) == 0 {
-		return ""
-	}
-	return " USING " + strings.Join(using, ", ")
-}
-
-func formatAssigns(assigns []FieldAssign) string {
-	parts := make([]string, len(assigns))
-	for i, a := range assigns {
-		parts[i] = fmt.Sprintf("%s = %s", a.Field, FormatExpr(a.E))
-	}
-	return strings.Join(parts, ", ")
-}
-
-func ssaSuffix(ssas []SSASpec) string {
-	if len(ssas) == 0 {
-		return ""
-	}
-	parts := make([]string, len(ssas))
-	for i, s := range ssas {
-		if s.Field == "" {
-			parts[i] = s.Segment
+// appendUsing renders a network FIND or MODIFY's " USING F1, F2", or
+// nothing when the list is empty.
+func appendUsing(dst []byte, using []string) []byte {
+	for i, f := range using {
+		if i == 0 {
+			dst = append(dst, " USING "...)
 		} else {
-			parts[i] = fmt.Sprintf("%s(%s %s %s)", s.Segment, s.Field, s.Op, FormatExpr(s.E))
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, f...)
+	}
+	return dst
+}
+
+func appendAssigns(dst []byte, assigns []FieldAssign) []byte {
+	for i, a := range assigns {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = AppendExpr(appendStrings(dst, a.Field, " = "), a.E)
+	}
+	return dst
+}
+
+// appendSSAs renders a DL/I call's " SEG, SEG(F op e)" list, or nothing
+// when it is empty.
+func appendSSAs(dst []byte, ssas []SSASpec) []byte {
+	for i, s := range ssas {
+		if i == 0 {
+			dst = append(dst, ' ')
+		} else {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, s.Segment...)
+		if s.Field != "" {
+			dst = AppendExpr(appendStrings(dst, "(", s.Field, " ", s.Op, " "), s.E)
+			dst = append(dst, ')')
 		}
 	}
-	return " " + strings.Join(parts, ", ")
+	return dst
 }
 
 // FormatExpr renders an expression, parenthesizing nested binaries so the
 // output re-parses with identical structure.
 func FormatExpr(e Expr) string {
-	switch x := e.(type) {
-	case Lit:
-		return x.V.Literal()
-	case Var:
-		return x.Name
-	case Field:
-		return fmt.Sprintf("%s IN %s", x.Field, x.Record)
-	case StatusRef:
-		return "DB-STATUS"
-	case RecordRef:
-		return "RECORD " + x.Record
-	case Bin:
-		l, r := FormatExpr(x.L), FormatExpr(x.R)
-		if needsParens(x.L) {
-			l = "(" + l + ")"
-		}
-		if needsParens(x.R) {
-			r = "(" + r + ")"
-		}
-		return fmt.Sprintf("%s %s %s", l, x.Op, r)
-	case Un:
-		inner := FormatExpr(x.E)
-		if needsParens(x.E) {
-			inner = "(" + inner + ")"
-		}
-		if x.Op == "NOT" {
-			return "NOT " + inner
-		}
-		return "- " + inner
-	}
-	return fmt.Sprintf("<%T>", e)
+	return string(AppendExpr(make([]byte, 0, 64), e))
 }
 
-func needsParens(e Expr) bool {
+// AppendExpr appends FormatExpr's rendering of e to dst.
+func AppendExpr(dst []byte, e Expr) []byte {
+	switch x := e.(type) {
+	case Lit:
+		return x.V.AppendLiteral(dst)
+	case Var:
+		return append(dst, x.Name...)
+	case Field:
+		return appendStrings(dst, x.Field, " IN ", x.Record)
+	case StatusRef:
+		return append(dst, "DB-STATUS"...)
+	case RecordRef:
+		return appendStrings(dst, "RECORD ", x.Record)
+	case Bin:
+		dst = appendOperand(dst, x.L)
+		dst = appendStrings(dst, " ", x.Op, " ")
+		return appendOperand(dst, x.R)
+	case Un:
+		if x.Op == "NOT" {
+			dst = append(dst, "NOT "...)
+		} else {
+			dst = append(dst, "- "...)
+		}
+		return appendOperand(dst, x.E)
+	}
+	return fmt.Appendf(dst, "<%T>", e)
+}
+
+// appendOperand renders an operand of a unary or binary operator,
+// parenthesizing nested operators.
+func appendOperand(dst []byte, e Expr) []byte {
 	switch e.(type) {
 	case Bin, Un:
-		return true
+		dst = AppendExpr(append(dst, '('), e)
+		return append(dst, ')')
 	}
-	return false
+	return AppendExpr(dst, e)
 }

@@ -3,6 +3,7 @@ package dbprog
 import (
 	"testing"
 
+	"progconv/internal/mdml"
 	"progconv/internal/netstore"
 	"progconv/internal/schema"
 	"progconv/internal/value"
@@ -141,5 +142,51 @@ func TestFormatExprForms(t *testing.T) {
 		if got := FormatExpr(tc.e); got != tc.want {
 			t.Errorf("FormatExpr = %q, want %q", got, tc.want)
 		}
+	}
+}
+
+// bogusStmt is a statement the Program Generator does not know.
+type bogusStmt struct{}
+
+func (bogusStmt) stmt() {}
+
+// TestFormatMatchesOracleOnBuiltASTs: the writer matches the oracle on
+// every statement form and on trees the parser never builds but the
+// converter and optimizer can — classified path steps, collection
+// steps, more owners than the writer sorts on the stack, nil FINDs and
+// expressions, and statements it cannot render.
+func TestFormatMatchesOracleOnBuiltASTs(t *testing.T) {
+	for _, src := range formatSources {
+		p := mustParse(t, src)
+		if got, want := Format(p), OracleFormat(p); got != want {
+			t.Errorf("%s: got\n%s\nwant\n%s", p.Name, got, want)
+		}
+	}
+	qual := mdml.And{
+		L: mdml.Or{L: mdml.Cmp{Field: "AGE", Op: ">", Lit: value.F(-2.5)}, R: mdml.Not{Q: mdml.Cmp{Field: "OK", Op: "=", Lit: value.B(true)}}},
+		R: mdml.Cmp{Field: "DEPT-NAME", Op: "<>", Param: "D"},
+	}
+	find := &mdml.Find{Target: "EMP", Steps: []mdml.Step{
+		{Kind: mdml.CollectionStep, Name: "C1"},
+		{Kind: mdml.SetStep, Name: "DIV-EMP", Qual: qual},
+		{Kind: mdml.RecordStep, Name: "EMP"},
+		{Kind: mdml.RecordStep, Name: "EMP", Qual: qual},
+		{Kind: mdml.StepKind(9), Name: "ODD", Qual: mdml.Cmp{Field: "X", Op: "=", Lit: value.NullValue()}},
+	}}
+	owners := map[string]*mdml.Find{"S5": find, "S1": nil, "S3": find, "S2": find, "S4": {Target: "DIV", Steps: []mdml.Step{{Kind: mdml.SystemStep}}}}
+	p := &Program{Name: "BUILT", Dialect: Dialect(7), Stmts: []Stmt{
+		MFind{Coll: "C2", Find: find},
+		MFind{Coll: "C3", Sort: &mdml.Sort{Inner: find, On: []string{"AGE"}}},
+		MFind{Coll: "C4"},
+		MStore{Record: "EMP", Owners: owners},
+		MStore{Record: "EMP", Assigns: []FieldAssign{{Field: "AGE", E: Lit{V: value.Of(-3)}}}},
+		Print{},
+		Let{Var: "X", E: Bin{Op: "+", L: nil, R: Un{Op: "-", E: Lit{V: value.Str("it''s")}}}},
+		DLIGet{Func: "GN"},
+		DLIInsert{Record: "EMP", Under: []SSASpec{{Segment: "DEPT"}, {Segment: "EMP", Field: "E#", Op: "=", E: Var{Name: "K"}}}},
+		ForEach{Var: "E", Coll: "C2", Body: []Stmt{nil, bogusStmt{}, If{Cond: Var{Name: "B"}}}},
+	}}
+	if got, want := Format(p), OracleFormat(p); got != want {
+		t.Errorf("got\n%s\nwant\n%s", got, want)
 	}
 }

@@ -307,6 +307,14 @@ func TestCoordinatorErrorCodesAndDrain(t *testing.T) {
 		apiErr.Status != http.StatusBadRequest || apiErr.Code != wire.CodeBadSpec {
 		t.Fatalf("bad spec error = %v", err)
 	}
+	// So is a malformed fault-injection spec, which a worker would
+	// otherwise have run uninjected.
+	bad = fleetSpec(0)
+	bad.Options.Inject = "bogus"
+	if _, err := f.cli.Submit(ctx, &bad); !asAPIError(err, &apiErr) ||
+		apiErr.Status != http.StatusBadRequest || apiErr.Code != wire.CodeBadSpec {
+		t.Fatalf("bad inject error = %v", err)
+	}
 
 	// Draining: 503 + draining code; /readyz flips; status still works.
 	f.co.StartDrain()

@@ -3,7 +3,6 @@ package dispatch
 import (
 	"bufio"
 	"context"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -102,18 +101,24 @@ func relayLines(w http.ResponseWriter, stream io.Reader, sse bool, skip int, flu
 	sc := bufio.NewScanner(stream)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	seen, written := 0, 0
+	var frame []byte // one reused buffer: each line is framed and written once
 	for sc.Scan() {
 		seen++
 		if seen <= skip {
 			continue
 		}
+		frame = frame[:0]
 		if sse {
-			fmt.Fprint(w, "data: ")
+			frame = append(frame, "data: "...)
 		}
-		fmt.Fprintln(w, sc.Text())
+		frame = append(frame, sc.Bytes()...)
+		frame = append(frame, '\n')
 		if sse {
-			fmt.Fprintln(w)
+			frame = append(frame, '\n')
 		}
+		// A failed write means the caller left; its request context
+		// then ends the worker stream this loop reads.
+		w.Write(frame)
 		written++
 		if flusher != nil {
 			flusher.Flush()

@@ -6,19 +6,21 @@
 // (internal/plancache) be shared safely across runs, supervisors, and
 // processes that happen to reload the same inputs.
 //
-// Every hash is SHA-256 over a domain-separated, length-prefixed
-// serialization, so hashes of different kinds (or of concatenated
-// parts) can never collide by construction. The serializations are the
-// repository's existing canonical renderings: Figure 4.3 DDL for
-// schemas, the plan's Describe listing, and the Program Generator's
-// source text for programs.
+// Every hash is SHA-256 over domain || len(part) || part …: the domain
+// tag written raw, then each part behind its 8-byte big-endian length.
+// The length prefixes keep concatenated parts apart; the domains in use
+// are prefix-free (no tag is a prefix of another), which keeps hashes
+// of different kinds apart. The serializations are the repository's
+// existing canonical renderings: Figure 4.3 DDL for schemas, the plan's
+// Describe listing, and the Program Generator's source text for
+// programs, rendered straight into the hashed buffer.
 package fingerprint
 
 import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"io"
+	"sync"
 
 	"progconv/internal/dbprog"
 	"progconv/internal/schema"
@@ -40,15 +42,42 @@ func (h Hash) Short() string {
 
 // sum hashes domain-separated, length-prefixed parts.
 func sum(domain string, parts ...string) Hash {
-	d := sha256.New()
-	io.WriteString(d, domain)
-	var n [8]byte
+	bp := begin(domain)
+	b := *bp
 	for _, p := range parts {
-		binary.BigEndian.PutUint64(n[:], uint64(len(p)))
-		d.Write(n[:])
-		io.WriteString(d, p)
+		b = binary.BigEndian.AppendUint64(b, uint64(len(p)))
+		b = append(b, p...)
 	}
-	return Hash(hex.EncodeToString(d.Sum(nil)))
+	return digest(bp, b)
+}
+
+// maxPooled bounds the buffers returned to bufPool, so one huge input
+// does not pin its buffer for the life of the process.
+const maxPooled = 64 << 10
+
+var bufPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 1024)
+	return &b
+}}
+
+// begin takes a buffer from the pool and writes the domain tag into it.
+func begin(domain string) *[]byte {
+	bp := bufPool.Get().(*[]byte)
+	*bp = append((*bp)[:0], domain...)
+	return bp
+}
+
+// digest hashes b, returns the buffer behind it to the pool and
+// hex-encodes on the stack, so the Hash string is the one allocation.
+func digest(bp *[]byte, b []byte) Hash {
+	d := sha256.Sum256(b)
+	if cap(b) <= maxPooled {
+		*bp = b
+		bufPool.Put(bp)
+	}
+	var x [2 * sha256.Size]byte
+	hex.Encode(x[:], d[:])
+	return Hash(x[:])
 }
 
 // Schema fingerprints a network schema via its canonical DDL rendering.
@@ -71,15 +100,24 @@ func Plan(p *xform.Plan) Hash {
 }
 
 // Program fingerprints a parsed program via the Program Generator's
-// canonical source rendering (name, dialect, and statements).
+// canonical source rendering (name, dialect, and statements): the same
+// bytes as sum("program", dbprog.Format(p)), rendered into the hashed
+// buffer behind a length placeholder that is filled in afterwards,
+// since the length precedes the text it counts.
 func Program(p *dbprog.Program) Hash {
-	return sum("program", dbprog.Format(p))
+	bp := begin("program")
+	b := append(*bp, 0, 0, 0, 0, 0, 0, 0, 0)
+	start := len(b)
+	b = dbprog.AppendFormat(b, p)
+	binary.BigEndian.PutUint64(b[start-8:start], uint64(len(b)-start))
+	return digest(bp, b)
 }
 
 // Sum hashes arbitrary domain-separated, length-prefixed parts — the
 // escape hatch for callers with canonical serializations of their own
-// (the dispatch coordinator fingerprints whole job submissions this
-// way). Choose a domain no other caller uses.
+// (the dispatch coordinator scores rendezvous placements this way).
+// Choose a domain no other caller uses, and one that is neither a
+// prefix nor an extension of a domain in use.
 func Sum(domain string, parts ...string) Hash {
 	return sum(domain, parts...)
 }

@@ -16,7 +16,6 @@ package mdml
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"progconv/internal/netstore"
 	"progconv/internal/value"
@@ -25,6 +24,9 @@ import (
 // Qual is a boolean qualification over one record's fields.
 type Qual interface {
 	fmt.Stringer
+	// AppendTo appends the qualification's source rendering to dst;
+	// String is its thin wrapper.
+	AppendTo(dst []byte) []byte
 	// Eval tests the record; params supply :NAME placeholders.
 	Eval(rec *value.Record, params map[string]value.Value) (bool, error)
 }
@@ -37,11 +39,19 @@ type Cmp struct {
 	Param string
 }
 
-func (c Cmp) String() string {
+func (c Cmp) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo implements Qual.
+func (c Cmp) AppendTo(dst []byte) []byte {
+	dst = append(dst, c.Field...)
+	dst = append(dst, ' ')
+	dst = append(dst, c.Op...)
 	if c.Param != "" {
-		return fmt.Sprintf("%s %s :%s", c.Field, c.Op, c.Param)
+		dst = append(dst, " :"...)
+		return append(dst, c.Param...)
 	}
-	return fmt.Sprintf("%s %s %s", c.Field, c.Op, c.Lit.Literal())
+	dst = append(dst, ' ')
+	return c.Lit.AppendLiteral(dst)
 }
 
 // Eval implements Qual.
@@ -85,7 +95,19 @@ func (c Cmp) Eval(rec *value.Record, params map[string]value.Value) (bool, error
 // And is conjunction.
 type And struct{ L, R Qual }
 
-func (q And) String() string { return fmt.Sprintf("(%s AND %s)", q.L, q.R) }
+func (q And) String() string { return string(q.AppendTo(nil)) }
+
+// AppendTo implements Qual.
+func (q And) AppendTo(dst []byte) []byte { return appendBinary(dst, q.L, " AND ", q.R) }
+
+// appendBinary renders (L op R).
+func appendBinary(dst []byte, l Qual, op string, r Qual) []byte {
+	dst = append(dst, '(')
+	dst = l.AppendTo(dst)
+	dst = append(dst, op...)
+	dst = r.AppendTo(dst)
+	return append(dst, ')')
+}
 
 // Eval implements Qual.
 func (q And) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
@@ -99,7 +121,10 @@ func (q And) Eval(rec *value.Record, params map[string]value.Value) (bool, error
 // Or is disjunction.
 type Or struct{ L, R Qual }
 
-func (q Or) String() string { return fmt.Sprintf("(%s OR %s)", q.L, q.R) }
+func (q Or) String() string { return string(q.AppendTo(nil)) }
+
+// AppendTo implements Qual.
+func (q Or) AppendTo(dst []byte) []byte { return appendBinary(dst, q.L, " OR ", q.R) }
 
 // Eval implements Qual.
 func (q Or) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
@@ -113,7 +138,14 @@ func (q Or) Eval(rec *value.Record, params map[string]value.Value) (bool, error)
 // Not is negation.
 type Not struct{ Q Qual }
 
-func (q Not) String() string { return fmt.Sprintf("(NOT %s)", q.Q) }
+func (q Not) String() string { return string(q.AppendTo(nil)) }
+
+// AppendTo implements Qual.
+func (q Not) AppendTo(dst []byte) []byte {
+	dst = append(dst, "(NOT "...)
+	dst = q.Q.AppendTo(dst)
+	return append(dst, ')')
+}
 
 // Eval implements Qual.
 func (q Not) Eval(rec *value.Record, params map[string]value.Value) (bool, error) {
@@ -195,20 +227,24 @@ type Step struct {
 	Qual Qual   // only for RecordStep, may be nil
 }
 
-func (s Step) String() string {
+func (s Step) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the step's rendering to dst: SYSTEM, @COLLECTION, a
+// set name, or a record name with its qualification in parentheses.
+func (s Step) AppendTo(dst []byte) []byte {
 	switch s.Kind {
 	case SystemStep:
-		return "SYSTEM"
+		return append(dst, "SYSTEM"...)
 	case CollectionStep:
-		return "@" + s.Name
-	case SetStep:
-		return s.Name
-	default:
-		if s.Qual != nil {
-			return fmt.Sprintf("%s(%s)", s.Name, s.Qual)
-		}
-		return s.Name
+		return append(append(dst, '@'), s.Name...)
 	}
+	dst = append(dst, s.Name...)
+	if s.Kind != SetStep && s.Qual != nil {
+		dst = append(dst, '(')
+		dst = s.Qual.AppendTo(dst)
+		dst = append(dst, ')')
+	}
+	return dst
 }
 
 // Find is a FIND(target: path...) retrieval.
@@ -218,12 +254,24 @@ type Find struct {
 }
 
 // String renders the FIND in the paper's syntax.
-func (f *Find) String() string {
-	parts := make([]string, len(f.Steps))
-	for i, s := range f.Steps {
-		parts[i] = s.String()
+func (f *Find) String() string { return string(f.AppendTo(nil)) }
+
+// AppendTo appends the FIND's rendering to dst; a nil Find renders as
+// <nil>, as fmt printed it.
+func (f *Find) AppendTo(dst []byte) []byte {
+	if f == nil {
+		return append(dst, "<nil>"...)
 	}
-	return fmt.Sprintf("FIND(%s: %s)", f.Target, strings.Join(parts, ", "))
+	dst = append(dst, "FIND("...)
+	dst = append(dst, f.Target...)
+	dst = append(dst, ": "...)
+	for i, s := range f.Steps {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = s.AppendTo(dst)
+	}
+	return append(dst, ')')
 }
 
 // Sort wraps a Find (or collection) with an ordering, the paper's
@@ -234,8 +282,20 @@ type Sort struct {
 }
 
 // String renders the SORT in the paper's syntax.
-func (s *Sort) String() string {
-	return fmt.Sprintf("SORT(%s) ON (%s)", s.Inner, strings.Join(s.On, ", "))
+func (s *Sort) String() string { return string(s.AppendTo(nil)) }
+
+// AppendTo appends the SORT's rendering to dst.
+func (s *Sort) AppendTo(dst []byte) []byte {
+	dst = append(dst, "SORT("...)
+	dst = s.Inner.AppendTo(dst)
+	dst = append(dst, ") ON ("...)
+	for i, f := range s.On {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(dst, f...)
+	}
+	return append(dst, ')')
 }
 
 // Evaluator runs Maryland DML against a network database.

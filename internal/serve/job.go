@@ -279,9 +279,10 @@ func (s *Server) runJob(j *job) {
 		defer cancelT()
 	}
 	if j.spec.Options.Inject != "" {
-		if inj, err := fault.Parse(j.spec.Options.Inject); err == nil {
-			ctx = fault.With(ctx, inj)
-		}
+		// Validate refused a malformed spec at submission, so this
+		// parse cannot fail.
+		inj, _ := fault.Parse(j.spec.Options.Inject)
+		ctx = fault.With(ctx, inj)
 	}
 
 	j.mu.Lock()

@@ -273,6 +273,9 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"bad fail_on", func(s *wire.JobSpec) { s.Options.FailOn = "always" }},
 		{"bad deadline", func(s *wire.JobSpec) { s.Options.Deadline = "soon" }},
 		{"bad verify_init", func(s *wire.JobSpec) { s.Options.VerifyInit = "BROKEN" }},
+		// A malformed fault-injection spec is refused, as the CLI's
+		// -inject flag refuses it, rather than run uninjected.
+		{"bad inject", func(s *wire.JobSpec) { s.Options.Inject = "bogus" }},
 		{"future version", func(s *wire.JobSpec) { s.V = wire.Version + 1 }},
 	}
 	for _, tc := range cases {
@@ -282,8 +285,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		var ed wire.ErrorDoc
 		json.NewDecoder(resp.Body).Decode(&ed)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: HTTP %d, want 400", tc.name, resp.StatusCode)
+		if resp.StatusCode != http.StatusBadRequest || ed.Code != wire.CodeBadSpec {
+			t.Errorf("%s: HTTP %d %s, want 400 %s", tc.name, resp.StatusCode, ed.Code, wire.CodeBadSpec)
 		}
 		if ed.V != wire.Version || ed.Error == "" {
 			t.Errorf("%s: error doc = %+v", tc.name, ed)

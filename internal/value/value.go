@@ -152,10 +152,36 @@ func (v Value) String() string {
 
 // Literal renders the value as a source-language literal (strings quoted).
 func (v Value) Literal() string {
-	if v.kind == String {
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
+	var buf [32]byte
+	return string(v.AppendLiteral(buf[:0]))
+}
+
+// AppendLiteral appends the value's source-language literal to dst: a
+// string quoted with embedded quotes doubled, anything else as String
+// renders it. It is the one literal renderer; the Program Generator
+// calls it without building a string per literal.
+func (v Value) AppendLiteral(dst []byte) []byte {
+	switch v.kind {
+	case String:
+		dst = append(dst, '\'')
+		s := v.s
+		for {
+			i := strings.IndexByte(s, '\'')
+			if i < 0 {
+				break
+			}
+			dst = append(dst, s[:i+1]...)
+			dst = append(dst, '\'')
+			s = s[i+1:]
+		}
+		dst = append(dst, s...)
+		return append(dst, '\'')
+	case Int:
+		return strconv.AppendInt(dst, v.i, 10)
+	case Float:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
 	}
-	return v.String()
+	return append(dst, v.String()...)
 }
 
 // Equal reports whether two values are equal. Numeric values compare

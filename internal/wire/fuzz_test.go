@@ -53,7 +53,9 @@ END PROGRAM.`},
 	every.Options = JobOptions{Parallelism: 2, MigrateParallel: 2, AcceptOrder: true,
 		Timeout: "1m", StageTimeout: "10s", AnalystTimeout: "1s", Retries: 1,
 		OnFailure: "budget:2", FailOn: "manual", Deadline: "30s", Inject: "transient@*/convert"}
-	for _, spec := range []JobSpec{network, hier, fleet, hierFleet, every} {
+	badInject := network
+	badInject.Options = JobOptions{Inject: "bogus"}
+	for _, spec := range []JobSpec{network, hier, fleet, hierFleet, every, badInject} {
 		body, err := json.Marshal(spec)
 		if err != nil {
 			f.Fatal(err)

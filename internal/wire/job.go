@@ -3,6 +3,8 @@ package wire
 import (
 	"fmt"
 	"time"
+
+	"progconv/internal/fault"
 )
 
 // JobSpec is the v1 submission body the conversion daemon accepts: one
@@ -142,6 +144,11 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Options.MigrateParallel < 0 {
 		return fmt.Errorf("migrate_parallel must be non-negative")
+	}
+	if s.Options.Inject != "" {
+		if _, err := fault.Parse(s.Options.Inject); err != nil {
+			return fmt.Errorf("inject: %w", err)
+		}
 	}
 	return nil
 }
