@@ -304,7 +304,6 @@ func BenchmarkCorpusConversion(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sup := core.NewSupervisor()
-		sup.Verify = false
 		if _, err := sup.Run(context.Background(), src, nil, plan, nil, progs); err != nil {
 			b.Fatal(err)
 		}
@@ -327,7 +326,6 @@ func BenchmarkCachedReconversion(b *testing.B) {
 	plan := figurePlan()
 	run := func(b *testing.B, cache *plancache.Cache) {
 		sup := core.NewSupervisor()
-		sup.Verify = false
 		sup.Cache = cache
 		if _, err := sup.Run(context.Background(), src, nil, plan, nil, progs); err != nil {
 			b.Fatal(err)

@@ -414,7 +414,6 @@ func expC1() {
 			progs[i] = m.Program
 		}
 		sup := core.NewSupervisor()
-		sup.Verify = false
 		sup.Metrics = true
 		sup.Events = tally
 		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
@@ -448,7 +447,7 @@ func expC1() {
 	for i, m := range members {
 		progs[i] = m.Program
 	}
-	sup := &core.Supervisor{Analyst: core.Policy{AcceptOrderChanges: true}, Verify: false}
+	sup := &core.Supervisor{Analyst: core.Policy{AcceptOrderChanges: true}}
 	report, _ := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
 	auto, qualified, manual := report.Counts()
 	fmt.Printf("  accepting analyst: %d%% auto + %d%% qualified = %d%% converted, %d%% manual\n",
@@ -505,7 +504,6 @@ END PROGRAM.
 			return
 		}
 		sup := core.NewSupervisor()
-		sup.Verify = false
 		sup.Metrics = true
 		report, err := sup.Run(context.Background(), src.Schema(), nil, plan, nil,
 			[]*dbprog.Program{prog})
@@ -943,7 +941,7 @@ func s2Spec(pad int) wire.JobSpec {
 }
 
 // s2Fleet boots n workers and a coordinator over them; the returned
-// stop function tears everything down.
+// stop function tears everything down, draining the workers' runners.
 func s2Fleet(n int) (*dispatch.Coordinator, *httptest.Server, []*httptest.Server, func()) {
 	var workers []*httptest.Server
 	var servers []*serve.Server
@@ -965,8 +963,21 @@ func s2Fleet(n int) (*dispatch.Coordinator, *httptest.Server, []*httptest.Server
 		for _, ts := range workers {
 			ts.Close()
 		}
+		s2Drain(servers...)
 	}
 	return co, coTS, workers, stop
+}
+
+// s2Drain drains daemons within a time bound, so no runner goroutine
+// outlives its part of the experiment.
+func s2Drain(servers ...*serve.Server) {
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for _, srv := range servers {
+		if err := srv.Drain(ctx); err != nil {
+			fmt.Fprintln(os.Stderr, "  s2 drain:", err)
+		}
+	}
 }
 
 // s2Run pushes the batch through a coordinator with 8 concurrent
@@ -1117,6 +1128,7 @@ func expS2() {
 			panic(err)
 		}
 		ref.Close()
+		s2Drain(srv)
 		if !bytes.Equal(got, want) {
 			identical = false
 		}
@@ -1139,10 +1151,10 @@ func expM1() {
 		return
 	}
 	run := func(par int) *progconv.Report {
-		rep, err := progconv.ConvertHier(context.Background(), entry.Source, entry.Target, nil,
-			entry.Programs(),
-			progconv.WithParallelism(par),
-			progconv.WithVerifyHierDB(entry.Seed()))
+		rep, err := progconv.ConvertJob(context.Background(),
+			progconv.Job{Spec: progconv.HierSpec{Src: entry.Source, Dst: entry.Target, DB: entry.Seed()},
+				Programs: entry.Programs()},
+			progconv.WithParallelism(par))
 		if err != nil {
 			fmt.Println("error:", err)
 			os.Exit(int(wire.ExitError))

@@ -2,13 +2,19 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"progconv"
+	"progconv/client"
+	"progconv/internal/serve"
 )
 
 // TestConvertTimesStagesWithoutStats: the CLI times every stage
@@ -77,5 +83,93 @@ func TestConvertTimesStagesWithoutStats(t *testing.T) {
 	}
 	if ends != 1 {
 		t.Errorf("analyze stage-end events = %d, want 1", ends)
+	}
+}
+
+// companyInit seeds the COMPANY source database for verification.
+const companyInit = `PROGRAM INIT-DB DIALECT NETWORK.
+  MOVE 'MACHINERY' TO DIV-NAME IN DIV.
+  MOVE 'DETROIT' TO DIV-LOC IN DIV.
+  STORE DIV.
+  MOVE 'ADAMS' TO EMP-NAME IN EMP.
+  MOVE 'SALES' TO DEPT-NAME IN EMP.
+  MOVE 45 TO AGE IN EMP.
+  STORE EMP.
+END PROGRAM.
+`
+
+// TestConvertReportMatchesDaemon: convert -report-json writes exactly
+// the bytes a daemon serves for the JobSpec progconvctl submit builds
+// from the same files, for a network and a hierarchical pair, both
+// verified against a seeded database.
+func TestConvertReportMatchesDaemon(t *testing.T) {
+	dir := t.TempDir()
+	companyInitPath := filepath.Join(dir, "init.prog")
+	if err := os.WriteFile(companyInitPath, []byte(companyInit), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	company := filepath.Join("..", "..", "examples", "company")
+	ims := filepath.Join("..", "..", "examples", "imsreorder")
+	cases := []struct {
+		name, model, init string
+		files             []string // source DDL, target DDL, programs
+	}{
+		{"company", "", companyInitPath, []string{
+			filepath.Join(company, "company-v1.ddl"), filepath.Join(company, "company-v2.ddl"),
+			filepath.Join(company, "roster.prog")}},
+		{"imsreorder", progconv.ModelHierarchical, filepath.Join(ims, "seed.prog"), []string{
+			filepath.Join(ims, "personnel-v1.ddl"), filepath.Join(ims, "personnel-v2.ddl"),
+			filepath.Join(ims, "deptmgr.prog"), filepath.Join(ims, "empbyid.prog"),
+			filepath.Join(ims, "tenured.prog")}},
+	}
+
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer func() {
+		ts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Drain(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	cli := client.New(ts.URL)
+	read := func(path string) string {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+
+	for _, c := range cases {
+		out := filepath.Join(dir, c.name+".json")
+		args := append([]string{"-parallel", "1", "-verify-init", c.init, "-report-json", out}, c.files...)
+		if err := cmdConvert(args); err != nil {
+			t.Fatalf("%s: convert: %v", c.name, err)
+		}
+		want := read(out)
+
+		spec := &progconv.JobSpec{Model: c.model, SourceDDL: read(c.files[0]), TargetDDL: read(c.files[1]),
+			Options: progconv.JobOptions{Parallelism: 1, VerifyInit: read(c.init)}}
+		for _, path := range c.files[2:] {
+			spec.Programs = append(spec.Programs, progconv.ProgramSpec{Source: read(path)})
+		}
+		ctx := context.Background()
+		st, err := cli.Submit(ctx, spec)
+		if err != nil {
+			t.Fatalf("%s: submit: %v", c.name, err)
+		}
+		got, _, err := cli.WaitReport(ctx, st.ID, 0)
+		if err != nil {
+			t.Fatalf("%s: report: %v", c.name, err)
+		}
+		if string(got) != want {
+			t.Errorf("%s: daemon report diverges from the CLI's\nCLI:    %.300s\ndaemon: %.300s", c.name, want, got)
+		}
+		if !strings.Contains(want, `"verified"`) {
+			t.Errorf("%s: no program was verified: %.300s", c.name, want)
+		}
 	}
 }

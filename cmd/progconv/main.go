@@ -35,7 +35,6 @@ import (
 	"progconv"
 	"progconv/internal/analyzer"
 	"progconv/internal/dbprog"
-	"progconv/internal/fault"
 	"progconv/internal/hierstore"
 	"progconv/internal/netstore"
 	"progconv/internal/relstore"
@@ -157,13 +156,14 @@ func cmdDiff(args []string) error {
 	if len(args) != 2 {
 		usage()
 	}
-	src, dst, kind, err := loadPair(args[0], args[1])
+	pair, err := loadPair(args[0], args[1])
 	if err != nil {
 		return err
 	}
+	src, dst := pair.src, pair.dst
 	var describe string
 	var invertible bool
-	switch kind {
+	switch pair.kind {
 	case "network":
 		plan, err := xform.Classify(src.Network, dst.Network)
 		if err != nil {
@@ -183,35 +183,43 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
+// schemaPair is a conversion pair's two schema files: their text, their
+// parse, and the data model they share.
+type schemaPair struct {
+	srcText, dstText string
+	src, dst         *ddl.Parsed
+	kind             string
+}
+
 // loadPair parses both schema files with model auto-detection and
 // checks they name the same data model. The conversion pipeline pairs
 // network and hierarchical schemas; relational schemas are valid
 // elsewhere (check, run) but have no transformation catalogue, so they
 // are rejected here by name rather than with a parse error.
-func loadPair(srcPath, dstPath string) (src, dst *ddl.Parsed, kind string, err error) {
-	srcText, err := readFile(srcPath)
-	if err != nil {
-		return nil, nil, "", err
+func loadPair(srcPath, dstPath string) (*schemaPair, error) {
+	var p schemaPair
+	var err error
+	if p.srcText, err = readFile(srcPath); err != nil {
+		return nil, err
 	}
-	dstText, err := readFile(dstPath)
-	if err != nil {
-		return nil, nil, "", err
+	if p.dstText, err = readFile(dstPath); err != nil {
+		return nil, err
 	}
-	if src, err = ddl.Parse(srcText); err != nil {
-		return nil, nil, "", fmt.Errorf("%s: %w", srcPath, err)
+	if p.src, err = ddl.Parse(p.srcText); err != nil {
+		return nil, fmt.Errorf("%s: %w", srcPath, err)
 	}
-	if dst, err = ddl.Parse(dstText); err != nil {
-		return nil, nil, "", fmt.Errorf("%s: %w", dstPath, err)
+	if p.dst, err = ddl.Parse(p.dstText); err != nil {
+		return nil, fmt.Errorf("%s: %w", dstPath, err)
 	}
-	if src.Kind() != dst.Kind() {
-		return nil, nil, "", fmt.Errorf("%s is a %s schema but %s is %s: a conversion pair shares one data model",
-			srcPath, src.Kind(), dstPath, dst.Kind())
+	if p.src.Kind() != p.dst.Kind() {
+		return nil, fmt.Errorf("%s is a %s schema but %s is %s: a conversion pair shares one data model",
+			srcPath, p.src.Kind(), dstPath, p.dst.Kind())
 	}
-	kind = src.Kind()
-	if kind == "relational" {
-		return nil, nil, "", fmt.Errorf("the relational model is not supported here: conversion pairs are network or hierarchical")
+	p.kind = p.src.Kind()
+	if p.kind == "relational" {
+		return nil, fmt.Errorf("the relational model is not supported here: conversion pairs are network or hierarchical")
 	}
-	return src, dst, kind, nil
+	return &p, nil
 }
 
 func cmdAnalyze(args []string) error {
@@ -302,84 +310,67 @@ func cmdConvert(args []string) error {
 		"write the report as a wire-versioned JSON document to this file\n"+
 			"('-' for stdout) — the same bytes progconvd serves for the job")
 	fs.Parse(args)
+	// The two policy flags are checked before the argument count, so a
+	// bad value exits 1 even without files.
 	if !wire.ValidFailOn(*failOn) {
 		return fmt.Errorf("-fail-on must be \"manual\" or \"qualified\", got %q", *failOn)
 	}
-	policy, err := wire.ParseFailurePolicy(*onFailure)
-	if err != nil {
+	if _, err := wire.ParseFailurePolicy(*onFailure); err != nil {
 		return fmt.Errorf("-on-failure: %w", err)
 	}
 	rest := fs.Args()
 	if len(rest) < 3 {
 		usage()
 	}
-	srcParsed, dstParsed, kind, err := loadPair(rest[0], rest[1])
+	// The files become the JobSpec progconvctl submit would send; the
+	// model comes from the DDL dialect. Negative pool sizes and retry
+	// counts mean the default, which the spec spells 0.
+	pair, err := loadPair(rest[0], rest[1])
 	if err != nil {
 		return err
 	}
-	src, dst := srcParsed.Network, dstParsed.Network
-	hierSrc, hierDst := srcParsed.Hierarchy, dstParsed.Hierarchy
-	// Classify the pair up front so a pair with no catalogued plan is a
-	// usage-time error, not a queued failure inside the supervisor.
-	if kind == "network" {
-		if _, err := xform.Classify(src, dst); err != nil {
-			return err
-		}
-	} else if _, err := xform.ClassifyHier(hierSrc, hierDst); err != nil {
-		return err
-	}
-	var progs []*progconv.Program
+	spec := &progconv.JobSpec{Model: pair.kind, SourceDDL: pair.srcText, TargetDDL: pair.dstText,
+		Options: progconv.JobOptions{
+			Parallelism:     max(*parallel, 0),
+			MigrateParallel: max(*migrateParallel, 0),
+			AcceptOrder:     *acceptOrder,
+			Timeout:         timeout.String(),
+			StageTimeout:    stageTimeout.String(),
+			AnalystTimeout:  analystTimeout.String(),
+			Retries:         max(*retries, 0),
+			OnFailure:       *onFailure,
+			FailOn:          *failOn,
+			Inject:          *inject,
+		}}
 	for _, path := range rest[2:] {
-		p, err := loadProgram(path)
+		src, err := readFile(path)
 		if err != nil {
 			return err
 		}
-		progs = append(progs, p)
+		spec.Programs = append(spec.Programs, progconv.ProgramSpec{Source: src})
+	}
+	if *verifyInit != "" {
+		if spec.Options.VerifyInit, err = readFile(*verifyInit); err != nil {
+			return err
+		}
+		if spec.Options.VerifyInit == "" {
+			// An empty verify_init means "no database"; an empty file is
+			// a program that does not parse.
+			return fmt.Errorf("%s: empty verify-init program", *verifyInit)
+		}
+	}
+	job, opts, err := progconv.NewJob(spec)
+	if err != nil {
+		return err
 	}
 	// Interrupt cancels the batch mid-inventory (ErrCanceled).
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if *inject != "" {
-		inj, err := fault.Parse(*inject)
-		if err != nil {
-			return fmt.Errorf("-inject: %w", err)
-		}
-		ctx = fault.With(ctx, inj)
-	}
-	opts := []progconv.Option{
-		progconv.WithAnalyst(progconv.Policy{AcceptOrderChanges: *acceptOrder}),
-		progconv.WithParallelism(*parallel),
-		progconv.WithMigrationParallelism(*migrateParallel),
-		progconv.WithProgramTimeout(*timeout),
-		progconv.WithStageTimeout(*stageTimeout),
-		progconv.WithAnalystTimeout(*analystTimeout),
-		progconv.WithRetries(*retries, 0),
-		progconv.WithFailurePolicy(policy),
-		progconv.WithMetrics(),
-	}
+	opts = append(opts, progconv.WithMetrics())
 	var cache *progconv.Cache
 	if *useCache {
 		cache = progconv.NewCache(*cacheSize)
 		opts = append(opts, progconv.WithCache(cache))
-	}
-	if *verifyInit != "" {
-		ip, err := loadProgram(*verifyInit)
-		if err != nil {
-			return err
-		}
-		if hierSrc != nil {
-			db := hierstore.NewDB(hierSrc)
-			if _, err := dbprog.Run(ip, dbprog.Config{Hier: db}); err != nil {
-				return fmt.Errorf("verify-init program: %w", err)
-			}
-			opts = append(opts, progconv.WithVerifyHierDB(db))
-		} else {
-			db := netstore.NewDB(src)
-			if _, err := dbprog.Run(ip, dbprog.Config{Net: db}); err != nil {
-				return fmt.Errorf("verify-init program: %w", err)
-			}
-			opts = append(opts, progconv.WithVerifyDB(db))
-		}
 	}
 
 	// Event sinks: a streaming JSONL file and/or a counter tally feeding
@@ -413,20 +404,14 @@ func cmdConvert(args []string) error {
 		opts = append(opts, progconv.WithEventSink(sink))
 	}
 	// The trace builder mirrors the daemon's per-job span tree; the
-	// trace ID is derived from schema and program content, so the same
-	// invocation always yields the same IDs.
-	var tb *progconv.TraceBuilder
+	// trace ID is derived from the spec's schema and program text, so the
+	// same invocation always yields the same IDs.
 	if *traceOut != "" {
-		var seed []string
-		if hierSrc != nil {
-			seed = []string{hierSrc.DDL(), hierDst.DDL()}
-		} else {
-			seed = []string{src.DDL(), dst.DDL()}
+		seed := []string{spec.SourceDDL, spec.TargetDDL}
+		for _, p := range spec.Programs {
+			seed = append(seed, p.Source)
 		}
-		for _, p := range progs {
-			seed = append(seed, p.Name)
-		}
-		tb = progconv.NewTraceBuilder(progconv.DeriveTraceID(seed...), "convert")
+		tb := progconv.NewTraceBuilder(progconv.DeriveTraceID(seed...), "convert")
 		opts = append(opts, progconv.WithTraceSink(tb))
 	}
 	if *debugAddr != "" {
@@ -449,12 +434,7 @@ func cmdConvert(args []string) error {
 	}
 
 	runStart := time.Now()
-	var report *progconv.Report
-	if hierSrc != nil {
-		report, err = progconv.ConvertHier(ctx, hierSrc, hierDst, nil, progs, opts...)
-	} else {
-		report, err = progconv.Convert(ctx, src, dst, nil, progs, opts...)
-	}
+	report, err := progconv.ConvertJob(ctx, job, opts...)
 	if err != nil {
 		return err
 	}

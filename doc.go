@@ -12,8 +12,9 @@
 //
 // # Options
 //
-// Convert and ConvertJobs accept functional options. This table is the
-// complete set; each option's own doc comment carries the details.
+// Convert, ConvertJob and ConvertJobs accept functional options. This
+// table is the complete set; each option's own doc comment carries the
+// details.
 //
 //	WithAnalyst(a)         who answers qualified-conversion questions
 //	                       (default: reject every proposal)
@@ -23,12 +24,16 @@
 //	                       shard-worker bound for the data migration
 //	                       pass (0 = GOMAXPROCS); output is
 //	                       byte-identical at any setting
-//	WithVerifyDB(db)       migrate db through the plan and verify each
-//	                       automatic conversion against it
+//	WithVerifyDB(db)       Convert only: migrate db through the plan
+//	                       and verify each automatic conversion against
+//	                       it. ConvertJob and ConvertJobs take a job's
+//	                       database from its spec, in either model
+//	                       (NetworkSpec.DB, HierSpec.DB): a job verifies
+//	                       if and only if its spec carries one
 //	WithMetrics()          time every stage attempt: durations ride the
 //	                       stage-end events (and so traces and stage
-//	                       histograms); Convert summarizes them per
-//	                       stage in Report.Metrics
+//	                       histograms); Convert and ConvertJob
+//	                       summarize them per stage in Report.Metrics
 //	WithEventSink(s)       stream the structured event log to s
 //	                       (RingSink, JSONLSink, Tally, MultiSink)
 //	WithTraceSink(tb)      fold the event log into tb's span tree
@@ -48,7 +53,9 @@
 //	                       conversions are reused, never recomputed
 //
 // The run's context is a parameter, not an option: cancel it to stop
-// the batch with ErrCanceled.
+// the batch with ErrCanceled. NewJob turns a wire JobSpec into a Job
+// and the options its run options name; the CLI and the daemon both
+// run a JobSpec that way.
 //
 // # Wire schema
 //

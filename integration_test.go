@@ -240,7 +240,6 @@ func TestConvertedCorpusProgramsRunClean(t *testing.T) {
 	}
 	db := corpus.Database(prof)
 	sup := core.NewSupervisor()
-	sup.Verify = false
 	report, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil, db, progs)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,6 @@ func TestCachedRunByteIdentical(t *testing.T) {
 			run := func(sup *Supervisor) string {
 				t.Helper()
 				sup.Analyst = Policy{}
-				sup.Verify = true
 				sup.Parallelism = par
 				report, err := sup.Run(context.Background(),
 					schema.CompanyV1(), schema.CompanyV2(), nil, companyV1DB(t), applicationSystem(t))
@@ -66,7 +65,7 @@ func TestRunJobsMultiplePairs(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 8} {
-		sup := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: par, Cache: plancache.New(8)}
+		sup := &Supervisor{Analyst: Policy{}, Parallelism: par, Cache: plancache.New(8)}
 		reports, err := sup.RunJobs(context.Background(), newJobs())
 		if err != nil {
 			t.Fatal(err)
@@ -75,7 +74,7 @@ func TestRunJobsMultiplePairs(t *testing.T) {
 			t.Fatalf("got %d reports", len(reports))
 		}
 		for i, job := range newJobs() {
-			single := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: par}
+			single := &Supervisor{Analyst: Policy{}, Parallelism: par}
 			sp := job.Spec.(NetworkSpec)
 			want, err := single.Run(context.Background(), sp.Src, sp.Dst, sp.Plan, sp.DB, job.Programs)
 			if err != nil {
@@ -101,12 +100,12 @@ func TestRunJobsDeterministic(t *testing.T) {
 			}}}, Programs: applicationSystem(t)},
 		}
 	}
-	serial := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: 1, Cache: plancache.New(8)}
+	serial := &Supervisor{Analyst: Policy{}, Parallelism: 1, Cache: plancache.New(8)}
 	a, err := serial.RunJobs(context.Background(), jobs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: 8, Cache: plancache.New(8)}
+	par := &Supervisor{Analyst: Policy{}, Parallelism: 8, Cache: plancache.New(8)}
 	b, err := par.RunJobs(context.Background(), jobs())
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,13 @@
 // The supervisor is a concurrent batch engine: per-program conversion is
 // embarrassingly parallel (each analyze → convert → optimize → generate
 // → verify chain reads only the shared schemas, plan, and migrated
-// database), so Run fans the inventory out over a bounded worker pool
+// database), so RunJob fans the inventory out over a bounded worker pool
 // while keeping the Report deterministic — outcomes land in submission
 // order and are byte-identical to a serial run.
 //
 // # Error contract
 //
-// Run fails with typed sentinel errors checkable via errors.Is:
+// RunJob fails with typed sentinel errors checkable via errors.Is:
 //
 //   - ErrCanceled (wrapping context.Canceled or DeadlineExceeded) when
 //     the context ends mid-batch;
@@ -23,7 +23,7 @@
 //     (under the default FailFast policy, on the first Failed program);
 //   - xform.ErrHazardUnresolved when the schema diff is not explained by
 //     the transformation catalogue (an Analyst must supply the plan);
-//   - xform.ErrNotInvertible is never raised by Run itself but flows
+//   - xform.ErrNotInvertible is never raised by RunJob itself but flows
 //     through unchanged from plan-inversion helpers.
 //
 // Per-program conversion failures carry the program name in the message
@@ -68,7 +68,7 @@ import (
 )
 
 // ErrCanceled reports that a conversion run was abandoned because its
-// context was canceled or its deadline passed. Errors returned by Run
+// context was canceled or its deadline passed. Errors returned by RunJob
 // in that case satisfy errors.Is(err, ErrCanceled) as well as
 // errors.Is(err, ctx.Err()).
 var ErrCanceled = errors.New("core: conversion canceled")
@@ -344,11 +344,6 @@ func (r *Report) String() string {
 // Supervisor orchestrates a conversion.
 type Supervisor struct {
 	Analyst Analyst
-	// Verify runs each converted program against the migrated database
-	// and compares traces (skipped for programs with database-visible
-	// writes when the analyst accepted an order change, since their runs
-	// mutate state).
-	Verify bool
 	// Parallelism bounds the worker pool converting the program
 	// inventory. Zero or negative means runtime.GOMAXPROCS(0); 1 forces
 	// a serial run. Reports are deterministic at any setting.
@@ -359,8 +354,8 @@ type Supervisor struct {
 	// report field are byte-identical at any setting.
 	MigrationParallelism int
 	// Metrics times every stage attempt: the duration rides the
-	// attempt's stage-end event, and Run and RunHier fold those
-	// durations into Report.Metrics.
+	// attempt's stage-end event, and RunJob folds those durations into
+	// Report.Metrics.
 	Metrics bool
 	// Events, when non-nil, receives the structured event log: stage
 	// boundaries, hazards, rewrites, Analyst decisions, verification
@@ -403,7 +398,7 @@ type Supervisor struct {
 
 // NewSupervisor returns a supervisor with the default strict policy.
 func NewSupervisor() *Supervisor {
-	return &Supervisor{Analyst: Policy{}, Verify: true}
+	return &Supervisor{Analyst: Policy{}}
 }
 
 func (s *Supervisor) workers(n int) int {
@@ -461,29 +456,17 @@ type Job struct {
 	Programs []*dbprog.Program
 }
 
-// Run converts a database application system: it classifies the schema
-// change (unless an explicit plan is given), restructures the data, and
+// RunJob converts a database application system in any data model: it
+// classifies the schema change (unless the spec carries an explicit
+// plan), restructures the spec's database when it carries one, and
 // converts every program — "a database application system is converted
 // when each program actually existing in the source system has been
-// converted" (§1.1). Programs convert concurrently on the supervisor's
-// worker pool; ctx cancels the batch (Run then fails with ErrCanceled).
-func (s *Supervisor) Run(ctx context.Context, src, dst *schema.Network, plan *xform.Plan,
-	db *netstore.DB, progs []*dbprog.Program) (*Report, error) {
-	return s.runOne(ctx, Job{Spec: NetworkSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs})
-}
-
-// RunHier is Run over the hierarchical (DL/I) model: classify the
-// hierarchy change (unless an explicit plan is given), restructure the
-// data, and convert every program. Same contract and determinism
-// guarantees as Run.
-func (s *Supervisor) RunHier(ctx context.Context, src, dst *schema.Hierarchy, plan *xform.HierPlan,
-	db *hierstore.DB, progs []*dbprog.Program) (*Report, error) {
-	return s.runOne(ctx, Job{Spec: HierSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs})
-}
-
-// runOne is the single-job batch behind Run and RunHier; a timed run
-// folds its stage-end durations into Report.Metrics.
-func (s *Supervisor) runOne(ctx context.Context, job Job) (*Report, error) {
+// converted" (§1.1). Automatic conversions are verified if and only if
+// the spec carries a database. Programs convert concurrently on the
+// supervisor's worker pool; ctx cancels the batch (RunJob then fails
+// with ErrCanceled). A timed run folds its stage-end durations into
+// Report.Metrics.
+func (s *Supervisor) RunJob(ctx context.Context, job Job) (*Report, error) {
 	var m *telemetry.RunMetrics
 	events := s.Events
 	if s.Metrics {
@@ -498,6 +481,12 @@ func (s *Supervisor) runOne(ctx context.Context, job Job) (*Report, error) {
 	return reports[0], nil
 }
 
+// Run is RunJob over a network-model pair.
+func (s *Supervisor) Run(ctx context.Context, src, dst *schema.Network, plan *xform.Plan,
+	db *netstore.DB, progs []*dbprog.Program) (*Report, error) {
+	return s.RunJob(ctx, Job{Spec: NetworkSpec{Src: src, Dst: dst, Plan: plan, DB: db}, Programs: progs})
+}
+
 // RunJobs converts the program inventories of many schema pairs in one
 // batch: each job's pair context is prepared (or served from the
 // Cache) and its data migrated up front, then every program from every
@@ -505,7 +494,7 @@ func (s *Supervisor) runOne(ctx context.Context, job Job) (*Report, error) {
 // assembled at submission order — reports[i] belongs to jobs[i] and is
 // byte-identical at any parallelism. The failure-policy budget and the
 // analyst serialization span the whole batch. Job reports carry no
-// Metrics summary (Run, the single-job form, attaches one); a timed
+// Metrics summary (RunJob, the single-job form, attaches one); a timed
 // batch's stage durations reach the Events sink on stage-end events.
 func (s *Supervisor) RunJobs(ctx context.Context, jobs []Job) ([]*Report, error) {
 	return s.runJobs(ctx, jobs, s.Events)
@@ -785,7 +774,7 @@ func (s *Supervisor) convertOne(ctx context.Context, run *runState, p *dbprog.Pr
 			return o, err
 		}
 	}
-	if s.Verify && run.pair.verifiable() && o.Disposition == Auto && o.Converted != nil {
+	if run.pair.verifiable() && o.Disposition == Auto && o.Converted != nil {
 		if err := s.stage(ctx, run, p.Name, obs.StageVerify, &o, func(ctx context.Context) error {
 			v := run.pair.verify(ctx, p, o.Converted)
 			o.Verified = &v

@@ -130,7 +130,7 @@ func TestSupervisorEndToEnd(t *testing.T) {
 }
 
 func TestSupervisorAcceptingAnalyst(t *testing.T) {
-	sup := &Supervisor{Analyst: Policy{AcceptOrderChanges: true}, Verify: true}
+	sup := &Supervisor{Analyst: Policy{AcceptOrderChanges: true}}
 	db := companyV1DB(t)
 	report, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil, db, applicationSystem(t))
 	if err != nil {
@@ -229,8 +229,8 @@ func TestRunCanceledBeforeStart(t *testing.T) {
 
 func TestParallelRunMatchesSerial(t *testing.T) {
 	progs := applicationSystem(t)
-	serial := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: 1}
-	par := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: 4}
+	serial := &Supervisor{Analyst: Policy{}, Parallelism: 1}
+	par := &Supervisor{Analyst: Policy{}, Parallelism: 4}
 	a, err := serial.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil, companyV1DB(t), progs)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +313,7 @@ func TestAuditTrail(t *testing.T) {
 	}
 
 	// With an accepting analyst, the qualified path records its reason.
-	sup = &Supervisor{Analyst: Policy{AcceptOrderChanges: true}, Verify: false}
+	sup = &Supervisor{Analyst: Policy{AcceptOrderChanges: true}}
 	report, err = sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil,
 		nil, applicationSystem(t))
 	if err != nil {

@@ -40,11 +40,10 @@ func TestHierRunByteIdentical(t *testing.T) {
 				t.Helper()
 				ring := obs.NewRingSink(4096)
 				sup.Analyst = Policy{}
-				sup.Verify = true
 				sup.Parallelism = par
 				sup.Events = ring
-				report, err := sup.RunHier(context.Background(),
-					entry.Source, entry.Target, nil, entry.Seed(), entry.Programs())
+				report, err := sup.RunJob(context.Background(),
+					Job{Spec: HierSpec{Src: entry.Source, Dst: entry.Target, DB: entry.Seed()}, Programs: entry.Programs()})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -109,9 +108,9 @@ func TestHierRunByteIdentical(t *testing.T) {
 // verify) automatically, the GNP sweep is manual.
 func TestHierRunDispositions(t *testing.T) {
 	entry := imsEntry(t)
-	sup := &Supervisor{Analyst: Policy{}, Verify: true}
-	report, err := sup.RunHier(context.Background(),
-		entry.Source, entry.Target, nil, entry.Seed(), entry.Programs())
+	sup := &Supervisor{Analyst: Policy{}}
+	report, err := sup.RunJob(context.Background(),
+		Job{Spec: HierSpec{Src: entry.Source, Dst: entry.Target, DB: entry.Seed()}, Programs: entry.Programs()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +147,7 @@ func TestRunJobsMixedModels(t *testing.T) {
 		}
 	}
 	for _, par := range []int{1, 8} {
-		sup := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: par, Cache: plancache.New(8)}
+		sup := &Supervisor{Analyst: Policy{}, Parallelism: par, Cache: plancache.New(8)}
 		reports, err := sup.RunJobs(context.Background(), newJobs())
 		if err != nil {
 			t.Fatal(err)
@@ -163,15 +162,15 @@ func TestRunJobsMixedModels(t *testing.T) {
 			}
 		}
 		// Each sub-report matches its single-job reference run.
-		netRef := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: par}
+		netRef := &Supervisor{Analyst: Policy{}, Parallelism: par}
 		wantNet, err := netRef.Run(context.Background(),
 			schema.CompanyV1(), schema.CompanyV2(), nil, companyV1DB(t), applicationSystem(t))
 		if err != nil {
 			t.Fatal(err)
 		}
-		hierRef := &Supervisor{Analyst: Policy{}, Verify: true, Parallelism: par}
-		wantHier, err := hierRef.RunHier(context.Background(),
-			entry.Source, entry.Target, nil, entry.Seed(), entry.Programs())
+		hierRef := &Supervisor{Analyst: Policy{}, Parallelism: par}
+		wantHier, err := hierRef.RunJob(context.Background(),
+			Job{Spec: HierSpec{Src: entry.Source, Dst: entry.Target, DB: entry.Seed()}, Programs: entry.Programs()})
 		if err != nil {
 			t.Fatal(err)
 		}

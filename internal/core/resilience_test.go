@@ -169,7 +169,6 @@ func TestChaosRepeatedRunsIdentical(t *testing.T) {
 // error, never as a crash.
 func TestResiliencePanicIsolatedFailFast(t *testing.T) {
 	sup := NewSupervisor()
-	sup.Verify = false
 	inj := fault.New(1, fault.Rule{Kind: fault.Panic, Prog: "LIST-OLD", Stage: "analyze"})
 	report, err := sup.Run(fault.With(context.Background(), inj),
 		schema.CompanyV1(), nil, planFigure(), nil, applicationSystem(t))

@@ -79,7 +79,6 @@ func TestPeriodProfileLandsInPaperBand(t *testing.T) {
 		},
 	}}
 	sup := core.NewSupervisor()
-	sup.Verify = false
 	report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, plan, nil, memberPrograms(members))
 	if err != nil {
 		t.Fatal(err)

@@ -47,7 +47,43 @@ func programSeeds(tb testing.TB) []string {
 	for _, m := range append(members, entry.Members...) {
 		srcs = append(srcs, m.Source)
 	}
-	return srcs
+	return append(srcs, twoOwnerStores...)
+}
+
+// twoOwnerStores spell one two-owner Maryland STORE both ways: VIA
+// before each owner, and VIA once, as Format writes it.
+var twoOwnerStores = []string{`PROGRAM TWO-VIAS DIALECT MARYLAND.
+  STORE EMP (EMP-NAME = 'ZED', AGE = 30)
+    VIA DIV-EMP = FIND(DIV: SYSTEM, ALL-DIV, DIV(DIV-NAME = 'MACHINERY')), VIA DEPT-EMP = FIND(DEPT: SYSTEM, ALL-DEPT, DEPT(DEPT-NAME = 'SALES')).
+END PROGRAM.
+`, `PROGRAM ONE-VIA DIALECT MARYLAND.
+  STORE EMP (EMP-NAME = 'ZED', AGE = 30)
+    VIA DIV-EMP = FIND(DIV: SYSTEM, ALL-DIV, DIV(DIV-NAME = 'MACHINERY')), DEPT-EMP = FIND(DEPT: SYSTEM, ALL-DEPT, DEPT(DEPT-NAME = 'SALES')).
+END PROGRAM.
+`}
+
+// TestTwoOwnerStoreReparses: both spellings of a two-owner STORE parse
+// to the same statement, and its rendering re-parses to the same text —
+// the Program Generator's output for such a program is real source.
+func TestTwoOwnerStoreReparses(t *testing.T) {
+	var want string
+	for i, src := range twoOwnerStores {
+		p := mustParse(t, src)
+		p.Name = "TWO-OWNERS"
+		text := dbprog.Format(p)
+		if i == 0 {
+			want = text
+		} else if text != want {
+			t.Errorf("spellings render differently:\n%s\nvs\n%s", want, text)
+		}
+		again, err := dbprog.Parse(text)
+		if err != nil {
+			t.Fatalf("rendering does not re-parse: %v\n%s", err, text)
+		}
+		if got := dbprog.Format(again); got != text {
+			t.Fatalf("rendering is not a fixed point:\n%s\nre-rendered as\n%s", text, got)
+		}
+	}
 }
 
 // FuzzFormatFixedPoint: Parse never panics, and the Program

@@ -450,7 +450,8 @@ func (p *parser) getStmt() (Stmt, error) {
 }
 
 // storeStmt parses the network STORE REC. and the Maryland
-// STORE REC (F = e, ...) [VIA SET = FIND(...), ...].
+// STORE REC (F = e, ...) [VIA SET = FIND(...), [VIA] SET = FIND(...) ...].
+// VIA may repeat before each owner; Format writes it once.
 func (p *parser) storeStmt() (Stmt, error) {
 	p.s.Next()
 	rec, err := p.s.ExpectIdent()
@@ -465,7 +466,10 @@ func (p *parser) storeStmt() (Stmt, error) {
 		return nil, err
 	}
 	st := MStore{Record: rec, Assigns: assigns, Owners: map[string]*mdml.Find{}}
-	for p.s.TakeKeyword("VIA") {
+	if !p.s.TakeKeyword("VIA") {
+		return st, p.s.ExpectPunct(".")
+	}
+	for {
 		set, err := p.s.ExpectIdent()
 		if err != nil {
 			return nil, err
@@ -479,10 +483,10 @@ func (p *parser) storeStmt() (Stmt, error) {
 		}
 		st.Owners[set] = f
 		if !p.s.TakePunct(",") {
-			break
+			return st, p.s.ExpectPunct(".")
 		}
+		p.s.TakeKeyword("VIA")
 	}
-	return st, p.s.ExpectPunct(".")
 }
 
 // assignList parses (F = expr, ...).

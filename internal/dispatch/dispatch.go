@@ -409,37 +409,25 @@ func (co *Coordinator) handleWorkers(w http.ResponseWriter, r *http.Request) {
 		list.Workers = append(list.Workers, wk.doc())
 	}
 	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, list)
+	wire.WriteJSON(w, http.StatusOK, list)
 }
 
 func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var spec wire.WorkerSpec
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding worker: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding worker: "+err.Error())
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, co.register(spec.URL))
+	wire.WriteJSON(w, http.StatusOK, co.register(spec.URL))
 }
 
 func (co *Coordinator) retryAfterHeader(w http.ResponseWriter) {
 	w.Header().Set("Retry-After",
 		strconv.Itoa(int((co.cfg.retryAfter()+time.Second-1)/time.Second)))
-}
-
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
-}
-
-func writeError(w http.ResponseWriter, status int, code wire.ErrorCode, msg string) {
-	writeJSON(w, status, wire.ErrorDoc{V: wire.Version, Code: code, Error: msg})
 }
 
 // handleList pages through the coordinator's job table with the same
@@ -450,7 +438,7 @@ func writeError(w http.ResponseWriter, status int, code wire.ErrorCode, msg stri
 func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 	start, limit, state, err := serve.ListPage(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
 	co.mu.Lock()
@@ -474,5 +462,5 @@ func (co *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		doc.Jobs = append(doc.Jobs, st)
 	}
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }

@@ -78,16 +78,16 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec wire.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding job: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding job: "+err.Error())
 		return
 	}
 	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
 	pair, err := PairFor(&spec)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
 
@@ -101,7 +101,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if co.draining {
 		co.mu.Unlock()
 		co.retryAfterHeader(w)
-		writeError(w, http.StatusServiceUnavailable, wire.CodeDraining,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining,
 			"coordinator is draining; not accepting jobs")
 		return
 	}
@@ -130,13 +130,13 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			apiErr.Status == http.StatusServiceUnavailable {
 			co.retryAfterHeader(w)
 		}
-		writeError(w, apiErr.Status, code, apiErr.Message)
+		wire.WriteError(w, apiErr.Status, code, apiErr.Message)
 		return
 	}
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	w.Header().Set("traceparent", j.echoTraceparent())
-	writeJSON(w, http.StatusAccepted, j.queuedStatus())
+	wire.WriteJSON(w, http.StatusAccepted, j.queuedStatus())
 }
 
 // dispatch routes j to its highest-ranked healthy worker, skipping
@@ -341,7 +341,7 @@ func (co *Coordinator) lookup(w http.ResponseWriter, r *http.Request) *cjob {
 	j := co.jobs[r.PathValue("id")]
 	co.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, wire.CodeNotFound, "no such job")
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "no such job")
 	}
 	return j
 }
@@ -351,7 +351,7 @@ func (co *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	writeJSON(w, http.StatusOK, co.jobStatus(r.Context(), j))
+	wire.WriteJSON(w, http.StatusOK, co.jobStatus(r.Context(), j))
 }
 
 func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -365,9 +365,9 @@ func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	co.mu.Unlock()
 	switch {
 	case !terminal:
-		writeJSON(w, http.StatusAccepted, st)
+		wire.WriteJSON(w, http.StatusAccepted, st)
 	case repErr != nil:
-		writeError(w, repErr.Status, wire.ErrorCode(repErr.Code), repErr.Message)
+		wire.WriteError(w, repErr.Status, wire.ErrorCode(repErr.Code), repErr.Message)
 	default:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
@@ -384,7 +384,7 @@ func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j.terminal != nil {
 		st := *j.terminal
 		co.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
+		wire.WriteJSON(w, http.StatusOK, st)
 		return
 	}
 	url, remoteID := j.workerURL, j.remoteID
@@ -396,7 +396,7 @@ func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 
 	if cli != nil && remoteID != "" {
 		if st, err := cli.Cancel(r.Context(), remoteID); err == nil {
-			writeJSON(w, http.StatusOK, j.rewrite(*st))
+			wire.WriteJSON(w, http.StatusOK, j.rewrite(*st))
 			return
 		}
 	}
@@ -417,7 +417,7 @@ func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	st = *j.terminal
 	co.mu.Unlock()
-	writeJSON(w, http.StatusOK, st)
+	wire.WriteJSON(w, http.StatusOK, st)
 }
 
 func (co *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
@@ -434,7 +434,7 @@ func (co *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	co.mu.Unlock()
 	if cli == nil || remoteID == "" {
 		co.retryAfterHeader(w)
-		writeError(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
 			"job is between workers; retry later")
 		return
 	}
@@ -442,11 +442,11 @@ func (co *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
-			writeError(w, apiErr.Status, apiErr.Code, apiErr.Message)
+			wire.WriteError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 			return
 		}
 		co.retryAfterHeader(w)
-		writeError(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
 			"worker unreachable; retry later")
 		return
 	}

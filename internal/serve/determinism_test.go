@@ -3,6 +3,8 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"progconv"
@@ -148,6 +150,46 @@ func TestServerMigrateParallelByteIdentical(t *testing.T) {
 			t.Errorf("%s: trace diverges from serial bytes\nserial: %.200s\ngot:    %.200s",
 				c.name, baseTrace, trace)
 		}
+	}
+}
+
+// TestServerMigrateParallelDefault: a job that leaves migrate_parallel
+// zero migrates with the server's default shard workers, and a job's
+// own value overrides that default. The report bytes are the same at
+// any setting, so the exported shard counter tells the runs apart: a
+// 256-EMP source database fans out only when the parallelism allows.
+func TestServerMigrateParallelDefault(t *testing.T) {
+	var init strings.Builder
+	init.WriteString("PROGRAM BIG-INIT DIALECT NETWORK.\n  MOVE 'MACHINERY' TO DIV-NAME IN DIV.\n  STORE DIV.\n")
+	for i := 0; i < 256; i++ {
+		fmt.Fprintf(&init, "  MOVE 'E%03d' TO EMP-NAME IN EMP.\n  STORE EMP.\n", i)
+	}
+	init.WriteString("END PROGRAM.\n")
+	shards := func(migratePar, serverDefault int) string {
+		t.Helper()
+		_, ts := newTestServer(t, Config{DefaultMigrateParallel: serverDefault})
+		spec := testSpec()
+		spec.Options.VerifyInit = init.String()
+		spec.Options.MigrateParallel = migratePar
+		id := submitOK(t, ts.URL, spec)
+		if st := waitTerminal(t, ts.URL, id); st.State != "done" {
+			t.Fatalf("job ended %q: %s", st.State, st.Error)
+		}
+		_, metrics := getBody(t, ts.URL+"/metrics")
+		for _, line := range strings.Split(string(metrics), "\n") {
+			if v, ok := strings.CutPrefix(line, "progconv_migration_shards_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("no migration shard counter in /metrics:\n%s", metrics)
+		return ""
+	}
+	serial := shards(0, 1)
+	if got := shards(0, 4); got == serial {
+		t.Errorf("migrate_parallel 0 under server default 4: %s shards, the same as a serial run", got)
+	}
+	if got := shards(1, 4); got != serial {
+		t.Errorf("migrate_parallel 1 under server default 4: %s shards, want the serial %s", got, serial)
 	}
 }
 

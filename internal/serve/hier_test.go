@@ -81,10 +81,10 @@ func directHierRun(t *testing.T, parallelism int) ([]byte, []progconv.Event) {
 		t.Fatal(err)
 	}
 	ring := progconv.NewRingSink(4096)
-	report, err := progconv.ConvertHier(context.Background(), src, dst, nil, programs,
+	report, err := progconv.ConvertJob(context.Background(),
+		progconv.Job{Spec: progconv.HierSpec{Src: src, Dst: dst, DB: db}, Programs: programs},
 		progconv.WithParallelism(parallelism),
-		progconv.WithEventSink(ring),
-		progconv.WithVerifyHierDB(db))
+		progconv.WithEventSink(ring))
 	if err != nil {
 		t.Fatal(err)
 	}

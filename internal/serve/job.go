@@ -9,9 +9,6 @@ import (
 	"time"
 
 	"progconv"
-	"progconv/internal/dbprog"
-	"progconv/internal/fault"
-	"progconv/internal/netstore"
 	"progconv/internal/telemetry"
 	"progconv/internal/wire"
 )
@@ -52,21 +49,17 @@ func (s jobState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
-// job is one admitted conversion: the parsed workload, its event hub,
+// job is one admitted conversion: the loaded workload, its event hub,
 // and the terminal result.
 type job struct {
 	id   string
 	spec *wire.JobSpec
 	hub  *hub
 
-	// Parsed at submission so a malformed job is a 400, not a queued
-	// failure. src/dst hold network-model pairs, hierSrc/hierDst
-	// hierarchical ones, per the spec's model field.
-	src, dst         *progconv.Schema
-	hierSrc, hierDst *progconv.Hierarchy
-	programs         []*progconv.Program
-	verifyDB         *progconv.Database
-	hierVerifyDB     *progconv.HierDatabase
+	// Loaded at submission (progconv.NewJob) so a malformed job is a 400,
+	// not a queued failure.
+	run  progconv.Job
+	opts []progconv.Option
 
 	// tid names the job's trace and remote the caller's span from an
 	// inbound traceparent (zero without one). They and submitted are set
@@ -124,8 +117,8 @@ func (j *job) status() wire.JobStatus {
 func (j *job) trace() *telemetry.Trace {
 	b := telemetry.NewTraceBuilder(j.tid, j.id)
 	b.SetRemoteParent(j.remote)
-	names := make([]string, len(j.programs))
-	for i, p := range j.programs {
+	names := make([]string, len(j.run.Programs))
+	for i, p := range j.run.Programs {
 		names[i] = p.Name
 	}
 	b.SetPrograms(names)
@@ -172,94 +165,6 @@ func (j *job) requestCancel() {
 	}
 }
 
-// newJob parses a validated spec into a runnable job. Parse errors are
-// the caller's (HTTP 400); nothing is queued.
-func (s *Server) newJob(spec *wire.JobSpec) (*job, error) {
-	j := &job{spec: spec, hub: newHub()}
-	var err error
-	switch spec.ModelName() {
-	case wire.ModelHierarchical:
-		if j.hierSrc, err = progconv.ParseHierarchySchema(spec.SourceDDL); err != nil {
-			return nil, fmt.Errorf("source_ddl: %w", err)
-		}
-		if j.hierDst, err = progconv.ParseHierarchySchema(spec.TargetDDL); err != nil {
-			return nil, fmt.Errorf("target_ddl: %w", err)
-		}
-	default:
-		if j.src, err = progconv.ParseNetworkSchema(spec.SourceDDL); err != nil {
-			return nil, fmt.Errorf("source_ddl: %w", err)
-		}
-		if j.dst, err = progconv.ParseNetworkSchema(spec.TargetDDL); err != nil {
-			return nil, fmt.Errorf("target_ddl: %w", err)
-		}
-	}
-	for i, p := range spec.Programs {
-		prog, err := progconv.ParseProgram(p.Source)
-		if err != nil {
-			return nil, fmt.Errorf("programs[%d]: %w", i, err)
-		}
-		j.programs = append(j.programs, prog)
-	}
-	if spec.Options.VerifyInit != "" {
-		init, err := progconv.ParseProgram(spec.Options.VerifyInit)
-		if err != nil {
-			return nil, fmt.Errorf("verify_init: %w", err)
-		}
-		if j.hierSrc != nil {
-			db := progconv.NewHierDatabase(j.hierSrc)
-			if _, err := dbprog.Run(init, dbprog.Config{Hier: db}); err != nil {
-				return nil, fmt.Errorf("verify_init program: %w", err)
-			}
-			j.hierVerifyDB = db
-		} else {
-			db := netstore.NewDB(j.src)
-			if _, err := dbprog.Run(init, dbprog.Config{Net: db}); err != nil {
-				return nil, fmt.Errorf("verify_init program: %w", err)
-			}
-			j.verifyDB = db
-		}
-	}
-	return j, nil
-}
-
-// options maps the wire job options onto the facade's functional
-// options — the same mapping cmd/progconv applies to its flags. The
-// spec was validated at submission, so the duration and policy parses
-// cannot fail here.
-func (s *Server) options(j *job) []progconv.Option {
-	o := j.spec.Options
-	timeout, _ := wire.Duration(o.Timeout)
-	stageTimeout, _ := wire.Duration(o.StageTimeout)
-	analystTimeout, _ := wire.Duration(o.AnalystTimeout)
-	policy, _ := wire.ParseFailurePolicy(o.OnFailure)
-	migrateParallel := o.MigrateParallel
-	if migrateParallel == 0 {
-		migrateParallel = s.cfg.DefaultMigrateParallel
-	}
-	opts := []progconv.Option{
-		progconv.WithAnalyst(progconv.Policy{AcceptOrderChanges: o.AcceptOrder}),
-		progconv.WithParallelism(o.Parallelism),
-		progconv.WithMigrationParallelism(migrateParallel),
-		progconv.WithProgramTimeout(timeout),
-		progconv.WithStageTimeout(stageTimeout),
-		progconv.WithAnalystTimeout(analystTimeout),
-		progconv.WithRetries(o.Retries, 0),
-		progconv.WithFailurePolicy(policy),
-		progconv.WithMetrics(),
-		progconv.WithEventSink(progconv.MultiSink(j.hub, s.tally, s.inst.StageSink())),
-	}
-	if s.cfg.Cache != nil {
-		opts = append(opts, progconv.WithCache(s.cfg.Cache))
-	}
-	if j.verifyDB != nil {
-		opts = append(opts, progconv.WithVerifyDB(j.verifyDB))
-	}
-	if j.hierVerifyDB != nil {
-		opts = append(opts, progconv.WithVerifyHierDB(j.hierVerifyDB))
-	}
-	return opts
-}
-
 // runJob executes one admitted job on a runner goroutine.
 func (s *Server) runJob(j *job) {
 	defer j.hub.finish()
@@ -277,12 +182,6 @@ func (s *Server) runJob(j *job) {
 		var cancelT context.CancelFunc
 		ctx, cancelT = context.WithTimeoutCause(ctx, deadline, deadlineExceeded{deadline})
 		defer cancelT()
-	}
-	if j.spec.Options.Inject != "" {
-		// Validate refused a malformed spec at submission, so this
-		// parse cannot fail.
-		inj, _ := fault.Parse(j.spec.Options.Inject)
-		ctx = fault.With(ctx, inj)
 	}
 
 	j.mu.Lock()
@@ -305,13 +204,17 @@ func (s *Server) runJob(j *job) {
 	s.inflight.Add(1)
 	defer s.inflight.Add(-1)
 
-	var report *progconv.Report
-	var err error
-	if j.hierSrc != nil {
-		report, err = progconv.ConvertHier(ctx, j.hierSrc, j.hierDst, nil, j.programs, s.options(j)...)
-	} else {
-		report, err = progconv.Convert(ctx, j.src, j.dst, nil, j.programs, s.options(j)...)
+	// The server's migration default goes first, so a job's own
+	// migrate_parallel overrides it.
+	opts := make([]progconv.Option, 0, len(j.opts)+4)
+	opts = append(opts, progconv.WithMigrationParallelism(s.cfg.DefaultMigrateParallel))
+	opts = append(opts, j.opts...)
+	opts = append(opts, progconv.WithMetrics(),
+		progconv.WithEventSink(progconv.MultiSink(j.hub, s.tally, s.inst.StageSink())))
+	if s.cfg.Cache != nil {
+		opts = append(opts, progconv.WithCache(s.cfg.Cache))
 	}
+	report, err := progconv.ConvertJob(ctx, j.run, opts...)
 
 	runDur := time.Since(j.started)
 	s.inst.JobDur.ObserveDuration("", runDur)

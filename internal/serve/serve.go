@@ -267,18 +267,6 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-func writeJSON(w http.ResponseWriter, status int, doc any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(doc)
-}
-
-func writeError(w http.ResponseWriter, status int, code wire.ErrorCode, msg string) {
-	writeJSON(w, status, wire.ErrorDoc{V: wire.Version, Code: code, Error: msg})
-}
-
 // retryAfterHeader sets the Retry-After hint rounded up to whole
 // seconds — shared by the 429 queue-full and 503 draining paths so
 // well-behaved clients pace their retries the same way for both.
@@ -291,20 +279,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec wire.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
 	if err := dec.Decode(&spec); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding job: "+err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding job: "+err.Error())
 		return
 	}
-	if err := spec.Validate(); err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
-		return
-	}
-	j, err := s.newJob(&spec)
+	run, opts, err := progconv.NewJob(&spec)
 	if err != nil {
-		// The schemas or programs do not parse: a client error, found
-		// before the job consumes a queue slot.
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
+		// The spec is invalid or its schemas or programs do not parse: a
+		// client error, found before the job consumes a queue slot.
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
+	j := &job{spec: &spec, hub: newHub(), run: run, opts: opts}
 
 	// An inbound W3C traceparent continues the caller's trace; anything
 	// malformed (or absent) falls back to a trace ID derived from the
@@ -318,7 +303,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Mirror the 429 admission path: a drain is usually a rolling
 		// restart, so tell the client when to come back.
 		s.retryAfterHeader(w)
-		writeError(w, http.StatusServiceUnavailable, wire.CodeDraining,
+		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining,
 			"server is draining; not accepting jobs")
 		return
 	}
@@ -344,7 +329,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.nextID--
 		s.mu.Unlock()
 		s.retryAfterHeader(w)
-		writeError(w, http.StatusTooManyRequests, wire.CodeQueueFull,
+		wire.WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull,
 			fmt.Sprintf("job queue is full (%d queued); retry later", s.cfg.queueDepth()))
 		return
 	}
@@ -352,7 +337,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	w.Header().Set("Location", "/v1/jobs/"+j.id)
 	w.Header().Set("traceparent", telemetry.Traceparent(j.tid, telemetry.RootSpanID(j.tid)))
-	writeJSON(w, http.StatusAccepted, accepted)
+	wire.WriteJSON(w, http.StatusAccepted, accepted)
 }
 
 // handleTrace serves the job's span tree as a wire-v1 document. A
@@ -377,7 +362,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) *job {
 	j := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if j == nil {
-		writeError(w, http.StatusNotFound, wire.CodeNotFound, "no such job")
+		wire.WriteError(w, http.StatusNotFound, wire.CodeNotFound, "no such job")
 	}
 	return j
 }
@@ -438,7 +423,7 @@ func parsePageToken(tok string) (int, error) {
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	start, limit, state, err := ListPage(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
+		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
 	doc := wire.JobList{V: wire.Version, Jobs: []wire.JobStatus{}}
@@ -455,12 +440,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		doc.Jobs = append(doc.Jobs, st)
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, doc)
+	wire.WriteJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if j := s.job(w, r); j != nil {
-		writeJSON(w, http.StatusOK, j.status())
+		wire.WriteJSON(w, http.StatusOK, j.status())
 	}
 }
 
@@ -472,7 +457,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	st := j.snapshot()
 	switch st.state {
 	case stateQueued, stateRunning:
-		writeJSON(w, http.StatusAccepted, j.status())
+		wire.WriteJSON(w, http.StatusAccepted, j.status())
 	case stateDone:
 		// The body is exactly what the CLI's -report-json writes for the
 		// same inputs; the HTTP status comes from the shared exit table.
@@ -480,7 +465,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(st.exit.HTTPStatus())
 		w.Write(st.reportJSON)
 	default: // failed, canceled
-		writeError(w, st.exit.HTTPStatus(), st.errCode, st.errMsg)
+		wire.WriteError(w, st.exit.HTTPStatus(), st.errCode, st.errMsg)
 	}
 }
 
@@ -490,7 +475,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.requestCancel()
-	writeJSON(w, http.StatusOK, j.status())
+	wire.WriteJSON(w, http.StatusOK, j.status())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {

@@ -39,12 +39,14 @@ package progconv
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"time"
 
 	"progconv/internal/analyzer"
 	"progconv/internal/core"
 	"progconv/internal/dbprog"
+	"progconv/internal/fault"
 	"progconv/internal/hierstore"
 	"progconv/internal/netstore"
 	"progconv/internal/obs"
@@ -300,7 +302,6 @@ type options struct {
 	migrationParallelism int
 	metrics              bool
 	verifyDB             *Database
-	verifyHierDB         *HierDatabase
 	sink                 Sink
 	programTimeout       time.Duration
 	stageTimeout         time.Duration
@@ -310,6 +311,9 @@ type options struct {
 	failurePolicy        FailurePolicy
 	cache                *Cache
 	trace                *TraceBuilder
+	// inject arms a job's fault injector (JobOptions.Inject); only
+	// NewJob sets it.
+	inject *fault.Injector
 }
 
 // Option configures one Convert run.
@@ -342,9 +346,8 @@ func WithMigrationParallelism(n int) Option {
 // analyze → convert → optimize → generate → verify chain is measured,
 // its duration rides the attempt's stage-end event (EvStageEnd's Dur,
 // and so the trace's stage spans and any stage-latency histogram fed
-// from the events), and Convert and ConvertHier summarize the
-// durations per stage in Report.Metrics. Untimed runs carry zero
-// durations.
+// from the events), and Convert and ConvertJob summarize the durations
+// per stage in Report.Metrics. Untimed runs carry zero durations.
 func WithMetrics() Option {
 	return func(o *options) { o.metrics = true }
 }
@@ -352,16 +355,10 @@ func WithMetrics() Option {
 // WithVerifyDB supplies a populated source database: Convert migrates
 // it through the plan (Report.TargetDB) and verifies every automatic
 // conversion I/O-equivalent against the migrated data (§1.1).
+// ConvertJob and ConvertJobs ignore it: there each Job's spec carries
+// its own database, in its own model.
 func WithVerifyDB(db *Database) Option {
 	return func(o *options) { o.verifyDB = db }
-}
-
-// WithVerifyHierDB is WithVerifyDB for the hierarchical model: the
-// database is migrated through the hierarchical plan
-// (Report.TargetHierDB) and automatic conversions are verified against
-// it. Consulted by ConvertHier only.
-func WithVerifyHierDB(db *HierDatabase) Option {
-	return func(o *options) { o.verifyHierDB = db }
 }
 
 // WithEventSink installs a structured event-log sink: every stage
@@ -431,43 +428,126 @@ func WithTraceSink(b *TraceBuilder) Option {
 	return func(o *options) { o.trace = b }
 }
 
-// Convert converts a database application system: it classifies the
+// Convert is ConvertJob over a network-model pair: it classifies the
 // src → dst schema change (or follows plan when non-nil, in which case
 // dst may be nil), restructures the data given via WithVerifyDB, and
-// converts every program concurrently on a bounded worker pool. The
-// Report lists outcomes in submission order and is byte-identical
-// across parallelism settings.
+// converts every program.
 func Convert(ctx context.Context, src, dst *Schema, plan *Plan,
 	programs []*Program, opts ...Option) (*Report, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	sup := o.supervisor()
-	sup.Verify = o.verifyDB != nil
-	o.traceOrder([]Job{{Programs: programs}})
-	report, err := sup.Run(ctx, src, dst, plan, o.verifyDB, programs)
-	if err == nil && o.trace != nil {
-		report.Trace = o.trace.Snapshot()
-	}
-	return report, err
+	o := collect(opts)
+	return o.convertJob(ctx, Job{Spec: NetworkSpec{Src: src, Dst: dst, Plan: plan, DB: o.verifyDB}, Programs: programs})
 }
 
-// ConvertHier is Convert over the hierarchical (IMS / DL/I) model: it
-// classifies the src → dst hierarchy change (or follows plan when
-// non-nil, in which case dst may be nil), restructures the data given
-// via WithVerifyHierDB, and converts every program. Same determinism
-// and error contract as Convert.
-func ConvertHier(ctx context.Context, src, dst *Hierarchy, plan *HierPlan,
-	programs []*Program, opts ...Option) (*Report, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
+// ConvertJob converts one job in any data model: it classifies the
+// spec's schema change (or follows its explicit plan), restructures the
+// spec's database when it carries one, and converts every program
+// concurrently on a bounded worker pool. Automatic conversions are
+// verified if and only if the spec carries a database. The Report lists
+// outcomes in submission order and is byte-identical across
+// parallelism settings. NewJob builds a Job and its options from a
+// wire JobSpec.
+func ConvertJob(ctx context.Context, job Job, opts ...Option) (*Report, error) {
+	return collect(opts).convertJob(ctx, job)
+}
+
+// NewJob loads a job submission: it validates spec, parses its schema
+// pair in the spec's data model and its programs, and, when the spec
+// carries a verify_init program, runs it against an empty source
+// database that the returned Job then carries for migration and
+// verification. The options map the spec's run options, inject
+// included; callers append their own observers, cache and defaults,
+// placing a default before these options so the spec's value wins.
+// The daemon and the CLI both run a JobSpec this way, through
+// ConvertJob. Errors name the spec field at fault.
+func NewJob(spec *JobSpec) (Job, []Option, error) {
+	if err := spec.Validate(); err != nil {
+		return Job{}, nil, err
 	}
-	sup := o.supervisor()
-	sup.Verify = o.verifyHierDB != nil
-	o.traceOrder([]Job{{Programs: programs}})
-	report, err := sup.RunHier(ctx, src, dst, plan, o.verifyHierDB, programs)
+	var (
+		net  NetworkSpec
+		hier HierSpec
+		err  error
+	)
+	hierarchical := spec.ModelName() == wire.ModelHierarchical
+	if hierarchical {
+		hier.Src, hier.Dst, err = parsePair(spec, ddl.ParseHierarchy)
+	} else {
+		net.Src, net.Dst, err = parsePair(spec, ddl.ParseNetwork)
+	}
+	if err != nil {
+		return Job{}, nil, err
+	}
+	job := Job{Programs: make([]*Program, len(spec.Programs))}
+	for i, p := range spec.Programs {
+		if job.Programs[i], err = dbprog.Parse(p.Source); err != nil {
+			return Job{}, nil, fmt.Errorf("programs[%d]: %w", i, err)
+		}
+	}
+	if spec.Options.VerifyInit != "" {
+		init, err := dbprog.Parse(spec.Options.VerifyInit)
+		if err != nil {
+			return Job{}, nil, fmt.Errorf("verify_init: %w", err)
+		}
+		var cfg dbprog.Config
+		if hierarchical {
+			hier.DB = hierstore.NewDB(hier.Src)
+			cfg.Hier = hier.DB
+		} else {
+			net.DB = netstore.NewDB(net.Src)
+			cfg.Net = net.DB
+		}
+		if _, err := dbprog.Run(init, cfg); err != nil {
+			return Job{}, nil, fmt.Errorf("verify_init program: %w", err)
+		}
+	}
+	job.Spec = net
+	if hierarchical {
+		job.Spec = hier
+	}
+	return job, jobOptions(&spec.Options), nil
+}
+
+// parsePair parses a spec's source and target DDL with parse.
+func parsePair[S any](spec *JobSpec, parse func(string) (S, error)) (src, dst S, err error) {
+	if src, err = parse(spec.SourceDDL); err != nil {
+		return src, dst, fmt.Errorf("source_ddl: %w", err)
+	}
+	if dst, err = parse(spec.TargetDDL); err != nil {
+		return src, dst, fmt.Errorf("target_ddl: %w", err)
+	}
+	return src, dst, nil
+}
+
+// jobOptions maps validated run options onto facade options. A zero
+// migrate_parallel maps to no option, so the caller's default stands;
+// an empty inject is never parsed.
+func jobOptions(o *JobOptions) []Option {
+	timeout, _ := wire.Duration(o.Timeout)
+	stageTimeout, _ := wire.Duration(o.StageTimeout)
+	analystTimeout, _ := wire.Duration(o.AnalystTimeout)
+	policy, _ := wire.ParseFailurePolicy(o.OnFailure)
+	opts := []Option{
+		WithAnalyst(Policy{AcceptOrderChanges: o.AcceptOrder}),
+		WithParallelism(o.Parallelism),
+		WithProgramTimeout(timeout),
+		WithStageTimeout(stageTimeout),
+		WithAnalystTimeout(analystTimeout),
+		WithRetries(o.Retries, 0),
+		WithFailurePolicy(policy),
+	}
+	if o.MigrateParallel != 0 {
+		opts = append(opts, WithMigrationParallelism(o.MigrateParallel))
+	}
+	if o.Inject != "" {
+		inj, _ := fault.Parse(o.Inject)
+		opts = append(opts, func(op *options) { op.inject = inj })
+	}
+	return opts
+}
+
+func (o *options) convertJob(ctx context.Context, job Job) (*Report, error) {
+	o.traceOrder([]Job{job})
+	report, err := o.supervisor().RunJob(o.armed(ctx), job)
 	if err == nil && o.trace != nil {
 		report.Trace = o.trace.Snapshot()
 	}
@@ -483,14 +563,26 @@ func ConvertHier(ctx context.Context, src, dst *Hierarchy, plan *HierPlan,
 // and batches. WithVerifyDB is ignored here — each Job carries its own
 // database.
 func ConvertJobs(ctx context.Context, jobs []Job, opts ...Option) ([]*Report, error) {
+	o := collect(opts)
+	o.traceOrder(jobs)
+	return o.supervisor().RunJobs(o.armed(ctx), jobs)
+}
+
+// collect applies opts to a fresh option set.
+func collect(opts []Option) *options {
 	var o options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	sup := o.supervisor()
-	sup.Verify = true // per-job: only jobs with a DB verify
-	o.traceOrder(jobs)
-	return sup.RunJobs(ctx, jobs)
+	return &o
+}
+
+// armed returns ctx carrying the job's fault injector, if it has one.
+func (o *options) armed(ctx context.Context) context.Context {
+	if o.inject == nil {
+		return ctx
+	}
+	return fault.With(ctx, o.inject)
 }
 
 // traceOrder fixes the trace builder's program order to the jobs'
@@ -508,7 +600,7 @@ func (o *options) traceOrder(jobs []Job) {
 	o.trace.SetPrograms(names)
 }
 
-// supervisor builds the configured core.Supervisor shared by Convert
+// supervisor builds the configured core.Supervisor shared by ConvertJob
 // and ConvertJobs.
 func (o *options) supervisor() *core.Supervisor {
 	sup := core.NewSupervisor()
@@ -637,7 +729,7 @@ func FormatProgram(p *Program) string { return dbprog.Format(p) }
 func NewDatabase(s *Schema) *Database { return netstore.NewDB(s) }
 
 // NewHierDatabase returns an empty hierarchical database instance over
-// h, ready to populate and hand to WithVerifyHierDB.
+// h, ready to populate and carry as a HierSpec's DB.
 func NewHierDatabase(h *Hierarchy) *HierDatabase { return hierstore.NewDB(h) }
 
 // ParseNetworkSchema parses Figure 4.3-style network DDL.
