@@ -1,28 +1,25 @@
 // Command exper regenerates the paper-shape experiments in
 // EXPERIMENTS.md: the paper's figures and worked examples (EXP-F*,
 // EXP-S4.1*), its quantitative claims (EXP-C1 to C4), the
-// hazard-detector audit (EXP-H1), the resilience demonstration (EXP-R1),
-// the fleet's worker scaling (EXP-S2) and the §2.2 study end to end
-// (EXP-M1). Performance claims are measured by bench/ and the root
-// testing.B benchmarks instead. Run with no arguments for all
-// experiments, or name them:
+// hazard-detector audit (EXP-H1), the resilience demonstration (EXP-R1)
+// and the §2.2 study end to end (EXP-M1). Performance claims are
+// measured by bench/ and the testing.B benchmarks instead. Run with no
+// arguments for all experiments, or name them:
 //
-//	exper [f3.1] [f4.1] [f4.3] [f4.4] [s4.1a] [s4.1b] [c1] [c2] [c3] [c4] [h1] [r1] [s2] [m1]
+//	exper [f3.1] [f4.1] [f4.3] [f4.4] [s4.1a] [s4.1b] [c1] [c2] [c3] [c4] [h1] [r1] [m1]
+//
+// A failed experiment exits 1.
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"progconv"
-	"progconv/client"
 	"progconv/internal/analyzer"
 	"progconv/internal/bridge"
 	"progconv/internal/constraint"
@@ -30,7 +27,6 @@ import (
 	"progconv/internal/core"
 	"progconv/internal/corpus"
 	"progconv/internal/dbprog"
-	"progconv/internal/dispatch"
 	"progconv/internal/emulate"
 	"progconv/internal/equiv"
 	"progconv/internal/fault"
@@ -45,7 +41,6 @@ import (
 	"progconv/internal/schema/ddl"
 	"progconv/internal/semantic"
 	"progconv/internal/sequel"
-	"progconv/internal/serve"
 	"progconv/internal/value"
 	"progconv/internal/wire"
 	"progconv/internal/xform"
@@ -56,9 +51,9 @@ func main() {
 		"f3.1": expF31, "f4.1": expF41, "f4.3": expF43, "f4.4": expF44,
 		"s4.1a": expS41a, "s4.1b": expS41b,
 		"c1": expC1, "c2": expC2, "c3": expC3, "c4": expC4,
-		"h1": expH1, "r1": expR1, "s2": expS2, "m1": expM1,
+		"h1": expH1, "r1": expR1, "m1": expM1,
 	}
-	order := []string{"f3.1", "f4.1", "f4.3", "f4.4", "s4.1a", "s4.1b", "c1", "c2", "c3", "c4", "h1", "r1", "s2", "m1"}
+	order := []string{"f3.1", "f4.1", "f4.3", "f4.4", "s4.1a", "s4.1b", "c1", "c2", "c3", "c4", "h1", "r1", "m1"}
 	args := os.Args[1:]
 	if len(args) == 0 {
 		args = order
@@ -70,6 +65,15 @@ func main() {
 			os.Exit(int(wire.ExitUsage))
 		}
 		fn()
+	}
+}
+
+// must ends the run with exit code 1 when err is not nil, so a failed
+// experiment cannot pass for a printed table.
+func must(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "exper:", err)
+		os.Exit(int(wire.ExitError))
 	}
 }
 
@@ -216,10 +220,7 @@ END PROGRAM.
 	}
 	sup := core.NewSupervisor()
 	report, err := sup.Run(context.Background(), schema.CompanyV1(), schema.CompanyV2(), nil, companyV1DB(), progs)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	fmt.Print(report)
 }
 
@@ -262,10 +263,7 @@ END SCHEMA.
 func expF43() {
 	banner("EXP-F4.3", "Figure 4.3 schema parsed verbatim; both §4.2 FIND examples run")
 	sch, err := ddl.ParseNetwork(figure43DDL)
-	if err != nil {
-		fmt.Println("parse error:", err)
-		return
-	}
+	must(err)
 	fmt.Printf("parsed schema %s: %d record types, %d set types\n",
 		sch.Name, len(sch.Records), len(sch.Sets))
 	db := companyV1DB()
@@ -275,15 +273,9 @@ func expF43() {
 		"FIND(EMP: SYSTEM, ALL-DIV, DIV(DIV-NAME = 'MACHINERY'), DIV-EMP, EMP(DEPT-NAME = 'SALES'))",
 	} {
 		f, err := mdml.ParseFind(q)
-		if err != nil {
-			fmt.Println("  parse:", err)
-			continue
-		}
+		must(err)
 		ids, err := ev.Eval(f)
-		if err != nil {
-			fmt.Println("  eval:", err)
-			continue
-		}
+		must(err)
 		fmt.Printf("\n  %s\n", q)
 		for _, r := range ev.Records(ids) {
 			fmt.Printf("    %s\n", r)
@@ -316,9 +308,9 @@ END PROGRAM.`,
 	} {
 		p := mustParse(src)
 		res, err := convert.Convert(context.Background(), p, schema.CompanyV1(), plan)
-		if err != nil || !res.Auto {
-			fmt.Printf("  conversion failed: %v %v\n", res, err)
-			continue
+		must(err)
+		if !res.Auto {
+			must(fmt.Errorf("%s did not convert automatically: %v", p.Name, res.Issues))
 		}
 		opt, _ := optimizer.Optimize(context.Background(), res.Program, v2)
 		v1db := companyV1DB()
@@ -340,10 +332,7 @@ SELECT ENAME FROM EMP WHERE E# IN
     (SELECT D# FROM DEPT WHERE MGR = 'SMITH'))`)
 	fmt.Printf("query:\n%s\n\n", indent(q.String(), 2))
 	seq, err := analyzer.DeriveSequence(context.Background(), q, semantic.PersonnelSchema())
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	fmt.Printf("derived sequence:\n%s", indent(seq.String(), 2))
 }
 
@@ -365,16 +354,10 @@ func expS41b() {
 		{Field: "YEAR-OF-SERVICE", Op: "=", V: value.Of(3)},
 	}
 	sq, err := generator.ToSequel(context.Background(), seq, sem, bind, []string{"ENAME"})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	fmt.Printf("template (A), SEQUEL:\n%s\n", indent(sq, 2))
 	prog, err := generator.ToNetworkProgram(context.Background(), "TPL-B", seq, sem, schema.EmpDeptNetwork(), bind, []string{"ENAME"})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	fmt.Printf("\ntemplate (B), CODASYL:\n%s", indent(dbprog.Format(prog), 2))
 }
 
@@ -383,8 +366,7 @@ func expS41b() {
 func expC1() {
 	banner("EXP-C1", "§2.1.1 claim: 65-70% automatic success rate over a program inventory")
 	fmt.Println("\nconversion: Figure 4.2→4.4 split, strict policy (no accepted order changes)")
-	fmt.Printf("\n%-44s %6s %10s %8s %10s %9s %9s\n",
-		"hazard mix", "auto", "qualified", "manual", "wall", "analyze", "convert")
+	fmt.Printf("\n%-44s %6s %10s %8s\n", "hazard mix", "auto", "qualified", "manual")
 	profiles := []struct {
 		name string
 		p    corpus.Profile
@@ -405,31 +387,18 @@ func expC1() {
 	tally := obs.NewTally()
 	for _, row := range profiles {
 		members, err := corpus.Programs(row.p)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
+		must(err)
 		progs := make([]*dbprog.Program, len(members))
 		for i, m := range members {
 			progs[i] = m.Program
 		}
 		sup := core.NewSupervisor()
-		sup.Metrics = true
 		sup.Events = tally
 		report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
+		must(err)
 		auto, qualified, manual := report.Counts()
-		m := report.Metrics
-		fmt.Printf("%-44s %5d%% %9d%% %7d%% %10s %9s %9s\n", row.name, auto, qualified, manual,
-			m.Wall.Round(time.Microsecond),
-			m.Stage(obs.StageAnalyze).Mean().Round(time.Microsecond),
-			m.Stage(obs.StageConvert).Mean().Round(time.Microsecond))
+		fmt.Printf("%-44s %5d%% %9d%% %7d%%\n", row.name, auto, qualified, manual)
 	}
-	fmt.Println("\n(wall = batch elapsed on the concurrent supervisor;",
-		"analyze/convert = mean per-program stage time)")
 	snap := tally.Snapshot()
 	keys := make([]string, 0, len(snap))
 	for k := range snap {
@@ -442,13 +411,15 @@ func expC1() {
 	}
 	fmt.Println("\nshape target: the period-realistic row lands in the paper's 65-70% band.")
 	fmt.Println("With an analyst accepting order changes, the qualified share converts too:")
-	members, _ := corpus.Programs(corpus.PeriodProfile(42))
+	members, err := corpus.Programs(corpus.PeriodProfile(42))
+	must(err)
 	progs := make([]*dbprog.Program, len(members))
 	for i, m := range members {
 		progs[i] = m.Program
 	}
 	sup := &core.Supervisor{Analyst: core.Policy{AcceptOrderChanges: true}}
-	report, _ := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
+	report, err := sup.Run(context.Background(), schema.CompanyV1(), nil, figurePlan(), nil, progs)
+	must(err)
 	auto, qualified, manual := report.Counts()
 	fmt.Printf("  accepting analyst: %d%% auto + %d%% qualified = %d%% converted, %d%% manual\n",
 		auto, qualified, auto+qualified, manual)
@@ -460,9 +431,8 @@ func expC2() {
 	banner("EXP-C2", "§2.1.2 claim: emulation and bridge strategies degrade efficiency")
 	fmt.Println("\nworkload: Q queries 'employees of one department of one division',")
 	fmt.Println("run against the restructured (Figure 4.4) database by each strategy.")
-	fmt.Printf("\n%-10s %8s  %12s %12s %14s %14s %12s\n",
-		"DB size", "queries", "rewrite", "emulate", "bridge(cold)", "bridge(warm)", "conv(wall)")
-	var lastConv *obs.Metrics
+	fmt.Printf("\n%-10s %8s  %12s %12s %14s %14s\n",
+		"DB size", "queries", "rewrite", "emulate", "bridge(cold)", "bridge(warm)")
 	for _, scale := range []struct {
 		name    string
 		divs    int
@@ -479,55 +449,15 @@ func expC2() {
 		src := corpus.Database(prof)
 		plan := figurePlan()
 		target, _, err := plan.Migrate(context.Background(), src, xform.MigrateOptions{})
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
+		must(err)
 
 		rewriteT := timeRewrite(target, scale.queries, scale.divs, scale.depts)
 		emulateT := timeEmulate(src.Schema(), target, plan, scale.queries, scale.divs, scale.depts)
 		coldT, warmT := timeBridge(src.Schema(), target, plan, scale.queries, scale.divs, scale.depts)
-
-		// The one-time rewrite cost the strategies amortize: converting Q
-		// itself through the instrumented supervisor.
-		q := fmt.Sprintf(`
-PROGRAM Q DIALECT MARYLAND.
-  FIND(EMP: SYSTEM, ALL-DIV, DIV(DIV-NAME = 'DIV-%02d'), DIV-EMP, EMP(DEPT-NAME = 'D-%02d')) INTO C.
-  FOR EACH E IN C
-    PRINT EMP-NAME IN E.
-  END-FOR.
-END PROGRAM.
-`, 1%scale.divs, 1%scale.depts)
-		prog, err := dbprog.Parse(q)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		sup := core.NewSupervisor()
-		sup.Metrics = true
-		report, err := sup.Run(context.Background(), src.Schema(), nil, plan, nil,
-			[]*dbprog.Program{prog})
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		lastConv = report.Metrics
-
-		fmt.Printf("%-10s %8d  %10.1fµs %10.1fµs %12.1fµs %12.1fµs %12s   (per query)\n",
+		fmt.Printf("%-10s %8d  %10.1fµs %10.1fµs %12.1fµs %12.1fµs   (per query)\n",
 			scale.name, scale.queries,
 			us(rewriteT, scale.queries), us(emulateT, scale.queries),
-			us(coldT, scale.queries), us(warmT, scale.queries),
-			report.Metrics.Wall.Round(time.Microsecond))
-	}
-	if lastConv != nil {
-		fmt.Printf("\nper-stage cost of converting Q (one-time, amortized by rewrite):\n")
-		for _, st := range obs.Stages() {
-			s := lastConv.Stage(st)
-			if s.Count == 0 {
-				continue
-			}
-			fmt.Printf("  %-10s %10s\n", st, s.Mean().Round(time.Microsecond))
-		}
+			us(coldT, scale.queries), us(warmT, scale.queries))
 	}
 	fmt.Println("\nshape target: rewrite fastest; emulation slower by a growing factor")
 	fmt.Println("(per-call mapping + chain walking); cold bridge worst (reconstruction),")
@@ -641,10 +571,7 @@ func expC3() {
 	tr := xform.HierReorder{Promote: "EMP"}
 	plan := &xform.HierPlan{Steps: []xform.HierReorder{tr}}
 	dst, warnings, _, err := plan.Migrate(context.Background(), db, xform.MigrateOptions{})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	pairs, err := tr.ReorderedValueEqual(db, dst)
 	fmt.Printf("reordered %d (parent,child) pairs, fidelity check: %v, warnings: %d\n",
 		pairs, err == nil, len(warnings))
@@ -714,10 +641,7 @@ func expH1() {
 	banner("EXP-H1", "§3.2 hazard detector audit over a labelled corpus")
 	p := corpus.PeriodProfile(42)
 	members, err := corpus.Programs(p)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	type cell struct{ tp, fp, fn int }
 	byHazard := map[analyzer.IssueKind]*cell{
 		analyzer.RunTimeVariability:   {},
@@ -783,10 +707,7 @@ func expR1() {
 		RateViewUpdate:         0.06,
 	}
 	members, err := corpus.Programs(p)
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	progs := make([]*dbprog.Program, len(members))
 	for i, m := range members {
 		progs[i] = m.Program
@@ -816,10 +737,7 @@ func expR1() {
 		}
 		ctx := fault.With(context.Background(), inj)
 		report, err := sup.Run(ctx, schema.CompanyV1(), nil, figurePlan(), nil, progs)
-		if err != nil {
-			fmt.Println("error:", err)
-			os.Exit(int(wire.ExitError))
-		}
+		must(err)
 		return report, tally
 	}
 
@@ -848,11 +766,11 @@ func expR1() {
 	for _, k := range keys {
 		fmt.Printf("  %-10s %d\n", k, faults[k])
 	}
-	if serial.String() == parallel.String() {
-		fmt.Println("\nreport byte-identical at parallelism 1 and 8: yes")
-	} else {
+	if serial.String() != parallel.String() {
 		fmt.Println("\nreport byte-identical at parallelism 1 and 8: NO (determinism bug)")
+		os.Exit(int(wire.ExitError))
 	}
+	fmt.Println("\nreport byte-identical at parallelism 1 and 8: yes")
 }
 
 func mustParse(src string) *dbprog.Program {
@@ -872,293 +790,16 @@ func indent(s string, n int) string {
 	return strings.Join(lines, "\n") + "\n"
 }
 
-// ---- EXP-S2 ----
-
-// serveSpec is the wire-v1 job EXP-S2 builds on: the COMPANY pair and
-// a three-program inventory (two automatic, one qualified).
-func serveSpec() wire.JobSpec {
-	return wire.JobSpec{
-		V:         wire.Version,
-		SourceDDL: schema.CompanyV1().DDL(),
-		TargetDDL: schema.CompanyV2().DDL(),
-		Programs: []wire.ProgramSpec{
-			{Source: `
-PROGRAM LIST-OLD DIALECT MARYLAND.
-  FIND(EMP: SYSTEM, ALL-DIV, DIV, DIV-EMP, EMP(AGE > 30)) INTO OLD.
-  FOR EACH E IN OLD
-    PRINT EMP-NAME IN E, AGE IN E.
-  END-FOR.
-END PROGRAM.
-`},
-			{Source: `
-PROGRAM COUNT-SALES DIALECT NETWORK.
-  LET N = 0.
-  MOVE 'MACHINERY' TO DIV-NAME IN DIV.
-  FIND ANY DIV USING DIV-NAME.
-  MOVE 'SALES' TO DEPT-NAME IN EMP.
-  PERFORM UNTIL DB-STATUS <> 'OK'
-    FIND NEXT EMP WITHIN DIV-EMP USING DEPT-NAME.
-    IF DB-STATUS = 'OK'
-      GET EMP.
-      LET N = N + 1.
-    END-IF.
-  END-PERFORM.
-  PRINT 'SALES EMPLOYEES', N.
-END PROGRAM.
-`},
-			{Source: `
-PROGRAM ROSTER DIALECT NETWORK.
-  MOVE 'MACHINERY' TO DIV-NAME IN DIV.
-  FIND ANY DIV USING DIV-NAME.
-  PERFORM UNTIL DB-STATUS <> 'OK'
-    FIND NEXT EMP WITHIN DIV-EMP.
-    IF DB-STATUS = 'OK'
-      GET EMP.
-      PRINT EMP-NAME IN EMP.
-    END-IF.
-  END-PERFORM.
-END PROGRAM.
-`},
-		},
-		Options: wire.JobOptions{Parallelism: 1},
-	}
-}
-
-// s2Spec is the EXP-S2 job: the COMPANY pair with a PAD-<n> field
-// spliced into both schemas (distinct pair fingerprints per pad, so
-// affinity routing has pairs to spread) and every analyze stage slowed
-// by the deterministic fault injector. The delay models production
-// conversions that are I/O- or analyst-bound rather than CPU-bound —
-// on such workloads fleet capacity is concurrency, which is exactly
-// what adding workers buys.
-func s2Spec(pad int) wire.JobSpec {
-	spec := serveSpec()
-	padField := fmt.Sprintf("AGE INT.\n    PAD-%d CHAR.", pad)
-	spec.SourceDDL = strings.Replace(spec.SourceDDL, "AGE INT.", padField, 1)
-	spec.TargetDDL = strings.Replace(spec.TargetDDL, "AGE INT.", padField, 1)
-	spec.Options.Inject = "delay=100ms@*/analyze"
-	return spec
-}
-
-// s2Fleet boots n workers and a coordinator over them; the returned
-// stop function tears everything down, draining the workers' runners.
-func s2Fleet(n int) (*dispatch.Coordinator, *httptest.Server, []*httptest.Server, func()) {
-	var workers []*httptest.Server
-	var servers []*serve.Server
-	var urls []string
-	for i := 0; i < n; i++ {
-		srv := serve.New(serve.Config{QueueDepth: 64, Runners: 4, Cache: progconv.NewCache(0)})
-		ts := httptest.NewServer(srv.Handler())
-		servers = append(servers, srv)
-		workers = append(workers, ts)
-		urls = append(urls, ts.URL)
-	}
-	co := dispatch.New(dispatch.Config{
-		Workers: urls, ProbeInterval: 100 * time.Millisecond, ProbeFailures: 1,
-	})
-	coTS := httptest.NewServer(co.Handler())
-	stop := func() {
-		coTS.Close()
-		co.Close()
-		for _, ts := range workers {
-			ts.Close()
-		}
-		s2Drain(servers...)
-	}
-	return co, coTS, workers, stop
-}
-
-// s2Drain drains daemons within a time bound, so no runner goroutine
-// outlives its part of the experiment.
-func s2Drain(servers ...*serve.Server) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, srv := range servers {
-		if err := srv.Drain(ctx); err != nil {
-			fmt.Fprintln(os.Stderr, "  s2 drain:", err)
-		}
-	}
-}
-
-// s2Run pushes the batch through a coordinator with 8 concurrent
-// submitters and returns the wall time.
-func s2Run(base string, specs []wire.JobSpec) (time.Duration, []string) {
-	cli := client.New(base)
-	ctx := context.Background()
-	ids := make([]string, len(specs))
-	start := time.Now()
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, 8)
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			st, err := cli.Submit(ctx, &specs[i])
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "  s2 submit:", err)
-				return
-			}
-			ids[i] = st.ID
-			if _, err := cli.Wait(ctx, st.ID, 0); err != nil {
-				fmt.Fprintln(os.Stderr, "  s2 wait:", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	return time.Since(start), ids
-}
-
-// s2BalancedPads picks n pad values whose schema pairs rendezvous-rank
-// half onto each of the two worker URLs.
-func s2BalancedPads(urls []string, n int) []int {
-	var a, b []int
-	for pad := 0; len(a) < n/2 || len(b) < n-n/2; pad++ {
-		spec := s2Spec(pad)
-		pair, err := dispatch.PairFor(&spec)
-		if err != nil {
-			panic(err)
-		}
-		if dispatch.Rank(pair, urls)[0] == urls[0] {
-			if len(a) < n/2 {
-				a = append(a, pad)
-			}
-		} else if len(b) < n-n/2 {
-			b = append(b, pad)
-		}
-	}
-	// Interleave so any batch prefix stays balanced too.
-	var pads []int
-	for i := 0; i < len(a) || i < len(b); i++ {
-		if i < len(a) {
-			pads = append(pads, a[i])
-		}
-		if i < len(b) {
-			pads = append(pads, b[i])
-		}
-	}
-	return pads
-}
-
-// expS2 measures the scale-out conversion fleet: throughput scaling
-// from one worker to two on a latency-bound batch, pair-affinity
-// routing, and byte-identical reports through a mid-batch worker kill.
-func expS2() {
-	banner("EXP-S2", "scale-out fleet: worker scaling, pair affinity, failover determinism")
-
-	// The batch: 24 jobs over 8 distinct pairs (3 jobs per pair). The
-	// pads are chosen so the pair population splits evenly across the
-	// two-worker fleet — the experiment measures capacity scaling under
-	// a balanced pair load, not rendezvous luck on two ephemeral ports.
-	const pairs, perPair = 8, 3
-	_, co2TS, workers2, stop2 := s2Fleet(2)
-	pads := s2BalancedPads([]string{workers2[0].URL, workers2[1].URL}, pairs)
-	batch := func() []wire.JobSpec {
-		var specs []wire.JobSpec
-		for i := 0; i < pairs*perPair; i++ {
-			specs = append(specs, s2Spec(pads[i%pairs]))
-		}
-		return specs
-	}
-
-	// (a) Throughput, 1 worker vs 2 workers, same batch and submitters.
-	_, co1TS, _, stop1 := s2Fleet(1)
-	wall1, _ := s2Run(co1TS.URL, batch())
-	stop1()
-	wall2, _ := s2Run(co2TS.URL, batch())
-	speedup := float64(wall1) / float64(wall2)
-	fmt.Printf("\n(a) %d delay-bound jobs (%d pairs), 8 submitters, 4 runners/worker:\n", pairs*perPair, pairs)
-	fmt.Printf("    1 worker:  wall %v, %.1f jobs/s\n",
-		wall1.Round(time.Millisecond), float64(pairs*perPair)/wall1.Seconds())
-	fmt.Printf("    2 workers: wall %v, %.1f jobs/s\n",
-		wall2.Round(time.Millisecond), float64(pairs*perPair)/wall2.Seconds())
-	fmt.Printf("    scaling 1 -> 2 workers: %.2fx\n", speedup)
-
-	// (b) Affinity: every pair's jobs landed on its rendezvous home, so
-	// the per-worker routed counters sum to the batch with no spill.
-	cli2 := client.New(co2TS.URL)
-	if list, err := cli2.Workers(context.Background()); err == nil {
-		fmt.Printf("\n(b) pair-affinity routing (rendezvous on the pair fingerprint):\n")
-		for i, w := range list.Workers {
-			fmt.Printf("    worker %d: routed %d jobs, %d failovers [%s]\n",
-				i+1, w.Routed, w.Failovers, w.State)
-		}
-		_ = workers2
-	}
-	stop2()
-
-	// (c) Failover: kill one of two workers mid-batch; every job still
-	// finishes and every report is byte-identical to a fresh
-	// single-node run of the same spec.
-	co3, co3TS, workers3, stop3 := s2Fleet(2)
-	defer stop3()
-	specs := batch()[:12]
-	cli3 := client.New(co3TS.URL)
-	ctx := context.Background()
-	ids := make([]string, len(specs))
-	for i := range specs {
-		st, err := cli3.Submit(ctx, &specs[i])
-		if err != nil {
-			panic(err)
-		}
-		ids[i] = st.ID
-	}
-	// Let the fleet get into the batch, then pull the plug on worker 1.
-	time.Sleep(150 * time.Millisecond)
-	workers3[0].CloseClientConnections()
-	workers3[0].Close()
-	co3.ProbeOnce(ctx)
-
-	identical := true
-	for i, id := range ids {
-		got, _, err := cli3.WaitReport(ctx, id, 0)
-		if err != nil {
-			panic(err)
-		}
-		srv := serve.New(serve.Config{QueueDepth: 16, Runners: 4})
-		ref := httptest.NewServer(srv.Handler())
-		refCli := client.New(ref.URL)
-		st, err := refCli.Submit(ctx, &specs[i])
-		if err != nil {
-			panic(err)
-		}
-		want, _, err := refCli.WaitReport(ctx, st.ID, 0)
-		if err != nil {
-			panic(err)
-		}
-		ref.Close()
-		s2Drain(srv)
-		if !bytes.Equal(got, want) {
-			identical = false
-		}
-	}
-	var failovers int64
-	if list, err := cli3.Workers(ctx); err == nil {
-		for _, w := range list.Workers {
-			failovers += w.Failovers
-		}
-	}
-	fmt.Printf("\n(c) worker killed mid-batch: %d jobs re-dispatched; all %d reports byte-identical to single-node runs: %v\n",
-		failovers, len(ids), identical)
-}
-
 func expM1() {
 	banner("EXP-M1", "model-polymorphic pipeline: the §2.2 IMS reorder end to end")
 	entry, err := corpus.IMSReorder()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
+	must(err)
 	run := func(par int) *progconv.Report {
 		rep, err := progconv.ConvertJob(context.Background(),
 			progconv.Job{Spec: progconv.HierSpec{Src: entry.Source, Dst: entry.Target, DB: entry.Seed()},
 				Programs: entry.Programs()},
 			progconv.WithParallelism(par))
-		if err != nil {
-			fmt.Println("error:", err)
-			os.Exit(int(wire.ExitError))
-		}
+		must(err)
 		return rep
 	}
 	r1 := run(1)
@@ -1169,5 +810,9 @@ func expM1() {
 		}
 	}
 	r8 := run(8)
-	fmt.Printf("\nreport bytes at parallelism 1 vs 8: identical=%v\n", r1.String() == r8.String())
+	identical := r1.String() == r8.String()
+	fmt.Printf("\nreport bytes at parallelism 1 vs 8: identical=%v\n", identical)
+	if !identical {
+		os.Exit(int(wire.ExitError))
+	}
 }

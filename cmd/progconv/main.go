@@ -160,7 +160,14 @@ func cmdDiff(args []string) error {
 	if err != nil {
 		return err
 	}
-	src, dst := pair.src, pair.dst
+	src, err := ddl.Parse(pair.srcText)
+	if err != nil {
+		return fmt.Errorf("%s: %w", args[0], err)
+	}
+	dst, err := ddl.Parse(pair.dstText)
+	if err != nil {
+		return fmt.Errorf("%s: %w", args[1], err)
+	}
 	var describe string
 	var invertible bool
 	switch pair.kind {
@@ -183,19 +190,19 @@ func cmdDiff(args []string) error {
 	return nil
 }
 
-// schemaPair is a conversion pair's two schema files: their text, their
-// parse, and the data model they share.
+// schemaPair is a conversion pair's two schema files: their text and
+// the data model they share.
 type schemaPair struct {
 	srcText, dstText string
-	src, dst         *ddl.Parsed
 	kind             string
 }
 
-// loadPair parses both schema files with model auto-detection and
-// checks they name the same data model. The conversion pipeline pairs
-// network and hierarchical schemas; relational schemas are valid
-// elsewhere (check, run) but have no transformation catalogue, so they
-// are rejected here by name rather than with a parse error.
+// loadPair reads both schema files and checks from their leading
+// keywords (ddl.Model) that they name the same data model, without
+// parsing them. The conversion pipeline pairs network and hierarchical
+// schemas; relational schemas are valid elsewhere (check, run) but
+// have no transformation catalogue, so they are rejected here by name
+// rather than with a parse error.
 func loadPair(srcPath, dstPath string) (*schemaPair, error) {
 	var p schemaPair
 	var err error
@@ -205,17 +212,17 @@ func loadPair(srcPath, dstPath string) (*schemaPair, error) {
 	if p.dstText, err = readFile(dstPath); err != nil {
 		return nil, err
 	}
-	if p.src, err = ddl.Parse(p.srcText); err != nil {
+	if p.kind, err = ddl.Model(p.srcText); err != nil {
 		return nil, fmt.Errorf("%s: %w", srcPath, err)
 	}
-	if p.dst, err = ddl.Parse(p.dstText); err != nil {
+	dstKind, err := ddl.Model(p.dstText)
+	if err != nil {
 		return nil, fmt.Errorf("%s: %w", dstPath, err)
 	}
-	if p.src.Kind() != p.dst.Kind() {
+	if p.kind != dstKind {
 		return nil, fmt.Errorf("%s is a %s schema but %s is %s: a conversion pair shares one data model",
-			srcPath, p.src.Kind(), dstPath, p.dst.Kind())
+			srcPath, p.kind, dstPath, dstKind)
 	}
-	p.kind = p.src.Kind()
 	if p.kind == "relational" {
 		return nil, fmt.Errorf("the relational model is not supported here: conversion pairs are network or hierarchical")
 	}

@@ -187,6 +187,30 @@ func TestResiliencePanicIsolatedFailFast(t *testing.T) {
 	}
 }
 
+// TestResilienceStageTimeoutFailFast: under the default policy a stage
+// that outlives its budget aborts the batch with ErrFailureBudget, not
+// ErrCanceled, at parallelism 1 and 8: the abort cancels the other
+// programs, but the error names the timeout that caused it.
+func TestResilienceStageTimeoutFailFast(t *testing.T) {
+	progs := chaosCorpus(t)
+	inj := fault.New(1,
+		fault.Rule{Kind: fault.Delay, Prog: progs[10].Name, Stage: "analyze", Delay: 10 * time.Second},
+	)
+	for _, par := range []int{1, 8} {
+		sup := &Supervisor{
+			Analyst:       Policy{},
+			Parallelism:   par,
+			StageTimeout:  100 * time.Millisecond,
+			FailurePolicy: FailFast,
+		}
+		ctx := fault.With(context.Background(), inj)
+		_, err := sup.Run(ctx, schema.CompanyV1(), nil, planFigure(), nil, progs)
+		if !errors.Is(err, ErrFailureBudget) || errors.Is(err, ErrCanceled) {
+			t.Errorf("parallelism=%d: err = %v, want ErrFailureBudget and not ErrCanceled", par, err)
+		}
+	}
+}
+
 // TestResilienceTransientRetrySucceeds: a stage failing twice with
 // Transient errors recovers on the third attempt; the audit trail and
 // the injected sleeper both record the deterministic backoff ladder.

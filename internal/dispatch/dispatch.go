@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -48,23 +47,16 @@ type Config struct {
 	// More can join later via POST /v1/workers.
 	Workers []string
 	// ProbeInterval paces the health prober; 0 means 2s. A negative
-	// interval disables the background prober — tests and experiments
-	// drive ProbeOnce themselves.
+	// interval disables the background prober — tests drive ProbeOnce
+	// themselves.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /readyz probe; 0 means 1s.
-	ProbeTimeout time.Duration
 	// ProbeFailures is how many consecutive failed probes quarantine a
 	// worker; 0 means 2.
 	ProbeFailures int
-	// RetryAfter is the hint returned with 503 responses (draining, no
-	// healthy worker); 0 means 1s.
-	RetryAfter time.Duration
-	// NewClient builds the SDK client for one worker base URL. Nil
-	// means client.New(url, client.WithRetries(0, 0)) — the
-	// coordinator owns failover, so the per-request retry layer stays
-	// off.
-	NewClient func(baseURL string) *client.Client
 }
+
+// probeTimeout bounds one /readyz probe.
+const probeTimeout = time.Second
 
 func (c Config) probeInterval() time.Duration {
 	if c.ProbeInterval == 0 {
@@ -73,25 +65,11 @@ func (c Config) probeInterval() time.Duration {
 	return c.ProbeInterval
 }
 
-func (c Config) probeTimeout() time.Duration {
-	if c.ProbeTimeout <= 0 {
-		return time.Second
-	}
-	return c.ProbeTimeout
-}
-
 func (c Config) probeFailures() int {
 	if c.ProbeFailures <= 0 {
 		return 2
 	}
 	return c.ProbeFailures
-}
-
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter <= 0 {
-		return time.Second
-	}
-	return c.RetryAfter
 }
 
 // worker is one registry entry. Fields are guarded by the
@@ -193,18 +171,12 @@ func New(cfg Config) *Coordinator {
 	return co
 }
 
-// newClient builds the SDK client for a worker URL.
-func (co *Coordinator) newClient(url string) *client.Client {
-	if co.cfg.NewClient != nil {
-		return co.cfg.NewClient(url)
-	}
-	return client.New(url, client.WithRetries(0, 0))
-}
-
 // register adds a worker (or re-admits an existing one) and returns
 // its registry entry. Safe to call with the coordinator running.
 func (co *Coordinator) register(url string) wire.WorkerDoc {
-	cli := co.newClient(url)
+	// The coordinator owns failover, so the client's per-request
+	// retries stay off.
+	cli := client.New(url, client.WithRetries(0, 0))
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	if w := co.byURL[url]; w != nil {
@@ -239,7 +211,7 @@ func (co *Coordinator) probeLoop() {
 // quarantining workers that reached the failure threshold (and
 // re-dispatching their jobs) and re-admitting quarantined workers that
 // answered. The background prober calls this on its interval; tests
-// and experiments call it directly for deterministic schedules.
+// call it directly for deterministic schedules.
 func (co *Coordinator) ProbeOnce(ctx context.Context) {
 	co.mu.Lock()
 	workers := append([]*worker(nil), co.workers...)
@@ -247,7 +219,7 @@ func (co *Coordinator) ProbeOnce(ctx context.Context) {
 
 	var dead []string
 	for _, w := range workers {
-		pctx, cancel := context.WithTimeout(ctx, co.cfg.probeTimeout())
+		pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 		err := w.cli.Ready(pctx)
 		cancel()
 		co.mu.Lock()
@@ -423,11 +395,6 @@ func (co *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	wire.WriteJSON(w, http.StatusOK, co.register(spec.URL))
-}
-
-func (co *Coordinator) retryAfterHeader(w http.ResponseWriter) {
-	w.Header().Set("Retry-After",
-		strconv.Itoa(int((co.cfg.retryAfter()+time.Second-1)/time.Second)))
 }
 
 // handleList pages through the coordinator's job table with the same

@@ -229,6 +229,56 @@ func TestFailoverDeterminism(t *testing.T) {
 	}
 }
 
+// BenchmarkFleetScaling is EXP-S2's worker scaling: one and two
+// workers (4 runners each) run the same latency-bound batch. An op is
+// 24 jobs over 8 pairs, each job two analyze stages delayed 100 ms, and
+// the pairs split evenly across the workers by Rank, so the ratio
+// measures capacity rather than where two ephemeral ports hash. Every
+// job is submitted before any is waited on: with a capped set of
+// submitters, one worker could be left holding an extra wave of jobs.
+func BenchmarkFleetScaling(b *testing.B) {
+	const pairs, perPair = 8, 3
+	for _, n := range []int{1, 2} {
+		b.Run("workers="+itoa(n), func(b *testing.B) {
+			f := newFleet(b, n, Config{})
+			perWorker := make([]int, n)
+			var pads []int
+			for pad := 1; len(pads) < pairs; pad++ {
+				if w := f.ownerOf(b, fleetSpec(pad)); perWorker[w] < pairs/n {
+					perWorker[w]++
+					pads = append(pads, pad)
+				}
+			}
+			specs := make([]wire.JobSpec, pairs*perPair)
+			for i := range specs {
+				specs[i] = slowFleetSpec(pads[i%pairs], "100ms")
+			}
+			ids := make([]string, len(specs))
+			ctx := context.Background()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range specs {
+					st, err := f.cli.Submit(ctx, &specs[j])
+					if err != nil {
+						b.Fatal(err)
+					}
+					ids[j] = st.ID
+				}
+				for _, id := range ids {
+					st, err := f.cli.Wait(ctx, id, 10*time.Millisecond)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if st.State != "done" {
+						b.Fatalf("job %s ended %s", id, st.State)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.N*len(specs))/b.Elapsed().Seconds(), "jobs/s")
+		})
+	}
+}
+
 func TestCoordinatorListPaginates(t *testing.T) {
 	f := newFleet(t, 2, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -288,7 +338,7 @@ func TestCoordinatorListPaginates(t *testing.T) {
 
 func TestCoordinatorErrorCodesAndDrain(t *testing.T) {
 	leakcheck.Check(t)
-	f := newFleet(t, 1, Config{RetryAfter: 2 * time.Second})
+	f := newFleet(t, 1, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -330,7 +380,7 @@ func TestCoordinatorErrorCodesAndDrain(t *testing.T) {
 }
 
 func TestNoHealthyWorker(t *testing.T) {
-	f := newFleet(t, 1, Config{RetryAfter: 1 * time.Second})
+	f := newFleet(t, 1, Config{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 

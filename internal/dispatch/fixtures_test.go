@@ -80,7 +80,8 @@ func itoa(n int) string {
 }
 
 // slowFleetSpec delays every analyze stage, keeping jobs in flight
-// long enough to kill their worker under them.
+// long enough to kill their worker under them, or making them
+// latency-bound for the scaling benchmark.
 func slowFleetSpec(pad int, delay string) wire.JobSpec {
 	spec := fleetSpec(pad)
 	spec.Options.Inject = "delay=" + delay + "@*/analyze"
@@ -98,7 +99,7 @@ type fleet struct {
 
 // newFleet boots n workers and a coordinator with the background
 // prober disabled — tests drive ProbeOnce for deterministic schedules.
-func newFleet(t *testing.T, n int, cfg Config) *fleet {
+func newFleet(t testing.TB, n int, cfg Config) *fleet {
 	t.Helper()
 	f := &fleet{}
 	for i := 0; i < n; i++ {
@@ -130,7 +131,7 @@ func newFleet(t *testing.T, n int, cfg Config) *fleet {
 
 // drainWorker stops a worker's admissions and waits for its runners to
 // finish what it admitted, so no runner outlives the test.
-func drainWorker(t *testing.T, srv *serve.Server) {
+func drainWorker(t testing.TB, srv *serve.Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -149,7 +150,7 @@ func (f *fleet) killWorker(t *testing.T, i int) {
 }
 
 // ownerOf returns the index of the worker a pair's jobs route to.
-func (f *fleet) ownerOf(t *testing.T, spec wire.JobSpec) int {
+func (f *fleet) ownerOf(t testing.TB, spec wire.JobSpec) int {
 	t.Helper()
 	pair, err := PairFor(&spec)
 	if err != nil {

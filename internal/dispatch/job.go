@@ -100,8 +100,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	co.mu.Lock()
 	if co.draining {
 		co.mu.Unlock()
-		co.retryAfterHeader(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining,
+		wire.WriteRetry(w, http.StatusServiceUnavailable, wire.CodeDraining,
 			"coordinator is draining; not accepting jobs")
 		return
 	}
@@ -128,7 +127,8 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		co.mu.Unlock()
 		if apiErr.Status == http.StatusTooManyRequests ||
 			apiErr.Status == http.StatusServiceUnavailable {
-			co.retryAfterHeader(w)
+			wire.WriteRetry(w, apiErr.Status, code, apiErr.Message)
+			return
 		}
 		wire.WriteError(w, apiErr.Status, code, apiErr.Message)
 		return
@@ -433,8 +433,7 @@ func (co *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	co.mu.Unlock()
 	if cli == nil || remoteID == "" {
-		co.retryAfterHeader(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
+		wire.WriteRetry(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
 			"job is between workers; retry later")
 		return
 	}
@@ -445,8 +444,7 @@ func (co *Coordinator) handleTrace(w http.ResponseWriter, r *http.Request) {
 			wire.WriteError(w, apiErr.Status, apiErr.Code, apiErr.Message)
 			return
 		}
-		co.retryAfterHeader(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
+		wire.WriteRetry(w, http.StatusServiceUnavailable, wire.CodeNoWorker,
 			"worker unreachable; retry later")
 		return
 	}

@@ -38,38 +38,58 @@ func (p *Parsed) Kind() string {
 	return "empty"
 }
 
-// Parse dispatches on the leading keywords: HIERARCHY introduces a
-// hierarchical schema; SCHEMA introduces relational (RELATION bodies) or
-// network (RECORD SECTION bodies).
+// Parse parses a schema in the data model its leading keywords name
+// (see Model).
 func Parse(src string) (*Parsed, error) {
 	s, err := lex.NewStream(src)
 	if err != nil {
 		return nil, err
 	}
+	kind, err := model(s)
+	if err != nil {
+		return nil, err
+	}
+	var p Parsed
+	switch kind {
+	case "hierarchical":
+		p.Hierarchy, err = parseHierarchy(s)
+	case "relational":
+		p.Relational, err = parseRelational(s)
+	default:
+		p.Network, err = parseNetwork(s)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// Model returns the data model a schema source declares, as Parsed.Kind
+// names it, from its leading keywords alone: HIERARCHY introduces a
+// hierarchical schema; SCHEMA introduces a relational one (RELATION
+// bodies) or a network one (RECORD SECTION bodies). It parses no
+// further, so a source it names may still fail to parse.
+func Model(src string) (string, error) {
+	s, err := lex.NewStream(src)
+	if err != nil {
+		return "", err
+	}
+	return model(s)
+}
+
+func model(s *lex.Stream) (string, error) {
 	switch {
 	case s.IsKeyword("HIERARCHY"):
-		h, err := parseHierarchy(s)
-		if err != nil {
-			return nil, err
-		}
-		return &Parsed{Hierarchy: h}, nil
+		return "hierarchical", nil
 	case s.IsKeyword("SCHEMA"):
 		// Peek past "SCHEMA NAME IS <name> ." for the body keyword.
 		if s.PeekAt(4).Kind == lex.Ident && strings.EqualFold(s.PeekAt(4).Text, "RELATION") ||
 			s.PeekAt(5).Kind == lex.Ident && strings.EqualFold(s.PeekAt(5).Text, "RELATION") {
-			r, err := parseRelational(s)
-			if err != nil {
-				return nil, err
-			}
-			return &Parsed{Relational: r}, nil
+			return "relational", nil
 		}
-		n, err := parseNetwork(s)
-		if err != nil {
-			return nil, err
-		}
-		return &Parsed{Network: n}, nil
+		return "network", nil
 	}
-	return nil, lex.Errorf(s.Peek(), "expected SCHEMA or HIERARCHY, found %s", s.Peek())
+	return "", lex.Errorf(s.Peek(), "expected SCHEMA or HIERARCHY, found %s", s.Peek())
 }
 
 // ParseNetwork parses a Figure 4.3 network schema.

@@ -146,6 +146,24 @@ func TestParseDispatch(t *testing.T) {
 	if (&Parsed{}).Kind() != "empty" {
 		t.Error("empty Parsed kind")
 	}
+	// Model reads the same rule from the leading keywords alone, so it
+	// names the model of a source whose body does not parse.
+	for src, want := range map[string]string{
+		figure43:                        "network",
+		schema.SchoolRelational().DDL(): "relational",
+		schema.EmpDeptHierarchy().DDL(): "hierarchical",
+		"SCHEMA NAME IS X. RECORD":      "network",
+		"HIERARCHY NAME IS":             "hierarchical",
+	} {
+		if got, err := Model(src); err != nil || got != want {
+			t.Errorf("Model(%.30q) = %q, %v; want %q", src, got, err, want)
+		}
+	}
+	for _, src := range []string{"NONSENSE", "'x"} {
+		if got, err := Model(src); err == nil {
+			t.Errorf("Model(%q) = %q, want an error", src, got)
+		}
+	}
 }
 
 func TestDecimalPicture(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
-	"time"
 
 	"progconv/internal/wire"
 )
@@ -99,7 +98,7 @@ func TestListPagination(t *testing.T) {
 }
 
 func TestErrorCodes(t *testing.T) {
-	srv, ts := newTestServer(t, Config{QueueDepth: 1, Runners: 1, RetryAfter: 2 * time.Second})
+	srv, ts := newTestServer(t, Config{QueueDepth: 1, Runners: 1})
 
 	// 400 bad_spec on a malformed submission.
 	resp := submit(t, ts.URL, wire.JobSpec{})
@@ -145,8 +144,8 @@ func TestErrorCodes(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("drain submit: HTTP %d", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("drain Retry-After = %q, want \"2\"", ra)
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("drain Retry-After = %q, want \"1\"", ra)
 	}
 	if doc := errorDoc(t, b); doc.Code != wire.CodeDraining {
 		t.Fatalf("drain code = %q", doc.Code)

@@ -55,8 +55,6 @@ type Config struct {
 	// MaxDeadline clamps the per-job deadline option; 0 means
 	// unclamped.
 	MaxDeadline time.Duration
-	// RetryAfter is the hint returned with 429 responses; 0 means 1s.
-	RetryAfter time.Duration
 	// DefaultMigrateParallel bounds the data-migration shard workers of
 	// jobs that leave migrate_parallel unset; 0 means GOMAXPROCS.
 	// Results are byte-identical at any setting.
@@ -78,13 +76,6 @@ func (c Config) runners() int {
 		return 2
 	}
 	return c.Runners
-}
-
-func (c Config) retryAfter() time.Duration {
-	if c.RetryAfter <= 0 {
-		return time.Second
-	}
-	return c.RetryAfter
 }
 
 // Server is the conversion service. Create with New, mount Handler,
@@ -267,14 +258,6 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-// retryAfterHeader sets the Retry-After hint rounded up to whole
-// seconds — shared by the 429 queue-full and 503 draining paths so
-// well-behaved clients pace their retries the same way for both.
-func (s *Server) retryAfterHeader(w http.ResponseWriter) {
-	w.Header().Set("Retry-After",
-		strconv.Itoa(int((s.cfg.retryAfter()+time.Second-1)/time.Second)))
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec wire.JobSpec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
@@ -302,8 +285,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		// Mirror the 429 admission path: a drain is usually a rolling
 		// restart, so tell the client when to come back.
-		s.retryAfterHeader(w)
-		wire.WriteError(w, http.StatusServiceUnavailable, wire.CodeDraining,
+		wire.WriteRetry(w, http.StatusServiceUnavailable, wire.CodeDraining,
 			"server is draining; not accepting jobs")
 		return
 	}
@@ -328,8 +310,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	default:
 		s.nextID--
 		s.mu.Unlock()
-		s.retryAfterHeader(w)
-		wire.WriteError(w, http.StatusTooManyRequests, wire.CodeQueueFull,
+		wire.WriteRetry(w, http.StatusTooManyRequests, wire.CodeQueueFull,
 			fmt.Sprintf("job queue is full (%d queued); retry later", s.cfg.queueDepth()))
 		return
 	}

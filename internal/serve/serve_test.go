@@ -337,7 +337,7 @@ func slowSpec(delay string) wire.JobSpec {
 }
 
 func TestAdmissionControl(t *testing.T) {
-	_, ts := newTestServer(t, Config{QueueDepth: 1, Runners: 1, RetryAfter: 3 * time.Second})
+	_, ts := newTestServer(t, Config{QueueDepth: 1, Runners: 1})
 	var ids []string
 	rejected := 0
 	for i := 0; i < 8; i++ {
@@ -349,8 +349,8 @@ func TestAdmissionControl(t *testing.T) {
 			ids = append(ids, st.ID)
 		case http.StatusTooManyRequests:
 			rejected++
-			if ra := resp.Header.Get("Retry-After"); ra != "3" {
-				t.Fatalf("Retry-After = %q, want seconds hint \"3\"", ra)
+			if ra := resp.Header.Get("Retry-After"); ra != "1" {
+				t.Fatalf("Retry-After = %q, want seconds hint \"1\"", ra)
 			}
 		default:
 			t.Fatalf("submission %d: HTTP %d", i, resp.StatusCode)

@@ -20,3 +20,12 @@ func WriteJSON(w http.ResponseWriter, status int, doc any) {
 func WriteError(w http.ResponseWriter, status int, code ErrorCode, msg string) {
 	WriteJSON(w, status, ErrorDoc{V: Version, Code: code, Error: msg})
 }
+
+// WriteRetry writes the v1 ErrorDoc for a 429 or 503 that a client
+// should retry, with a Retry-After hint of one second: the daemon's
+// queue-full and draining answers and the coordinator's draining and
+// no-worker ones.
+func WriteRetry(w http.ResponseWriter, status int, code ErrorCode, msg string) {
+	w.Header().Set("Retry-After", "1")
+	WriteError(w, status, code, msg)
+}
