@@ -312,11 +312,15 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, int, error) {
 	if err != nil {
 		return nil, resp.StatusCode, err
 	}
-	// A finished report rides non-200 statuses too (409 fail_on, 500
-	// pipeline); only a body that decodes as an ErrorDoc is an error.
-	var ed progconv.ErrorDoc
-	if json.Unmarshal(raw, &ed) == nil && ed.Error != "" {
-		return nil, resp.StatusCode, &APIError{Status: resp.StatusCode, Code: ed.Code, Message: ed.Error}
+	// A 200 is always a report: error documents ride only 4xx and 5xx
+	// statuses, so the body is not decoded. A finished report rides
+	// non-200 statuses too (409 fail_on, 500 pipeline); there only a
+	// body that decodes as an ErrorDoc is an error.
+	if resp.StatusCode != http.StatusOK {
+		var ed progconv.ErrorDoc
+		if json.Unmarshal(raw, &ed) == nil && ed.Error != "" {
+			return nil, resp.StatusCode, &APIError{Status: resp.StatusCode, Code: ed.Code, Message: ed.Error}
+		}
 	}
 	return raw, resp.StatusCode, nil
 }

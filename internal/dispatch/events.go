@@ -2,10 +2,13 @@ package dispatch
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"progconv/client"
@@ -93,38 +96,95 @@ func (co *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxRelayLine caps one NDJSON line, as the bufio.Scanner the relay
+// used to read with capped its token.
+const maxRelayLine = 4 << 20
+
+// relayBuf is one relay's reusable input and output buffers.
+type relayBuf struct{ in, out []byte }
+
+// relayBufSize is the input buffer a relay starts with; buffers that
+// grew past it for a long line are not pooled.
+const relayBufSize = 64 << 10
+
+var relayBufs = sync.Pool{New: func() any {
+	return &relayBuf{in: make([]byte, 0, relayBufSize), out: make([]byte, 0, relayBufSize)}
+}}
+
 // relayLines copies complete NDJSON lines from a worker stream to the
 // caller, skipping the first `skip` lines (already relayed before a
-// failover) and adding SSE framing when asked. It returns how many new
-// lines were written and the first read error (nil on clean EOF).
-func relayLines(w http.ResponseWriter, stream io.Reader, sse bool, skip int, flusher http.Flusher) (int, error) {
-	sc := bufio.NewScanner(stream)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
+// failover) and adding SSE framing when asked. Every upstream read is
+// relayed whole: the complete lines it ends are framed into one buffer
+// and sent with one Write and one Flush, so the caller sees each batch
+// the worker flushed as soon as it arrives. Lines are split as
+// bufio.ScanLines splits them: a '\r' before the '\n' is dropped, and a
+// final unterminated line is relayed at a clean EOF (but not when the
+// stream breaks). It returns how many new lines were written and the
+// first read error (nil on clean EOF; bufio.ErrTooLong for a line of
+// maxRelayLine bytes or more).
+func relayLines(w io.Writer, stream io.Reader, sse bool, skip int, flusher http.Flusher) (int, error) {
+	rb := relayBufs.Get().(*relayBuf)
+	in, out := rb.in[:0], rb.out[:0]
 	seen, written := 0, 0
-	var frame []byte // one reused buffer: each line is framed and written once
-	for sc.Scan() {
-		seen++
-		if seen <= skip {
-			continue
+	var err error
+	for err == nil {
+		if len(in) == cap(in) {
+			in = slices.Grow(in, len(in)) // a partial line fills the buffer
 		}
-		frame = frame[:0]
-		if sse {
-			frame = append(frame, "data: "...)
+		var n int
+		n, err = stream.Read(in[len(in):min(cap(in), maxRelayLine)])
+		in = in[:len(in)+n]
+
+		out = out[:0]
+		rest := in
+		for len(rest) > 0 {
+			i := bytes.IndexByte(rest, '\n')
+			if i < 0 && err != io.EOF {
+				// A partial line: wait for the rest of it, or drop it
+				// if the stream broke. After a failover the next owner
+				// replays it whole, as line number seen+1.
+				break
+			}
+			line := rest
+			if i >= 0 {
+				line, rest = rest[:i], rest[i+1:]
+			} else {
+				rest = nil // the final line, unterminated
+			}
+			if seen++; seen <= skip {
+				continue
+			}
+			if sse {
+				out = append(out, "data: "...)
+			}
+			out = append(out, bytes.TrimSuffix(line, []byte{'\r'})...)
+			out = append(out, '\n')
+			if sse {
+				out = append(out, '\n')
+			}
+			written++
 		}
-		frame = append(frame, sc.Bytes()...)
-		frame = append(frame, '\n')
-		if sse {
-			frame = append(frame, '\n')
+		if len(out) > 0 {
+			// A failed write means the caller left; its request context
+			// then ends the worker stream this loop reads.
+			w.Write(out)
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
-		// A failed write means the caller left; its request context
-		// then ends the worker stream this loop reads.
-		w.Write(frame)
-		written++
-		if flusher != nil {
-			flusher.Flush()
+		in = in[:copy(in, rest)]
+		if err == nil && len(in) == maxRelayLine {
+			err = bufio.ErrTooLong
 		}
 	}
-	return written, sc.Err()
+	if cap(in) <= relayBufSize && cap(out) <= 2*relayBufSize {
+		rb.in, rb.out = in[:0], out[:0]
+		relayBufs.Put(rb)
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	return written, err
 }
 
 // waitLive blocks until the job has an owner again (or is terminal,

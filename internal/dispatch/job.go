@@ -16,7 +16,9 @@ import (
 // cjob is one job the coordinator admitted. All fields are guarded by
 // the coordinator's mutex; network calls never happen under it.
 type cjob struct {
-	id   string // coordinator-scoped "c-%06d"
+	id string // coordinator-scoped "c-%06d"
+	// spec is what (re-)dispatch submits. A terminal job is never
+	// dispatched again, so freezing it drops the spec (setTerminal).
 	spec *wire.JobSpec
 	pair fingerprint.Hash
 	tid  telemetry.TraceID
@@ -45,6 +47,12 @@ type cjob struct {
 }
 
 func (j *cjob) isTerminal() bool { return j.terminal != nil }
+
+// setTerminal freezes the job at st and drops its spec. Call it with
+// the coordinator's mutex held.
+func (j *cjob) setTerminal(st *wire.JobStatus) {
+	j.terminal, j.spec = st, nil
+}
 
 // traceparent is the header the coordinator forwards on every
 // (re-)dispatch of this job — stable across failover, so the job keeps
@@ -152,6 +160,12 @@ func (co *Coordinator) dispatch(ctx context.Context, j *cjob, exclude string) (w
 	}
 	for {
 		co.mu.Lock()
+		spec := j.spec
+		if spec == nil {
+			// The job froze while this dispatch was in flight.
+			co.mu.Unlock()
+			return "", nil
+		}
 		var target *worker
 		urls := make([]string, 0, len(co.workers))
 		for _, w := range co.workers {
@@ -172,7 +186,7 @@ func (co *Coordinator) dispatch(ctx context.Context, j *cjob, exclude string) (w
 			}
 		}
 
-		st, err := target.cli.SubmitTrace(ctx, j.spec, j.traceparent())
+		st, err := target.cli.SubmitTrace(ctx, spec, j.traceparent())
 		if err == nil {
 			co.mu.Lock()
 			j.workerURL, j.remoteID = target.url, st.ID
@@ -319,12 +333,14 @@ func (co *Coordinator) finalize(ctx context.Context, j *cjob, cli *client.Client
 	switch {
 	case err == nil:
 		co.mu.Lock()
-		j.terminal, j.report, j.reportStatus = &st, body, status
+		j.setTerminal(&st)
+		j.report, j.reportStatus = body, status
 		co.mu.Unlock()
 	case errors.As(err, &apiErr) && apiErr.Status != http.StatusNotFound:
 		// Failed/canceled jobs report as error documents; freeze those.
 		co.mu.Lock()
-		j.terminal, j.reportErr = &st, apiErr
+		j.setTerminal(&st)
+		j.reportErr = apiErr
 		co.mu.Unlock()
 	case errors.Is(err, client.ErrNotFinished):
 		// Terminal status but a not-finished report should not happen;
@@ -409,7 +425,7 @@ func (co *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	co.mu.Lock()
 	if j.terminal == nil {
-		j.terminal = &st
+		j.setTerminal(&st)
 		j.reportErr = &client.APIError{
 			Status: wire.ExitError.HTTPStatus(), Code: wire.CodeCanceled,
 			Message: "job canceled",

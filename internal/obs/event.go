@@ -319,6 +319,7 @@ func MultiSink(sinks ...Sink) Sink {
 }
 
 // The JSON rendering of events lives in internal/wire (the versioned
-// wire schema shared by the CLIs and the daemon): wire.EncodeJSONL,
-// wire.EncodeEvent and wire.JSONLSink. This package defines only the
-// in-memory Event and the sinks that do not serialize.
+// wire schema shared by the CLIs and the daemon): wire.AppendEvent is
+// the one event writer, behind wire.EncodeJSONL and wire.JSONLSink.
+// This package defines only the in-memory Event and the sinks that do
+// not serialize.

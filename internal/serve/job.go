@@ -55,9 +55,14 @@ type job struct {
 	id   string
 	spec *wire.JobSpec
 	hub  *hub
+	// names are the programs' names in submission order, which the
+	// trace labels its program spans with.
+	names []string
 
 	// Loaded at submission (progconv.NewJob) so a malformed job is a 400,
-	// not a queued failure.
+	// not a queued failure. runJob drops them, and the spec, under mu
+	// when it ends, so a finished job keeps no parsed programs for the
+	// life of the daemon.
 	run  progconv.Job
 	opts []progconv.Option
 
@@ -117,11 +122,7 @@ func (j *job) status() wire.JobStatus {
 func (j *job) trace() *telemetry.Trace {
 	b := telemetry.NewTraceBuilder(j.tid, j.id)
 	b.SetRemoteParent(j.remote)
-	names := make([]string, len(j.run.Programs))
-	for i, p := range j.run.Programs {
-		names[i] = p.Name
-	}
-	b.SetPrograms(names)
+	b.SetPrograms(j.names)
 	// Read the run's bounds before its events: a set run duration then
 	// implies the hub already holds every event.
 	j.mu.Lock()
@@ -168,10 +169,16 @@ func (j *job) requestCancel() {
 // runJob executes one admitted job on a runner goroutine.
 func (s *Server) runJob(j *job) {
 	defer j.hub.finish()
+	defer func() {
+		j.mu.Lock()
+		j.spec, j.run, j.opts = nil, progconv.Job{}, nil
+		j.mu.Unlock()
+	}()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	deadline, _ := wire.Duration(j.spec.Options.Deadline)
+	spec := j.spec
+	deadline, _ := wire.Duration(spec.Options.Deadline)
 	if deadline <= 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
@@ -257,29 +264,30 @@ func (s *Server) runJob(j *job) {
 	}
 	j.state = stateDone
 	j.reportJSON = buf.Bytes()
-	j.exit, j.errMsg = wire.ExitFor(report, j.spec.Options.FailOn)
+	j.exit, j.errMsg = wire.ExitFor(report, spec.Options.FailOn)
 }
 
 // hub fans one job's event stream out to any number of followers: it
 // retains every event (jobs are batch-sized, not unbounded) and wakes
 // blocked followers on append and at end-of-stream.
 type hub struct {
-	mu      sync.Mutex
-	events  []progconv.Event
-	changed chan struct{}
-	closed  bool
-}
-
-func newHub() *hub {
-	return &hub{changed: make(chan struct{})}
+	mu     sync.Mutex
+	events []progconv.Event
+	// wake closes on the next append or at end-of-stream. It is made
+	// only when a follower asks for it, so a run nobody follows live
+	// allocates no channel per event.
+	wake   chan struct{}
+	closed bool
 }
 
 // Emit implements progconv.Sink (obs.Sink).
 func (h *hub) Emit(ev progconv.Event) {
 	h.mu.Lock()
 	h.events = append(h.events, ev)
-	close(h.changed)
-	h.changed = make(chan struct{})
+	if h.wake != nil {
+		close(h.wake)
+		h.wake = nil
+	}
 	h.mu.Unlock()
 }
 
@@ -288,19 +296,32 @@ func (h *hub) finish() {
 	h.mu.Lock()
 	if !h.closed {
 		h.closed = true
-		close(h.changed)
+		if h.wake != nil {
+			close(h.wake)
+			h.wake = nil
+		}
 	}
 	h.mu.Unlock()
 }
 
-// since returns the events at and after index from, a channel that
-// closes on the next append, and whether the stream has ended.
+// since returns the events at and after index from, whether the stream
+// has ended, and otherwise a channel that closes on the next append.
+// The events are a view of the hub's own log, capped at its current
+// length: events are append-only and never rewritten, so a later
+// append cannot touch what the view holds, and the caller reads it
+// without the lock and without a copy.
 func (h *hub) since(from int) ([]progconv.Event, <-chan struct{}, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var events []progconv.Event
-	if from < len(h.events) {
-		events = append(events, h.events[from:]...)
+	if n := len(h.events); from < n {
+		events = h.events[from:n:n]
 	}
-	return events, h.changed, h.closed && from+len(events) >= len(h.events)
+	if h.closed {
+		return events, nil, true
+	}
+	if h.wake == nil {
+		h.wake = make(chan struct{})
+	}
+	return events, h.wake, false
 }

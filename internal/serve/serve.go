@@ -272,7 +272,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, err.Error())
 		return
 	}
-	j := &job{spec: &spec, hub: newHub(), run: run, opts: opts}
+	names := make([]string, len(run.Programs))
+	for i, p := range run.Programs {
+		names[i] = p.Name
+	}
+	j := &job{spec: &spec, hub: &hub{}, names: names, run: run, opts: opts}
 
 	// An inbound W3C traceparent continues the caller's trace; anything
 	// malformed (or absent) falls back to a trace ID derived from the
@@ -474,23 +478,36 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
+	bp := eventBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*bp) <= maxPooledEvents {
+			eventBufs.Put(bp)
+		}
+	}()
 	from := 0
 	for {
 		events, changed, closed := j.hub.since(from)
-		for _, ev := range events {
-			if sse {
-				fmt.Fprint(w, "data: ")
+		if len(events) > 0 {
+			// Every event the wake delivered goes out in one write and
+			// one flush.
+			b := (*bp)[:0]
+			for _, ev := range events {
+				if sse {
+					b = append(b, "data: "...)
+				}
+				b = wire.AppendEvent(b, ev, omitTiming)
+				if sse {
+					b = append(b, '\n')
+				}
 			}
-			if err := wire.EncodeEvent(w, ev, omitTiming); err != nil {
+			*bp = b
+			if _, err := w.Write(b); err != nil {
 				return
 			}
-			if sse {
-				fmt.Fprint(w, "\n")
+			if flusher != nil {
+				flusher.Flush()
 			}
-		}
-		from += len(events)
-		if flusher != nil && len(events) > 0 {
-			flusher.Flush()
+			from += len(events)
 		}
 		if closed {
 			return
@@ -502,3 +519,13 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 }
+
+// maxPooledEvents bounds the event batch buffers returned to
+// eventBufs; a follower that joins a finished 200-program job takes
+// its whole log, a few hundred KB, in one batch.
+const maxPooledEvents = 1 << 20
+
+var eventBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4096)
+	return &b
+}}

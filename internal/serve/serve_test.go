@@ -328,6 +328,67 @@ func TestFailOnGateMapsToConflict(t *testing.T) {
 	}
 }
 
+// TestEventFollowersConcurrent: several followers attached while a job
+// runs, over NDJSON and SSE, each receive the complete stream, equal to
+// the replay after the job ends. The hub hands every follower views of
+// one append-only log and makes its wake channel on demand; run with
+// -race to check that sharing.
+func TestEventFollowersConcurrent(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	id := submitOK(t, ts.URL, slowSpec("20ms"))
+	url := ts.URL + "/v1/jobs/" + id + "/events?omit_timing=1"
+	follow := func(sse bool) ([]byte, error) {
+		req, err := http.NewRequest("GET", url, nil)
+		if err != nil {
+			return nil, err
+		}
+		if sse {
+			req.Header.Set("Accept", "text/event-stream")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return nil, err
+		}
+		defer resp.Body.Close()
+		return io.ReadAll(resp.Body)
+	}
+	const followers = 4
+	got := make([][]byte, followers)
+	done := make(chan struct{})
+	for i := 0; i < followers; i++ {
+		go func(i int) {
+			defer func() { done <- struct{}{} }()
+			b, err := follow(i%2 == 1)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = b
+		}(i)
+	}
+	for i := 0; i < followers; i++ {
+		<-done
+	}
+	if st := waitTerminal(t, ts.URL, id); st.State != "done" {
+		t.Fatalf("job ended %q: %s", st.State, st.Error)
+	}
+	_, replay := getBody(t, url)
+	var framed []byte
+	for _, ln := range bytes.SplitAfter(replay, []byte("\n")) {
+		if len(ln) > 0 {
+			framed = append(append(append(framed, "data: "...), ln...), '\n')
+		}
+	}
+	for i, b := range got {
+		want := replay
+		if i%2 == 1 {
+			want = framed
+		}
+		if len(replay) == 0 || !bytes.Equal(b, want) {
+			t.Errorf("follower %d (sse=%v) read %d bytes, want the %d-byte replay", i, i%2 == 1, len(b), len(want))
+		}
+	}
+}
+
 // slowSpec delays every analyze stage so jobs stay in flight long
 // enough to observe queue overflow, cancellation and drain.
 func slowSpec(delay string) wire.JobSpec {

@@ -1,109 +1,94 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
+	"strconv"
 	"sync"
 
 	"progconv/internal/obs"
 )
 
-// eventJSON is the stable v1 JSONL event shape; field order is pinned
-// by golden-file tests. It is the wire rendering of obs.Event, shared
-// by the CLI -events stream and the daemon's event endpoints.
-type eventJSON struct {
-	V        int    `json:"v"`
-	Seq      uint64 `json:"seq"`
-	TNs      int64  `json:"t_ns,omitempty"`
-	Prog     string `json:"prog"`
-	Kind     string `json:"kind"`
-	Stage    string `json:"stage,omitempty"`
-	DurNs    int64  `json:"dur_ns,omitempty"`
-	Label    string `json:"label,omitempty"`
-	Detail   string `json:"detail,omitempty"`
-	Accepted *bool  `json:"accepted,omitempty"`
-}
-
-func eventWire(ev obs.Event, omitTiming bool) eventJSON {
-	j := eventJSON{V: Version, Seq: ev.Seq, Prog: ev.Prog, Kind: ev.Kind.String(),
-		Label: ev.Label, Detail: ev.Detail}
-	if !omitTiming {
-		j.TNs = int64(ev.T)
-		j.DurNs = int64(ev.Dur)
+// AppendEvent appends one event as its stable v1 JSON line, newline
+// included, and returns the extended buffer. It is the one event
+// writer: the CLI's -events stream, the daemon's event endpoints and
+// the golden files all reach it. Fields appear in the pinned order v,
+// seq, t_ns, prog, kind, stage, dur_ns, label, detail, accepted, with
+// the omitempty rules and string escaping of the encoding/json
+// rendering it replaced, so the bytes are unchanged; a warm buffer
+// takes no allocation. omitTiming drops the wall-clock fields (t_ns,
+// dur_ns) for byte-stable output.
+func AppendEvent(dst []byte, ev obs.Event, omitTiming bool) []byte {
+	dst = append(dst, `{"v":`...)
+	dst = strconv.AppendInt(dst, Version, 10)
+	dst = append(dst, `,"seq":`...)
+	dst = strconv.AppendUint(dst, ev.Seq, 10)
+	if !omitTiming && ev.T != 0 {
+		dst = append(dst, `,"t_ns":`...)
+		dst = strconv.AppendInt(dst, int64(ev.T), 10)
 	}
+	dst = append(dst, `,"prog":`...)
+	dst = appendString(dst, ev.Prog)
+	dst = append(dst, `,"kind":`...)
+	dst = appendString(dst, ev.Kind.String())
 	if ev.Kind == obs.EvStageStart || ev.Kind == obs.EvStageEnd {
-		j.Stage = ev.Stage.String()
+		dst = append(dst, `,"stage":`...)
+		dst = appendString(dst, ev.Stage.String())
+	}
+	if !omitTiming && ev.Dur != 0 {
+		dst = append(dst, `,"dur_ns":`...)
+		dst = strconv.AppendInt(dst, int64(ev.Dur), 10)
+	}
+	if ev.Label != "" {
+		dst = append(dst, `,"label":`...)
+		dst = appendString(dst, ev.Label)
+	}
+	if ev.Detail != "" {
+		dst = append(dst, `,"detail":`...)
+		dst = appendString(dst, ev.Detail)
 	}
 	if ev.Kind == obs.EvDecision {
-		a := ev.Accepted
-		j.Accepted = &a
+		dst = append(dst, `,"accepted":`...)
+		dst = strconv.AppendBool(dst, ev.Accepted)
 	}
-	return j
+	return append(dst, "}\n"...)
 }
 
-// encodeBuf pairs a reusable buffer with an encoder bound to it, so
-// the per-event encode path of the daemon's streaming endpoints stops
-// allocating a fresh marshal buffer per line. json.Encoder.Encode
-// emits compact JSON plus a trailing newline with the same HTML
-// escaping as Marshal, so pooled output stays byte-identical.
-type encodeBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var encodePool = sync.Pool{New: func() any {
-	b := &encodeBuf{}
-	b.enc = json.NewEncoder(&b.buf)
-	return b
-}}
-
-// EncodeEvent writes one event as a single JSON line. omitTiming drops
-// the wall-clock fields (t_ns, dur_ns) for byte-stable output.
-func EncodeEvent(w io.Writer, ev obs.Event, omitTiming bool) error {
-	b := encodePool.Get().(*encodeBuf)
-	defer encodePool.Put(b)
-	b.buf.Reset()
-	if err := b.enc.Encode(eventWire(ev, omitTiming)); err != nil {
-		return err
+// EncodeJSONL writes events one JSON object per line, in one Write.
+// omitTiming drops the wall-clock fields so the output is byte-stable
+// across runs — the representation golden-file tests pin.
+func EncodeJSONL(w io.Writer, events []obs.Event, omitTiming bool) error {
+	bp := getBuf()
+	b := *bp
+	for _, ev := range events {
+		b = AppendEvent(b, ev, omitTiming)
 	}
-	_, err := w.Write(b.buf.Bytes())
+	_, err := w.Write(b)
+	putBuf(bp, b)
 	return err
 }
 
-// EncodeJSONL writes events one JSON object per line. omitTiming drops
-// the wall-clock fields so the output is byte-stable across runs — the
-// representation golden-file tests pin.
-func EncodeJSONL(w io.Writer, events []obs.Event, omitTiming bool) error {
-	enc := json.NewEncoder(w) // Encode appends the newline
-	for _, ev := range events {
-		if err := enc.Encode(eventWire(ev, omitTiming)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // JSONLSink streams events to a writer as wire-v1 JSON lines in
-// arrival order. The first write error sticks and silences the rest;
-// check Err after the run.
+// arrival order, one Write per event. The first write error sticks and
+// silences the rest; check Err after the run.
 type JSONLSink struct {
 	mu  sync.Mutex
-	enc *json.Encoder
+	w   io.Writer
+	buf []byte
 	err error
 }
 
 // NewJSONLSink returns a sink encoding onto w (wrap w in a
 // bufio.Writer for file output).
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{enc: json.NewEncoder(w)}
+	return &JSONLSink{w: w}
 }
 
 // Emit implements obs.Sink.
 func (s *JSONLSink) Emit(ev obs.Event) {
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = s.enc.Encode(eventWire(ev, false))
+		s.buf = AppendEvent(s.buf[:0], ev, false)
+		_, s.err = s.w.Write(s.buf)
 	}
 	s.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"io"
 
 	"progconv/internal/core"
@@ -184,8 +183,137 @@ func fromOutcome(o *core.Outcome) Outcome {
 
 // EncodeReport writes the v1 wire document for r: two-space-indented
 // JSON plus a trailing newline, byte-deterministic for identical runs.
+// The document is laid out into a pooled buffer and written in one
+// Write.
 func EncodeReport(w io.Writer, r *core.Report) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(FromReport(r))
+	bp := getBuf()
+	b := appendReport(*bp, FromReport(r))
+	_, err := w.Write(b)
+	putBuf(bp, b)
+	return err
+}
+
+// appendReport appends doc as encoding/json's Encoder with
+// SetIndent("", "  ") renders it, trailing newline included: fields in
+// declaration order, omitempty fields left out when empty, and a nil
+// Outcomes as null.
+func appendReport(dst []byte, doc *Report) []byte {
+	w := indentWriter{b: dst}
+	w.open('{')
+	w.int("v", doc.V)
+	w.strOmit("model", doc.Model)
+	w.str("plan", doc.Plan)
+	w.bool("invertible", doc.Invertible)
+	w.strOmit("target_ddl", doc.TargetDDL)
+	w.strings("migration_warnings", doc.MigrationWarnings)
+	w.key("outcomes")
+	if doc.Outcomes == nil {
+		w.b = append(w.b, "null"...)
+	} else {
+		w.open('[')
+		for i := range doc.Outcomes {
+			w.next()
+			w.outcome(&doc.Outcomes[i])
+		}
+		w.close(']')
+	}
+	w.int("auto", doc.Auto)
+	w.int("qualified", doc.Qualified)
+	w.int("manual", doc.Manual)
+	w.int("failed", doc.Failed)
+	w.close('}')
+	return append(w.b, '\n')
+}
+
+func (w *indentWriter) outcome(o *Outcome) {
+	w.open('{')
+	w.str("name", o.Name)
+	w.str("disposition", o.Disposition)
+	if len(o.Issues) > 0 {
+		w.key("issues")
+		w.open('[')
+		for _, is := range o.Issues {
+			w.next()
+			w.open('{')
+			w.str("kind", is.Kind)
+			w.str("msg", is.Msg)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.strings("notes", o.Notes)
+	if len(o.Optimizations) > 0 {
+		w.key("optimizations")
+		w.open('[')
+		for _, op := range o.Optimizations {
+			w.next()
+			w.open('{')
+			w.str("rule", op.Rule)
+			w.str("note", op.Note)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.strOmit("generated", o.Generated)
+	if v := o.Verified; v != nil {
+		w.key("verified")
+		w.open('{')
+		w.bool("equal", v.Equal)
+		w.strOmit("detail", v.Detail)
+		w.close('}')
+	}
+	w.key("audit")
+	w.audit(&o.Audit)
+	w.close('}')
+}
+
+func (w *indentWriter) audit(a *Audit) {
+	w.open('{')
+	w.str("reason", a.Reason)
+	w.strOmit("model", a.Model)
+	w.strOmit("pair", a.Pair)
+	w.strings("hazards", a.Hazards)
+	w.strOmit("plan_step", a.PlanStep)
+	if len(a.Decisions) > 0 {
+		w.key("decisions")
+		w.open('[')
+		for _, d := range a.Decisions {
+			w.next()
+			w.open('{')
+			w.str("kind", d.Kind)
+			w.str("msg", d.Msg)
+			w.bool("accepted", d.Accepted)
+			if d.TimedOut {
+				w.bool("timed_out", true)
+			}
+			w.close('}')
+		}
+		w.close(']')
+	}
+	if f := a.Failure; f != nil {
+		w.key("failure")
+		w.open('{')
+		w.str("stage", f.Stage)
+		w.str("kind", f.Kind)
+		w.str("message", f.Message)
+		if f.Attempts != 0 {
+			w.int("attempts", f.Attempts)
+		}
+		w.close('}')
+	}
+	if len(a.Retries) > 0 {
+		w.key("retries")
+		w.open('[')
+		for _, rt := range a.Retries {
+			w.next()
+			w.open('{')
+			w.str("stage", rt.Stage)
+			w.int("attempt", rt.Attempt)
+			w.str("backoff", rt.Backoff)
+			w.str("err", rt.Err)
+			w.close('}')
+		}
+		w.close(']')
+	}
+	w.close('}')
 }

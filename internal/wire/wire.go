@@ -13,6 +13,14 @@
 // the version, renames and removals bump it. Encoders in this package
 // never emit wall-clock values into versioned report documents, so a
 // v1 report is byte-identical at any parallelism.
+//
+// The two documents every job streams in bulk, event lines and the
+// report, are written by appending writers rather than by reflection:
+// AppendEvent writes one event line into a caller's buffer, and
+// EncodeReport lays the indented report out into a pooled buffer and
+// writes it once. Both reproduce encoding/json's bytes exactly (its
+// escaping, field order and omitempty rules); the encoding/json
+// renderings they replaced are kept as test oracles.
 package wire
 
 // Version is the wire schema generation stamped into the "v" field of

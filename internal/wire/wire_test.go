@@ -67,14 +67,10 @@ func TestEncodeJSONLShape(t *testing.T) {
 		t.Errorf("timed encoding missing wall-clock fields: %s", buf.String())
 	}
 
-	// EncodeEvent (the daemon's streaming form) produces the identical
+	// AppendEvent (the daemon's streaming form) produces the identical
 	// line.
-	buf.Reset()
-	if err := EncodeEvent(&buf, events[0], true); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.TrimRight(buf.String(), "\n"); got != lines[0] {
-		t.Errorf("EncodeEvent = %s, want %s", got, lines[0])
+	if got := strings.TrimRight(string(AppendEvent(nil, events[0], true)), "\n"); got != lines[0] {
+		t.Errorf("AppendEvent = %s, want %s", got, lines[0])
 	}
 }
 
