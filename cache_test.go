@@ -7,11 +7,14 @@ package progconv
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"progconv/internal/corpus"
+	"progconv/internal/dbprog"
 	"progconv/internal/schema"
 	"progconv/internal/xform"
 )
@@ -156,5 +159,89 @@ func TestConcurrentConvertsShareOneCache(t *testing.T) {
 	if s := cache.Stats(); s.PairMisses != int64(len(variants)) {
 		t.Errorf("pair misses = %d, want %d (singleflight across goroutines)",
 			s.PairMisses, len(variants))
+	}
+}
+
+// TestPipelineLeavesProgramsUnchanged: no stage mutates a program it is
+// given, so jobs may share parsed programs, as a parse memo keyed by
+// the source text would have every job that submits one text do. Two
+// jobs at a time run over one parsed inventory with one cache, at
+// parallelism 8: one plain, one that accepts order changes, retries
+// injected transient faults and recovers injected panics. They migrate
+// and verify, and the hierarchical pair runs twice so the second
+// converts from warm memos. Afterwards every input program must still
+// equal a fresh parse of its text.
+func TestPipelineLeavesProgramsUnchanged(t *testing.T) {
+	cache := NewCache(0)
+	type input struct {
+		prog *Program
+		src  string
+	}
+	var inputs []input
+	parse := func(members []corpus.Member) []*Program {
+		progs := make([]*Program, len(members))
+		for i, m := range members {
+			p, err := dbprog.Parse(m.Source)
+			if err != nil {
+				t.Fatal(err)
+			}
+			progs[i] = p
+			inputs = append(inputs, input{p, m.Source})
+		}
+		return progs
+	}
+	chaos := append(jobOptions(&JobOptions{Parallelism: 8, AcceptOrder: true, OnFailure: "collect",
+		Inject: "transient@*/convert,transient@*/verify~0.5,panic@*/optimize~0.05"}),
+		WithRetries(2, time.Microsecond))
+	// run converts two jobs of mk at a time: they share the programs
+	// and the cache, each has its own database.
+	run := func(mk func() Job) {
+		var wg sync.WaitGroup
+		for _, extra := range [][]Option{nil, chaos} {
+			wg.Add(1)
+			go func(extra []Option) {
+				defer wg.Done()
+				opts := append([]Option{WithCache(cache), WithParallelism(8)}, extra...)
+				if _, err := ConvertJob(context.Background(), mk(), opts...); err != nil {
+					t.Error(err)
+				}
+			}(extra)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		p := corpus.PeriodProfile(seed)
+		p.Programs = 200
+		members, err := corpus.Programs(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs := parse(members)
+		run(func() Job {
+			return Job{Spec: NetworkSpec{Src: schema.CompanyV1(), Dst: schema.CompanyV2(), DB: corpus.Database(p)}, Programs: progs}
+		})
+	}
+	ims, err := corpus.IMSReorder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := parse(ims.Members)
+	hier := func() Job {
+		return Job{Spec: HierSpec{Src: ims.Source, Dst: ims.Target, DB: ims.Seed()}, Programs: progs}
+	}
+	run(hier)
+	run(hier)
+
+	for _, in := range inputs {
+		fresh, err := dbprog.Parse(in.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(in.prog, fresh) {
+			t.Errorf("%s: the pipeline changed the program it was given", in.prog.Name)
+		}
 	}
 }

@@ -214,6 +214,13 @@ func (c *Client) SubmitTrace(ctx context.Context, spec *progconv.JobSpec, tracep
 	if err != nil {
 		return nil, err
 	}
+	return c.SubmitBody(ctx, body, traceparent)
+}
+
+// SubmitBody is SubmitTrace for a submission already encoded: it posts
+// body as it is. The dispatch coordinator forwards each caller's bytes
+// to the routed worker this way, without encoding the spec again.
+func (c *Client) SubmitBody(ctx context.Context, body []byte, traceparent string) (*progconv.JobStatus, error) {
 	var hdr map[string]string
 	if traceparent != "" {
 		hdr = map[string]string{"traceparent": traceparent}
@@ -307,7 +314,7 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, int, error) {
 		resp.Body.Close()
 		return nil, resp.StatusCode, ErrNotFinished
 	}
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := readBody(resp)
 	resp.Body.Close()
 	if err != nil {
 		return nil, resp.StatusCode, err
@@ -323,6 +330,28 @@ func (c *Client) Report(ctx context.Context, id string) ([]byte, int, error) {
 		}
 	}
 	return raw, resp.StatusCode, nil
+}
+
+// maxSizedBody bounds the Content-Length readBody allocates up front.
+const maxSizedBody = 64 << 20
+
+// readBody reads a response body whole: into one buffer of the
+// declared size when the response declares a length up to
+// maxSizedBody, growing as it reads otherwise. A body shorter than its
+// declared length is an error, never a truncated document.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n <= 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, buf); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, fmt.Errorf("reading %d-byte body: %w", n, err)
+	}
+	return buf, nil
 }
 
 // Wait polls a job's status until it reaches a terminal state (done,

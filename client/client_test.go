@@ -287,3 +287,45 @@ func TestListDecode(t *testing.T) {
 		t.Fatalf("round-trip: %+v, %v", back, err)
 	}
 }
+
+// TestReportContentLength: Report reads a body of declared length
+// into one buffer, reads a chunked body whole, and fails on a body
+// shorter than its Content-Length rather than return it truncated.
+func TestReportContentLength(t *testing.T) {
+	report := []byte("{\n  \"v\": 1,\n  \"outcomes\": []\n}\n")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/jobs/sized/report", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", fmt.Sprint(len(report)))
+		w.Write(report)
+	})
+	mux.HandleFunc("GET /v1/jobs/chunked/report", func(w http.ResponseWriter, r *http.Request) {
+		w.Write(report[:5])
+		w.(http.Flusher).Flush() // no length yet: the response goes chunked
+		w.Write(report[5:])
+	})
+	mux.HandleFunc("GET /v1/jobs/short/report", func(w http.ResponseWriter, r *http.Request) {
+		conn, buf, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		fmt.Fprintf(buf, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n", len(report))
+		buf.Write(report[:len(report)-3])
+		buf.Flush()
+	})
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	c := New(ts.URL, WithRetries(0, 0))
+	ctx := context.Background()
+
+	for _, id := range []string{"sized", "chunked"} {
+		body, status, err := c.Report(ctx, id)
+		if err != nil || status != http.StatusOK || !bytes.Equal(body, report) {
+			t.Errorf("%s: %q, HTTP %d, %v", id, body, status, err)
+		}
+	}
+	if body, _, err := c.Report(ctx, "short"); err == nil {
+		t.Errorf("a short body read as %q with no error", body)
+	}
+}

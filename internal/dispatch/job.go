@@ -2,7 +2,6 @@ package dispatch
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -17,9 +16,10 @@ import (
 // the coordinator's mutex; network calls never happen under it.
 type cjob struct {
 	id string // coordinator-scoped "c-%06d"
-	// spec is what (re-)dispatch submits. A terminal job is never
-	// dispatched again, so freezing it drops the spec (setTerminal).
-	spec *wire.JobSpec
+	// body is the submission as the coordinator received it, which
+	// (re-)dispatch forwards byte for byte. A terminal job is never
+	// dispatched again, so freezing it drops the body (setTerminal).
+	body []byte
 	pair fingerprint.Hash
 	tid  telemetry.TraceID
 	// inbound is the caller's traceparent header, forwarded verbatim to
@@ -48,10 +48,10 @@ type cjob struct {
 
 func (j *cjob) isTerminal() bool { return j.terminal != nil }
 
-// setTerminal freezes the job at st and drops its spec. Call it with
+// setTerminal freezes the job at st and drops its body. Call it with
 // the coordinator's mutex held.
 func (j *cjob) setTerminal(st *wire.JobStatus) {
-	j.terminal, j.spec = st, nil
+	j.terminal, j.body = st, nil
 }
 
 // traceparent is the header the coordinator forwards on every
@@ -83,9 +83,10 @@ func (j *cjob) queuedStatus() wire.JobStatus {
 }
 
 func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec wire.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&spec); err != nil {
+	// The coordinator decodes a submission once, to validate and route
+	// it; the worker gets the bytes it sent.
+	body, spec, err := wire.ReadJobSpec(w, r)
+	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding job: "+err.Error())
 		return
 	}
@@ -115,7 +116,7 @@ func (co *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	co.nextID++
 	j := &cjob{
 		id:   fmt.Sprintf("c-%06d", co.nextID),
-		spec: &spec, pair: pair, inbound: inbound,
+		body: body, pair: pair, inbound: inbound,
 	}
 	if tpErr != nil {
 		tid = telemetry.DeriveTraceID("dispatch", string(pair), j.id)
@@ -160,8 +161,8 @@ func (co *Coordinator) dispatch(ctx context.Context, j *cjob, exclude string) (w
 	}
 	for {
 		co.mu.Lock()
-		spec := j.spec
-		if spec == nil {
+		body := j.body
+		if body == nil {
 			// The job froze while this dispatch was in flight.
 			co.mu.Unlock()
 			return "", nil
@@ -186,7 +187,7 @@ func (co *Coordinator) dispatch(ctx context.Context, j *cjob, exclude string) (w
 			}
 		}
 
-		st, err := target.cli.SubmitTrace(ctx, spec, j.traceparent())
+		st, err := target.cli.SubmitBody(ctx, body, j.traceparent())
 		if err == nil {
 			co.mu.Lock()
 			j.workerURL, j.remoteID = target.url, st.ID
@@ -385,9 +386,7 @@ func (co *Coordinator) handleReport(w http.ResponseWriter, r *http.Request) {
 	case repErr != nil:
 		wire.WriteError(w, repErr.Status, wire.ErrorCode(repErr.Code), repErr.Message)
 	default:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		w.Write(body)
+		wire.WriteReport(w, status, body)
 	}
 }
 

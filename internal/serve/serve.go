@@ -26,7 +26,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -259,9 +258,8 @@ func (s *Server) isDraining() bool {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec wire.JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
-	if err := dec.Decode(&spec); err != nil {
+	_, spec, err := wire.ReadJobSpec(w, r)
+	if err != nil {
 		wire.WriteError(w, http.StatusBadRequest, wire.CodeBadSpec, "decoding job: "+err.Error())
 		return
 	}
@@ -446,9 +444,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	case stateDone:
 		// The body is exactly what the CLI's -report-json writes for the
 		// same inputs; the HTTP status comes from the shared exit table.
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(st.exit.HTTPStatus())
-		w.Write(st.reportJSON)
+		wire.WriteReport(w, st.exit.HTTPStatus(), st.reportJSON)
 	default: // failed, canceled
 		wire.WriteError(w, st.exit.HTTPStatus(), st.errCode, st.errMsg)
 	}

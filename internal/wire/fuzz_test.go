@@ -1,26 +1,60 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"reflect"
 	"testing"
 )
 
-// FuzzJobSpec: a submission body decodes the way the daemon's and the
-// coordinator's submit handlers decode it, then validates, and neither
-// step panics. A spec that validates survives the coordinator's forward
-// path: re-encoded for the worker, it decodes to the same spec and
-// validates again.
+// FuzzJobSpec: DecodeJobSpec accepts exactly the submission bodies the
+// encoding/json oracle accepts and yields the same spec for them,
+// DeepEqual down to nil against empty slices; a decoded spec then
+// validates or not without panicking.
 //
-// Plain go test runs the seeds, the shapes of the CI daemon and fleet
-// jobs in both models; go test -fuzz FuzzJobSpec explores from them.
+// Plain go test runs the seeds: the shapes of the CI daemon and fleet
+// jobs in both models, and a body for each rule DecodeJobSpec copies
+// from encoding/json. go test -fuzz FuzzJobSpec explores from them.
 func FuzzJobSpec(f *testing.F) {
+	for _, body := range jobSpecSeeds(f) {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeAgainstOracle(t, body)
+	})
+}
+
+// checkDecodeAgainstOracle fails t unless DecodeJobSpec and the
+// encoding/json oracle agree on body.
+func checkDecodeAgainstOracle(t *testing.T, body []byte) {
+	t.Helper()
+	want, wantErr := oracleDecodeJobSpec(body)
+	got, err := DecodeJobSpec(body)
+	switch {
+	case (err == nil) != (wantErr == nil):
+		t.Fatalf("DecodeJobSpec error %v, oracle error %v, for body %q", err, wantErr, clip(body))
+	case err == nil && !reflect.DeepEqual(got, want):
+		t.Fatalf("DecodeJobSpec yields\n%#v\nthe oracle\n%#v\nfor body %q", got, want, clip(body))
+	case err == nil:
+		_ = got.Validate()
+	}
+}
+
+// clip shortens a body for a failure message.
+func clip(b []byte) []byte {
+	if len(b) > 300 {
+		return append(b[:300:300], "..."...)
+	}
+	return b
+}
+
+// jobSpecSeeds returns the bodies FuzzJobSpec starts from and
+// TestDecodeJobSpecMatchesOracle replays.
+func jobSpecSeeds(tb testing.TB) [][]byte {
 	read := func(path string) string {
 		b, err := os.ReadFile("../../examples/" + path)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
 		return string(b)
 	}
@@ -55,37 +89,52 @@ END PROGRAM.`},
 		OnFailure: "budget:2", FailOn: "manual", Deadline: "30s", Inject: "transient@*/convert"}
 	badInject := network
 	badInject.Options = JobOptions{Inject: "bogus"}
+	var seeds [][]byte
 	for _, spec := range []JobSpec{network, hier, fleet, hierFleet, every, badInject} {
 		body, err := json.Marshal(spec)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(body)
+		seeds = append(seeds, body)
 	}
-	for _, body := range []string{`{}`, `{"v":2}`, `{"model":"relational"}`, `{"options":{"timeout":"soon"}}`} {
-		f.Add([]byte(body))
+	for _, body := range []string{
+		`{}`, `{"v":2}`, `{"model":"relational"}`, `{"options":{"timeout":"soon"}}`,
+		// Repeated keys: the last scalar wins; programs and options
+		// decode into what is already there, and programs truncates
+		// and regrows through its stale capacity.
+		`{"source_ddl":"a","source_ddl":"b","v":1,"v":2}`,
+		`{"programs":[{"source":"a"},{"source":"b"}],"programs":[{}]}`,
+		`{"programs":[{"source":"a"},{"source":"b"}],"programs":[{}],"programs":[{},{}]}`,
+		`{"programs":[{"source":"a"}],"programs":[]}`,
+		`{"programs":[{"source":"a","source":"b"},null,{"source":null}]}`,
+		`{"options":{"retries":2,"fail_on":"manual","accept_order":true},"options":{"retries":1}}`,
+		// Folded keys, escaped keys and unknown keys.
+		`{"SOURCE_DDL":"x","Target_Ddl":"y","PROGRAMS":[{"SOURCE":"p"}],"OPTIONS":{"Accept_Order":true,"ReTries":1}}`,
+		"{\"\u017fource_ddl\":\"long s\",\"\\u0076\":1,\"v\\u0000\":2,\"\":3}",
+		`{"x":{"y":[1,-2.5e+3,0.5E-1,true,false,null,"s\n\u00e9",{"z":[]}]},"v":1,"w":[[],{}]}`,
+		// null: a scalar or options stays, programs empties to nil,
+		// and a top-level null is the zero spec.
+		`{"model":"m","model":null,"options":null,"v":1,"v":null,"programs":[{"source":"a"}],"programs":null}`,
+		`null`, ` null`, `null xyz`, `nul`, `nulL`,
+		// The bytes after the top-level value are not read.
+		`{"v":1} garbage`, `{"v":1}{"v":2}`, `{}]`, "{}\x00",
+		// Strings: invalid UTF-8 and lone surrogates become U+FFFD,
+		// pairs combine, raw control bytes fail.
+		"{\"source_ddl\":\"a\xffb\xc3\",\"target_ddl\":\"\xed\xa0\x80\xe2\x82\"}",
+		`{"model":"\ud800x\udc00\ud83d\ude00\ud800\u0041\uDBFF\uDFFF\ud800\ud800"}`,
+		`{"model":"\/\b\f\n\r\t\"\\"}`,
+		"{\"model\":\"a\x01b\"}", "{\"model\":\"a\tb\"}", `{"model":"\'"}`, `{"model":"\u12"}`, `{"model":"\u12g4"}`,
+		// Integers.
+		`{"v":1.0}`, `{"v":1e2}`, `{"v":-0}`, `{"v":01}`, `{"v":-}`, `{"v":1.}`, `{"v":.5}`, `{"v":+1}`,
+		`{"v":9223372036854775807}`, `{"v":9223372036854775808}`, `{"v":-9223372036854775808}`,
+		`{"v":-9223372036854775809}`, `{"options":{"retries":99999999999999999999}}`,
+		// Type mismatches and syntax errors.
+		`{"v":"1"}`, `{"v":true}`, `{"programs":{}}`, `{"programs":["a"]}`, `{"programs":[[]]}`,
+		`{"options":[]}`, `{"options":{"accept_order":1}}`, `{"model":5}`, `"str"`, `[]`, `1`, `true`,
+		`{"v":1,}`, `{"v" 1}`, `{"v":1 "model":""}`, `[`, ``, "  \n", `{"a":tru}`, `{"a":[1,]}`, `{,}`,
+		"\xef\xbb\xbf{}", `{"v":1`, `{"model":"abc`,
+	} {
+		seeds = append(seeds, []byte(body))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		var spec JobSpec
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
-			return
-		}
-		if err := spec.Validate(); err != nil {
-			return
-		}
-		forwarded, err := json.Marshal(&spec)
-		if err != nil {
-			t.Fatalf("a valid spec does not re-encode: %v", err)
-		}
-		var again JobSpec
-		if err := json.NewDecoder(bytes.NewReader(forwarded)).Decode(&again); err != nil {
-			t.Fatalf("a forwarded spec does not decode: %v\n%s", err, forwarded)
-		}
-		if !reflect.DeepEqual(again, spec) {
-			t.Fatalf("forwarding changed the spec:\n%+v\nbecame\n%+v", spec, again)
-		}
-		if err := again.Validate(); err != nil {
-			t.Fatalf("a forwarded spec no longer validates: %v", err)
-		}
-	})
+	return seeds
 }

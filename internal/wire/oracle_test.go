@@ -9,11 +9,11 @@ import (
 	"progconv/internal/obs"
 )
 
-// The encoding/json renderings that AppendEvent and the report writer
-// replaced, kept as test code so the appending writers are checked
-// against a reference written separately from them
-// (TestAppendEventMatchesOracle, FuzzEventOracle,
-// TestReportWriterMatchesOracle, FuzzReportOracle).
+// The encoding/json renderings that AppendEvent, the report writer and
+// DecodeJobSpec replaced, kept as test code so each is checked against
+// a reference written separately from it (TestAppendEventMatchesOracle,
+// FuzzEventOracle, TestReportWriterMatchesOracle, FuzzReportOracle,
+// TestDecodeJobSpecMatchesOracle, FuzzJobSpec).
 
 // eventJSON is the v1 JSONL event shape as a reflected struct: field
 // order and omitempty tags are the contract AppendEvent reproduces.
@@ -82,4 +82,12 @@ func oracleEncodeReport(doc *Report) []byte {
 		panic(err) // a Report holds only strings, numbers and bools
 	}
 	return buf.Bytes()
+}
+
+// oracleDecodeJobSpec is the submission decoding that DecodeJobSpec
+// replaced in the daemon's and the coordinator's submit handlers.
+func oracleDecodeJobSpec(body []byte) (JobSpec, error) {
+	var spec JobSpec
+	err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec)
+	return spec, err
 }
