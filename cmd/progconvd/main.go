@@ -87,6 +87,16 @@ import (
 	"progconv/internal/telemetry"
 )
 
+// newServer builds each of progconvd's listeners. Slow readers time
+// out: headers must arrive within 10 s, the whole request, an 8 MiB job
+// body included, within a minute. No WriteTimeout, because event
+// streams are long GETs; net/http lifts the read deadline once a
+// request's body is consumed, so the read timeout spares them too.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h,
+		ReadHeaderTimeout: 10 * time.Second, ReadTimeout: time.Minute}
+}
+
 // service is what main drains and serves, whichever mode built it.
 type service interface {
 	Handler() http.Handler
@@ -167,12 +177,11 @@ func main() {
 		os.Exit(2)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	hs := newServer(*addr, svc.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
 	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr,
-			Handler: telemetry.DebugMux(svc.MetricsHandler(), svc.Statusz())}
+		dbg := newServer(*debugAddr, telemetry.DebugMux(svc.MetricsHandler(), svc.Statusz()))
 		go func() {
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				fmt.Fprintf(os.Stderr, "%s: debug listener: %v\n", name, err)

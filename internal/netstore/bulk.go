@@ -10,17 +10,8 @@ import (
 	"progconv/internal/value"
 )
 
-// BulkMembership is one resolved set connection for a bulk-loaded
-// record: the destination set type (already looked up in the schema)
-// and the owner occurrence to connect under (OwnerSystem for SYSTEM
-// sets).
-type BulkMembership struct {
-	Set   *schema.SetType
-	Owner RecordID
-}
-
 // bulkKey identifies one set-key composite within a set occurrence, the
-// hash form of the duplicate check StoreWith performs by scanning.
+// hash form of the §4.2 duplicate check that seek answers by bisection.
 type bulkKey struct {
 	set   string
 	owner RecordID
@@ -28,22 +19,25 @@ type bulkKey struct {
 }
 
 // BulkLoader is the batched insert path of the data translator's merge
-// phase. It produces a database indistinguishable from one built by the
-// same sequence of StoreWith calls — same record IDs, same set
-// orderings, same index contents, same error messages in the same
-// order — while deferring the per-record costs that dominate StoreWith:
+// phase. It loads a fresh database into the state the same sequence of
+// StoreWith calls builds — same record IDs, same set orderings, same
+// index contents, same error messages in the same order — while
+// deferring the per-record costs of keeping it ordered:
 //
 //   - index maintenance is postponed; Close rebuilds each touched
 //     type's indexes once, in ascending-ID order (identical buckets,
 //     since incremental adds see monotonic IDs too);
 //   - keyed-set member ordering is postponed: members append in
 //     insertion order and Close runs one stable sort per occurrence
-//     list, which reproduces insertOrdered's ascending-keys,
+//     list, which reproduces the ordered insert's ascending-keys,
 //     insertion-order-among-equals placement;
-//   - the §4.2 duplicate-key check is a hash probe on the composite
-//     key form instead of a CompareBy scan (equivalent, because stored
-//     values of one field are kind-checked to a single kind and
-//     value.Key normalizes integral floats);
+//   - with the lists unordered until Close, the §4.2 duplicate-key
+//     check is a hash probe on the composite key form (equivalent,
+//     because stored values of one field are kind-checked to a single
+//     kind and value.Key normalizes integral floats), except that
+//     value.Key gives NaN a key of its own: while the record or the
+//     database holds a NaN key, the check compares the record with
+//     every member, as seek does;
 //   - occurrences are slab-allocated and the record table is pre-sized.
 //
 // Between NewBulkLoader and Close the database must not be read or
@@ -60,33 +54,24 @@ type BulkLoader struct {
 
 const bulkSlabSize = 512
 
-// NewBulkLoader starts a bulk load expecting about `expected` records
-// (a sizing hint; zero is fine).
+// NewBulkLoader starts a bulk load into the database, which must be
+// empty, expecting about `expected` records (a sizing hint; zero is
+// fine). It panics on a view or on a database that holds records.
 func (db *DB) NewBulkLoader(expected int) *BulkLoader {
 	if db.readOnly {
 		panic(ErrReadOnly)
 	}
-	if expected > 0 && len(db.recs) == 0 {
+	if len(db.recs) > 0 {
+		panic("netstore: NewBulkLoader on a database that holds records")
+	}
+	if expected > 0 {
 		db.recs = make(map[RecordID]*occurrence, expected)
 	}
-	b := &BulkLoader{
+	return &BulkLoader{
 		db:      db,
 		dup:     make(map[bulkKey]struct{}, expected),
 		touched: make(map[string]struct{}),
 	}
-	// Seed the duplicate table with the pre-existing members of keyed
-	// sets, so loads into a non-empty database keep StoreWith's checks.
-	for _, set := range db.schema.Sets {
-		if len(set.Keys) == 0 {
-			continue
-		}
-		for owner, lst := range db.members[set.Name] {
-			for _, id := range lst {
-				b.dup[bulkKey{set.Name, owner, db.recs[id].data.KeyOf(set.Keys)}] = struct{}{}
-			}
-		}
-	}
-	return b
 }
 
 // Loaded returns how many records this loader has inserted.
@@ -101,71 +86,31 @@ func (b *BulkLoader) alloc() *occurrence {
 	return o
 }
 
-// Store inserts a record through the bulk path with the same contract —
-// validation order, error messages, resulting state — as StoreWith.
-func (b *BulkLoader) Store(recType string, rec *value.Record, memberships map[string]RecordID) (RecordID, error) {
-	db := b.db
-	typ := db.schema.Record(recType)
-	if typ == nil {
-		return 0, fmt.Errorf("netstore: unknown record type %s", recType)
-	}
-	data := value.NewRecordSize(len(typ.Fields))
-	for _, f := range typ.Fields {
-		if f.Virtual != nil {
-			continue
-		}
-		v, _ := rec.Get(f.Name)
-		if !v.IsNull() && v.Kind() != f.Kind {
-			return 0, fmt.Errorf("netstore: %s.%s: value kind %v, field kind %v",
-				recType, f.Name, v.Kind(), f.Kind)
-		}
-		data.Set(f.Name, v)
-	}
-	var targets []BulkMembership
-	for setName, owner := range memberships {
-		set := db.schema.Set(setName)
-		if set == nil {
-			return 0, fmt.Errorf("netstore: unknown set %s", setName)
-		}
-		targets = append(targets, BulkMembership{Set: set, Owner: owner})
-	}
-	return b.StorePrepared(typ, data, targets)
-}
-
-// StorePrepared inserts a pre-built data record (stored fields only, in
-// schema field order, already kind-checked against typ) with resolved
-// membership targets. It is the zero-copy entry point for the sharded
-// data translator, whose workers prepare data records off-thread; the
-// membership validation — and its error strings — match StoreWith's
-// exactly.
-func (b *BulkLoader) StorePrepared(typ *schema.RecordType, data *value.Record, targets []BulkMembership) (RecordID, error) {
+// StorePrepared inserts a record shaped by Shape for typ with resolved
+// membership targets. The sharded data translator's workers shape
+// records off-thread and splice them through here; the membership
+// checks and their error strings are StoreWith's.
+func (b *BulkLoader) StorePrepared(typ *schema.RecordType, data *value.Record, targets []Membership) (RecordID, error) {
 	db := b.db
 	b.pending = b.pending[:0]
 	for _, tg := range targets {
+		if err := db.checkMembership(typ, tg); err != nil {
+			return 0, err
+		}
 		set := tg.Set
-		if set.Member != typ.Name {
-			return 0, fmt.Errorf("netstore: %s is not the member type of set %s", typ.Name, set.Name)
+		if len(set.Keys) == 0 {
+			continue
 		}
-		if set.IsSystem() {
-			if tg.Owner != OwnerSystem {
-				return 0, fmt.Errorf("netstore: set %s is SYSTEM-owned", set.Name)
-			}
+		var dup bool
+		if db.nanKeys || hasNaN(data, set.Keys) {
+			dup = db.holdsKey(set, tg.Owner, data, -1)
 		} else {
-			o, ok := db.recs[tg.Owner]
-			if !ok {
-				return 0, fmt.Errorf("netstore: set %s: owner %d does not exist", set.Name, tg.Owner)
-			}
-			if o.typ.Name != set.Owner {
-				return 0, fmt.Errorf("netstore: set %s: owner %d is a %s, not a %s",
-					set.Name, tg.Owner, o.typ.Name, set.Owner)
-			}
-		}
-		if len(set.Keys) > 0 {
 			k := bulkKey{set.Name, tg.Owner, data.KeyOf(set.Keys)}
-			if _, dup := b.dup[k]; dup {
-				return 0, fmt.Errorf("netstore: set %s: duplicate set key in occurrence", set.Name)
-			}
+			_, dup = b.dup[k]
 			b.pending = append(b.pending, k)
+		}
+		if dup {
+			return 0, fmt.Errorf("netstore: set %s: duplicate set key in occurrence", set.Name)
 		}
 	}
 	o := b.alloc()
@@ -177,8 +122,8 @@ func (b *BulkLoader) StorePrepared(typ *schema.RecordType, data *value.Record, t
 	db.recs[o.id] = o
 	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
 	b.touched[typ.Name] = struct{}{}
-	for _, tg := range targets {
-		db.members[tg.Set.Name][tg.Owner] = append(db.members[tg.Set.Name][tg.Owner], o.id)
+	for _, tg := range targets { // appended; Close sorts the keyed lists
+		db.insertAt(tg.Set, tg.Owner, len(db.members[tg.Set.Name][tg.Owner]), o)
 		o.memberOf[tg.Set.Name] = tg.Owner
 	}
 	for _, k := range b.pending {

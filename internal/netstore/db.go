@@ -3,6 +3,7 @@ package netstore
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"progconv/internal/schema"
@@ -40,6 +41,9 @@ type DB struct {
 	// indexing is disabled (SetIndexing(false)).
 	indexes map[string][]*typeIndex
 	stats   *IndexStats // shared with clones and views; see IndexStats
+	// nanKeys records that some member of a keyed set occurrence has
+	// held a NaN set-key value; see seek.
+	nanKeys bool
 	// readOnly marks a View: every mutating entry point refuses.
 	readOnly bool
 }
@@ -249,23 +253,59 @@ func (db *DB) OwnerOf(set string, id RecordID) (RecordID, bool) {
 	return owner, connected
 }
 
-// insertOrdered connects member into the occurrence list keeping the set
-// ordering: ascending by set keys, insertion order among equals (and for
-// keyless sets).
-func (db *DB) insertOrdered(set *schema.SetType, owner RecordID, member *occurrence) {
+// seek returns where data belongs in the set occurrence owned by owner,
+// after every member whose keys order at or before it, and whether a
+// member other than exclude already has its set-key values
+// ("duplicates are not allowed within a set occurrence", §4.2). A keyed
+// list is sorted and holds each key once, so only the member before
+// that position can be equal. value.Compare finds NaN equal to every
+// number, which breaks both premises: while data or the database holds
+// a NaN key, seek compares data with every member.
+func (db *DB) seek(set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) (int, bool) {
 	lst := db.members[set.Name][owner]
 	if len(set.Keys) == 0 {
-		db.members[set.Name][owner] = append(lst, member.id)
-		return
+		return len(lst), false
 	}
 	pos := sort.Search(len(lst), func(i int) bool {
-		other := db.recs[lst[i]]
-		return value.CompareBy(other.data, member.data, set.Keys) > 0
+		return value.CompareBy(db.recs[lst[i]].data, data, set.Keys) > 0
 	})
-	lst = append(lst, 0)
+	if db.nanKeys || hasNaN(data, set.Keys) {
+		return pos, db.holdsKey(set, owner, data, exclude)
+	}
+	return pos, pos > 0 && lst[pos-1] != exclude &&
+		value.CompareBy(db.recs[lst[pos-1]].data, data, set.Keys) == 0
+}
+
+// holdsKey is the §4.2 check by comparison with every member of the
+// occurrence but exclude, for when a NaN key rules out bisection and
+// hashing.
+func (db *DB) holdsKey(set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) bool {
+	for _, m := range db.members[set.Name][owner] {
+		if m != exclude && value.CompareBy(db.recs[m].data, data, set.Keys) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+func hasNaN(data *value.Record, keys []string) bool {
+	for _, k := range keys {
+		if v := data.MustGet(k); v.Kind() == value.Float && math.IsNaN(v.AsFloat()) {
+			return true
+		}
+	}
+	return false
+}
+
+// insertAt puts member into the set occurrence owned by owner at pos.
+func (db *DB) insertAt(set *schema.SetType, owner RecordID, pos int, member *occurrence) {
+	lst := append(db.members[set.Name][owner], 0)
 	copy(lst[pos+1:], lst[pos:])
 	lst[pos] = member.id
 	db.members[set.Name][owner] = lst
+	if len(set.Keys) > 0 && hasNaN(member.data, set.Keys) {
+		db.nanKeys = true
+	}
 }
 
 func (db *DB) removeMember(set string, owner RecordID, id RecordID) {
@@ -280,34 +320,17 @@ func (db *DB) removeMember(set string, owner RecordID, id RecordID) {
 	}
 }
 
-// duplicateInOcc reports whether the set occurrence owned by owner already
-// holds a member with the same set-key values ("duplicates are not allowed
-// within a set occurrence", §4.2).
-func (db *DB) duplicateInOcc(set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) bool {
-	if len(set.Keys) == 0 {
-		return false
-	}
-	for _, m := range db.members[set.Name][owner] {
-		if m == exclude {
-			continue
-		}
-		if value.CompareBy(db.recs[m].data, data, set.Keys) == 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // connect wires member into set under owner, preserving ordering, after
 // the duplicate check. Callers have validated set membership types.
 func (db *DB) connect(set *schema.SetType, owner RecordID, member *occurrence) Status {
 	if _, already := member.memberOf[set.Name]; already {
 		return AlreadyMember
 	}
-	if db.duplicateInOcc(set, owner, member.data, -1) {
+	pos, dup := db.seek(set, owner, member.data, -1)
+	if dup {
 		return DuplicateInSet
 	}
-	db.insertOrdered(set, owner, member)
+	db.insertAt(set, owner, pos, member)
 	member.memberOf[set.Name] = owner
 	return OK
 }
@@ -363,6 +386,87 @@ func (db *DB) eraseOccurrence(o *occurrence) {
 // occurrences.
 const OwnerSystem = systemOwner
 
+// Membership is one resolved set connection for an inserted record: the
+// set type, already looked up in the schema, and the owner occurrence to
+// connect under (OwnerSystem for SYSTEM sets).
+type Membership struct {
+	Set   *schema.SetType
+	Owner RecordID
+}
+
+// Shape builds the stored record for an insert of typ, the one every
+// insert path stores: typ's stored fields in schema order, taken from
+// rec and kind-checked. Session.Store also refuses fields typ lacks.
+func Shape(typ *schema.RecordType, rec *value.Record) (*value.Record, error) {
+	data := value.NewRecordSize(len(typ.Fields))
+	for _, f := range typ.Fields {
+		if f.Virtual != nil {
+			continue
+		}
+		v, _ := rec.Get(f.Name)
+		if !v.IsNull() && v.Kind() != f.Kind {
+			return nil, fmt.Errorf("netstore: %s.%s: value kind %v, field kind %v",
+				typ.Name, f.Name, v.Kind(), f.Kind)
+		}
+		data.Set(f.Name, v)
+	}
+	return data, nil
+}
+
+// checkMembership validates a typ record's membership m against the
+// schema and the database.
+func (db *DB) checkMembership(typ *schema.RecordType, m Membership) error {
+	set := m.Set
+	if set.Member != typ.Name {
+		return fmt.Errorf("netstore: %s is not the member type of set %s", typ.Name, set.Name)
+	}
+	if set.IsSystem() {
+		if m.Owner != OwnerSystem {
+			return fmt.Errorf("netstore: set %s is SYSTEM-owned", set.Name)
+		}
+		return nil
+	}
+	o, ok := db.recs[m.Owner]
+	if !ok {
+		return fmt.Errorf("netstore: set %s: owner %d does not exist", set.Name, m.Owner)
+	}
+	if o.typ.Name != set.Owner {
+		return fmt.Errorf("netstore: set %s: owner %d is a %s, not a %s",
+			set.Name, m.Owner, o.typ.Name, set.Owner)
+	}
+	return nil
+}
+
+// insert stores data, shaped for typ, as a new occurrence connected into
+// every target in key order. If a target's set occurrence already holds
+// data's set key, it stores nothing and returns that target's set.
+func (db *DB) insert(typ *schema.RecordType, data *value.Record, targets []Membership) (*occurrence, *schema.SetType) {
+	var buf [4]int // seek's positions; a record joins few sets
+	pos := buf[:0]
+	for _, tg := range targets {
+		p, dup := db.seek(tg.Set, tg.Owner, data, -1)
+		if dup {
+			return nil, tg.Set
+		}
+		pos = append(pos, p)
+	}
+	o := &occurrence{
+		id:       db.nextID,
+		typ:      typ,
+		data:     data,
+		memberOf: make(map[string]RecordID),
+	}
+	db.nextID++
+	db.recs[o.id] = o
+	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
+	db.indexAdd(o)
+	for i, tg := range targets {
+		db.insertAt(tg.Set, tg.Owner, pos[i], o)
+		o.memberOf[tg.Set.Name] = tg.Owner
+	}
+	return o, nil
+}
+
 // StoreWith inserts a record with explicit set memberships (set name →
 // owner occurrence ID; OwnerSystem for SYSTEM sets), bypassing run-unit
 // currency. Insertion modes are not consulted: the memberships map says
@@ -377,63 +481,25 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 	if typ == nil {
 		return 0, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	data := value.NewRecordSize(len(typ.Fields))
-	for _, f := range typ.Fields {
-		if f.Virtual != nil {
-			continue
-		}
-		v, _ := rec.Get(f.Name)
-		if !v.IsNull() && v.Kind() != f.Kind {
-			return 0, fmt.Errorf("netstore: %s.%s: value kind %v, field kind %v",
-				recType, f.Name, v.Kind(), f.Kind)
-		}
-		data.Set(f.Name, v)
+	data, err := Shape(typ, rec)
+	if err != nil {
+		return 0, err
 	}
-	type target struct {
-		set   *schema.SetType
-		owner RecordID
-	}
-	var targets []target
+	var targets []Membership
 	for setName, owner := range memberships {
 		set := db.schema.Set(setName)
 		if set == nil {
 			return 0, fmt.Errorf("netstore: unknown set %s", setName)
 		}
-		if set.Member != recType {
-			return 0, fmt.Errorf("netstore: %s is not the member type of set %s", recType, setName)
+		m := Membership{set, owner}
+		if err := db.checkMembership(typ, m); err != nil {
+			return 0, err
 		}
-		if set.IsSystem() {
-			if owner != OwnerSystem {
-				return 0, fmt.Errorf("netstore: set %s is SYSTEM-owned", setName)
-			}
-		} else {
-			o, ok := db.recs[owner]
-			if !ok {
-				return 0, fmt.Errorf("netstore: set %s: owner %d does not exist", setName, owner)
-			}
-			if o.typ.Name != set.Owner {
-				return 0, fmt.Errorf("netstore: set %s: owner %d is a %s, not a %s",
-					setName, owner, o.typ.Name, set.Owner)
-			}
-		}
-		if db.duplicateInOcc(set, owner, data, -1) {
-			return 0, fmt.Errorf("netstore: set %s: duplicate set key in occurrence", setName)
-		}
-		targets = append(targets, target{set, owner})
+		targets = append(targets, m)
 	}
-	o := &occurrence{
-		id:       db.nextID,
-		typ:      typ,
-		data:     data,
-		memberOf: make(map[string]RecordID),
-	}
-	db.nextID++
-	db.recs[o.id] = o
-	db.byType[recType] = append(db.byType[recType], o.id)
-	db.indexAdd(o)
-	for _, tg := range targets {
-		db.insertOrdered(tg.set, tg.owner, o)
-		o.memberOf[tg.set.Name] = tg.owner
+	o, dup := db.insert(typ, data, targets)
+	if dup != nil {
+		return 0, fmt.Errorf("netstore: set %s: duplicate set key in occurrence", dup.Name)
 	}
 	return o.id, nil
 }
@@ -467,5 +533,6 @@ func (db *DB) Clone() *DB {
 	// runs execute on clones — aggregate with the original's.
 	c.SetIndexing(db.indexes != nil)
 	c.stats = db.stats
+	c.nanKeys = db.nanKeys
 	return c
 }

@@ -157,17 +157,9 @@ func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, er
 	if typ == nil {
 		return 0, s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	data := value.NewRecordSize(len(typ.Fields))
-	for _, f := range typ.Fields {
-		if f.Virtual != nil {
-			continue
-		}
-		v, _ := rec.Get(f.Name)
-		if !v.IsNull() && v.Kind() != f.Kind {
-			return 0, s.status, fmt.Errorf("netstore: %s.%s: value kind %v, field kind %v",
-				recType, f.Name, v.Kind(), f.Kind)
-		}
-		data.Set(f.Name, v)
+	data, err := Shape(typ, rec)
+	if err != nil {
+		return 0, s.status, err
 	}
 	for _, n := range rec.Names() {
 		f := typ.Field(n)
@@ -180,44 +172,24 @@ func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, er
 	}
 
 	// Resolve the target owner of every AUTOMATIC set before mutating.
-	type target struct {
-		set   *schema.SetType
-		owner RecordID
-	}
-	var targets []target
+	var targets []Membership
 	for _, set := range s.db.schema.SetsWithMember(recType) {
 		if set.Insertion != schema.Automatic {
 			continue
 		}
 		if set.IsSystem() {
-			targets = append(targets, target{set, systemOwner})
+			targets = append(targets, Membership{set, systemOwner})
 			continue
 		}
 		owner, st := s.ownerFromCurrency(set)
 		if st != OK {
 			return 0, s.fail(st), nil
 		}
-		targets = append(targets, target{set, owner})
+		targets = append(targets, Membership{set, owner})
 	}
-	for _, tg := range targets {
-		if s.db.duplicateInOcc(tg.set, tg.owner, data, -1) {
-			return 0, s.fail(DuplicateInSet), nil
-		}
-	}
-
-	o := &occurrence{
-		id:       s.db.nextID,
-		typ:      typ,
-		data:     data,
-		memberOf: make(map[string]RecordID),
-	}
-	s.db.nextID++
-	s.db.recs[o.id] = o
-	s.db.byType[recType] = append(s.db.byType[recType], o.id)
-	s.db.indexAdd(o)
-	for _, tg := range targets {
-		s.db.insertOrdered(tg.set, tg.owner, o)
-		o.memberOf[tg.set.Name] = tg.owner
+	o, dup := s.db.insert(typ, data, targets)
+	if dup != nil {
+		return 0, s.fail(DuplicateInSet), nil
 	}
 	s.setCurrency(o)
 	return o.id, s.fail(OK), nil
@@ -480,8 +452,7 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 	}
 	// Check duplicates in every set occurrence the record belongs to.
 	for setName, owner := range o.memberOf {
-		set := s.db.schema.Set(setName)
-		if s.db.duplicateInOcc(set, owner, newData, o.id) {
+		if _, dup := s.db.seek(s.db.schema.Set(setName), owner, newData, o.id); dup {
 			return s.fail(DuplicateInSet), nil
 		}
 	}
@@ -493,7 +464,9 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 	o.data = newData
 	s.db.indexAdd(o)
 	for setName, owner := range o.memberOf {
-		s.db.insertOrdered(s.db.schema.Set(setName), owner, o)
+		set := s.db.schema.Set(setName)
+		pos, _ := s.db.seek(set, owner, o.data, -1)
+		s.db.insertAt(set, owner, pos, o)
 	}
 	return s.fail(OK), nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -35,15 +36,20 @@ func seedDeptEmp(t *testing.T, depts, perDept int) *hierstore.DB {
 // it with HierPlan.Migrate must cost near-linear time and bytes.
 // Quadrupling the hierarchy from 1,056 to 4,224 segments costs about 4×
 // when parent paths are found by descent and the splice places segments
-// by ID; whole-sequence scans per insert cost about 16×. The bounds —
-// under 5× in bytes allocated, under 8× in best-of-3 time — leave room
-// for a noisy machine while still failing quadratic code.
+// by ID; whole-sequence scans per insert cost about 16×. Each run starts
+// from a collected heap with the collector off, so the time measures the
+// algorithm rather than the collector's work on a heap that grows with
+// the input. The bounds — under 5× in bytes allocated, under 8× in
+// best-of-3 time — leave room for a noisy machine while still failing
+// quadratic code.
 func TestHierSeedAndMigrateGrowth(t *testing.T) {
 	plan := &HierPlan{Steps: []HierReorder{{Promote: "EMP"}}}
 	// run seeds and migrates once, returning the bytes allocated and the
 	// time taken.
 	run := func(depts int) (uint64, time.Duration) {
 		runtime.GC()
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		defer debug.SetMemoryLimit(debug.SetMemoryLimit(256 << 20)) // a backstop for runaway code
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()

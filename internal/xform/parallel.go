@@ -252,11 +252,11 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 	srcSchema := src.Schema()
 
 	var interType *schema.RecordType
-	var interTargets []netstore.BulkMembership
+	var interTargets []netstore.Membership
 	var inters map[interKey]netstore.RecordID
 	if f.split != nil {
 		interType = dst.Record(f.split.Inter)
-		interTargets = []netstore.BulkMembership{{Set: dst.Set(f.split.Upper)}}
+		interTargets = []netstore.Membership{{Set: dst.Set(f.split.Upper)}}
 		inters = map[interKey]netstore.RecordID{}
 	}
 	var mergeInter string
@@ -266,7 +266,7 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 
 	var staged []stagedRec
 	var memBuf []stagedMember
-	var targets []netstore.BulkMembership
+	var targets []netstore.Membership
 
 	for _, srcType := range topoRecordOrder(srcSchema) {
 		dstType := srcType
@@ -372,21 +372,7 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 				if st.err != nil {
 					continue
 				}
-				rec := value.NewRecordSize(len(typ.Fields))
-				for _, fld := range typ.Fields {
-					if fld.Virtual != nil {
-						continue
-					}
-					v, _ := data.Get(fld.Name)
-					if !v.IsNull() && v.Kind() != fld.Kind {
-						st.err = fmt.Errorf("netstore: %s.%s: value kind %v, field kind %v",
-							dstType, fld.Name, v.Kind(), fld.Kind)
-						rec = nil
-						break
-					}
-					rec.Set(fld.Name, v)
-				}
-				st.data = rec
+				st.data, st.err = netstore.Shape(typ, data)
 			}
 		}
 		fanOut(n, parallelism, stats, prepare)
@@ -396,7 +382,7 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 		// memberships), then the staged preparation error, then the bulk
 		// loader's membership validation.
 		if cap(targets) < k {
-			targets = make([]netstore.BulkMembership, 0, k)
+			targets = make([]netstore.Membership, 0, k)
 		}
 		for i := range staged {
 			if i%ctxPollEvery == 0 && ctx.Err() != nil {
@@ -441,7 +427,7 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 					}
 					owner = iid
 				}
-				targets = append(targets, netstore.BulkMembership{Set: e.dst, Owner: owner})
+				targets = append(targets, netstore.Membership{Set: e.dst, Owner: owner})
 			}
 			nid, err := bl.StorePrepared(typ, st.data, targets)
 			if err != nil {
