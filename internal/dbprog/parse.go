@@ -3,6 +3,7 @@ package dbprog
 import (
 	"strconv"
 	"strings"
+	"sync"
 
 	"progconv/internal/lex"
 	"progconv/internal/mdml"
@@ -20,7 +21,10 @@ func Parse(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{s: s}
+	defer s.Release()
+	p := parsers.Get().(*parser)
+	defer p.release()
+	p.s = s
 	prog, err := p.program()
 	if err != nil {
 		return nil, err
@@ -31,9 +35,25 @@ func Parse(src string) (*Program, error) {
 	return prog, nil
 }
 
+// parser is one parse's state. Its stacks are where block and exprList
+// gather items before copying each list out at its exact size; a pool
+// keeps parsers, and so their grown stacks, from one parse to the next.
 type parser struct {
 	s       *lex.Stream
 	dialect Dialect
+	stmts   []Stmt
+	exprs   []Expr
+}
+
+var parsers = sync.Pool{New: func() any { return new(parser) }}
+
+// release empties the parser, dropping what a failed parse left on its
+// stacks, and returns it to the pool.
+func (p *parser) release() {
+	clear(p.stmts)
+	clear(p.exprs)
+	*p = parser{stmts: p.stmts[:0], exprs: p.exprs[:0]}
+	parsers.Put(p)
 }
 
 func (p *parser) program() (*Program, error) {
@@ -74,23 +94,25 @@ func (p *parser) program() (*Program, error) {
 	return prog, nil
 }
 
-// block parses statements until one of the stop keywords appears.
+// block parses statements until one of the stop keywords appears. A
+// nested block pushes above this one's base and pops before it
+// returns, so the statements from base up are this block's.
 func (p *parser) block(stops ...string) ([]Stmt, error) {
-	var out []Stmt
+	base := len(p.stmts)
 	for {
 		if p.s.AtEOF() {
 			return nil, lex.Errorf(p.s.Peek(), "unexpected end of program")
 		}
 		for _, stop := range stops {
 			if p.s.IsKeyword(stop) {
-				return out, nil
+				return pop(&p.stmts, base), nil
 			}
 		}
 		st, err := p.statement()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, st)
+		p.stmts = append(p.stmts, st)
 	}
 }
 
@@ -673,19 +695,35 @@ func (p *parser) dliReplStmt() (Stmt, error) {
 
 // ---- expressions ----
 
+// exprList parses e, e, ... on the parser's stack, as block does.
 func (p *parser) exprList() ([]Expr, error) {
-	var out []Expr
+	base := len(p.exprs)
 	for {
 		e, err := p.expr()
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, e)
+		p.exprs = append(p.exprs, e)
 		if !p.s.TakePunct(",") {
 			break
 		}
 	}
-	return out, nil
+	return pop(&p.exprs, base), nil
+}
+
+// pop copies a stack's items from base up into a list of their exact
+// length (nil when there are none) and truncates the stack to base,
+// clearing what it drops so the pooled stack holds no AST.
+func pop[T any](stack *[]T, base int) []T {
+	items := (*stack)[base:]
+	if len(items) == 0 {
+		return nil
+	}
+	out := make([]T, len(items))
+	copy(out, items)
+	clear(items)
+	*stack = (*stack)[:base]
+	return out
 }
 
 // expr parses with precedence OR < AND < NOT < comparison < additive <

@@ -12,11 +12,17 @@
 //     'O”HARA'.
 //   - keywords are not reserved; parsers match uppercase identifiers.
 //   - comments run from '*>' to end of line.
+//
+// A Stream keeps its tokens as pointer-free records in a buffer that is
+// reused from one parse to the next, so every caller of NewStream calls
+// Release when it has parsed. Token texts are substrings of the source
+// (or decoded string literals), never views of that buffer.
 package lex
 
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // Kind classifies a token.
@@ -90,17 +96,75 @@ func isIdentPart(c byte) bool {
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// multi-character punctuation, longest first.
-var multiPunct = []string{"<=", ">=", "<>", ":="}
+// tok is one token as a Stream keeps it. It holds no pointer, so the
+// collector never scans a buffer of them and writes into one need no
+// write barrier. Its text is src[off:end], except for a string literal
+// holding a doubled quote, whose decoded text is decoded[off] and whose
+// end is -1.
+type tok struct {
+	off, end  int32
+	line, col int32
+	kind      Kind
+}
 
-// Scan tokenizes src. Identifier case is preserved; parsers that want
-// case-insensitive keywords compare against strings.ToUpper of Text.
-// Token texts are slices of src, except a string literal holding a
-// doubled quote, so the token slice is usually Scan's one allocation.
-func Scan(src string) ([]Token, error) {
-	// The corpus programs average one token per five source bytes and
-	// never reach one per three, so this capacity rarely grows.
-	toks := make([]Token, 0, len(src)/3+2)
+// maxSrc is the longest source a tok's int32 offsets can address.
+const maxSrc = 1<<31 - 1
+
+// maxPooledToks bounds the token buffers Release returns to the pool,
+// so one huge source does not pin its buffer for later parses.
+const maxPooledToks = 1 << 16
+
+var streams = sync.Pool{New: func() any { return new(Stream) }}
+
+// Stream is a token cursor with the lookahead and matching helpers the
+// recursive-descent parsers share. The caller of NewStream calls
+// Release once it has parsed and does not use the stream afterwards;
+// the tokens it took from the stream stay valid.
+type Stream struct {
+	src     string
+	toks    []tok
+	decoded []string
+	pos     int
+}
+
+// NewStream scans all of src and returns a cursor over its tokens.
+// Identifier case is preserved; parsers that want case-insensitive
+// keywords compare against strings.ToUpper of Text. Scanning the whole
+// source first means a lexical error is reported before any syntax
+// error, wherever the two lie.
+func NewStream(src string) (*Stream, error) {
+	s := streams.Get().(*Stream)
+	if err := s.scan(src); err != nil {
+		s.Release()
+		return nil, err
+	}
+	return s, nil
+}
+
+// Release hands the stream and its token buffer back for reuse.
+func (s *Stream) Release() {
+	s.src = ""
+	clear(s.decoded)
+	s.decoded = s.decoded[:0]
+	s.toks = s.toks[:0]
+	s.pos = 0
+	if cap(s.toks) <= maxPooledToks {
+		streams.Put(s)
+	}
+}
+
+// scan tokenizes src into the stream's buffer.
+func (s *Stream) scan(src string) error {
+	if len(src) > maxSrc {
+		return &Error{Line: 1, Col: 1, Msg: "source longer than 2 GiB"}
+	}
+	s.src = src
+	if s.toks == nil {
+		// The corpus programs average one token per five source bytes
+		// and never reach one per three, so this capacity rarely grows.
+		s.toks = make([]tok, 0, len(src)/3+2)
+	}
+	toks := s.toks[:0]
 	line, col := 1, 1
 	i := 0
 	n := len(src)
@@ -131,13 +195,11 @@ func Scan(src string) ([]Token, error) {
 			}
 			// A trailing hyphen belongs to punctuation, not the name:
 			// "X- 1" lexes as X, -, 1.
-			text := src[start:i]
-			for strings.HasSuffix(text, "-") {
-				text = text[:len(text)-1]
+			for src[i-1] == '-' {
 				i--
 				col--
 			}
-			toks = append(toks, Token{Kind: Ident, Text: text, Line: sl, Col: sc})
+			toks = append(toks, newTok(Ident, start, i, sl, sc))
 		case isDigit(c):
 			start, sl, sc := i, line, col
 			for i < n && isDigit(src[i]) {
@@ -149,7 +211,7 @@ func Scan(src string) ([]Token, error) {
 					advance(1)
 				}
 			}
-			toks = append(toks, Token{Kind: Number, Text: src[start:i], Line: sl, Col: sc})
+			toks = append(toks, newTok(Number, start, i, sl, sc))
 		case c == '\'':
 			sl, sc := line, col
 			advance(1)
@@ -168,70 +230,84 @@ func Scan(src string) ([]Token, error) {
 				advance(1)
 			}
 			if !closed {
-				return nil, &Error{Line: sl, Col: sc, Msg: "unterminated string literal"}
+				return &Error{Line: sl, Col: sc, Msg: "unterminated string literal"}
 			}
-			text := src[start:i]
-			advance(1)
 			if doubled {
-				text = strings.ReplaceAll(text, "''", "'")
+				s.decoded = append(s.decoded, strings.ReplaceAll(src[start:i], "''", "'"))
+				toks = append(toks, newTok(Str, len(s.decoded)-1, -1, sl, sc))
+			} else {
+				toks = append(toks, newTok(Str, start, i, sl, sc))
 			}
-			toks = append(toks, Token{Kind: Str, Text: text, Line: sl, Col: sc})
+			advance(1)
 		default:
 			sl, sc := line, col
-			matched := false
-			for _, mp := range multiPunct {
-				if strings.HasPrefix(src[i:], mp) {
-					toks = append(toks, Token{Kind: Punct, Text: mp, Line: sl, Col: sc})
-					advance(len(mp))
-					matched = true
-					break
-				}
-			}
-			if matched {
+			if k := punctLen(src[i:]); k > 0 {
+				toks = append(toks, newTok(Punct, i, i+k, sl, sc))
+				advance(k)
 				continue
 			}
-			if strings.ContainsRune("().,:;=<>+-*/", rune(c)) {
-				toks = append(toks, Token{Kind: Punct, Text: src[i : i+1], Line: sl, Col: sc})
-				advance(1)
-				continue
-			}
-			return nil, &Error{Line: sl, Col: sc, Msg: fmt.Sprintf("unexpected character %q", c)}
+			return &Error{Line: sl, Col: sc, Msg: fmt.Sprintf("unexpected character %q", c)}
 		}
 	}
-	toks = append(toks, Token{Kind: EOF, Line: line, Col: col})
-	return toks, nil
+	toks = append(toks, newTok(EOF, n, n, line, col))
+	s.toks = toks
+	return nil
 }
 
-// Stream is a token cursor with the lookahead and matching helpers the
-// recursive-descent parsers share.
-type Stream struct {
-	toks []Token
-	pos  int
+// newTok builds a tok from scan's int positions.
+func newTok(kind Kind, off, end, line, col int) tok {
+	return tok{off: int32(off), end: int32(end), line: int32(line), col: int32(col), kind: kind}
 }
 
-// NewStream scans src and returns a cursor over its tokens.
-func NewStream(src string) (*Stream, error) {
-	toks, err := Scan(src)
-	if err != nil {
-		return nil, err
+// punctLen returns the length of the punctuation src starts with, a
+// two-character form (<=, >=, <>, :=) before a single character, or 0
+// when it starts with none.
+func punctLen(src string) int {
+	switch src[0] {
+	case '<':
+		if len(src) > 1 && (src[1] == '=' || src[1] == '>') {
+			return 2
+		}
+		return 1
+	case '>', ':':
+		if len(src) > 1 && src[1] == '=' {
+			return 2
+		}
+		return 1
+	case '(', ')', '.', ',', ';', '=', '+', '-', '*', '/':
+		return 1
 	}
-	return &Stream{toks: toks}, nil
+	return 0
+}
+
+// text returns a token's text.
+func (s *Stream) text(t *tok) string {
+	if t.end < 0 {
+		return s.decoded[t.off]
+	}
+	return s.src[t.off:t.end]
+}
+
+// token builds the Token at index i of the buffer.
+func (s *Stream) token(i int) Token {
+	t := &s.toks[i]
+	return Token{Kind: t.kind, Text: s.text(t), Line: int(t.line), Col: int(t.col)}
 }
 
 // Peek returns the current token without consuming it.
-func (s *Stream) Peek() Token { return s.toks[s.pos] }
+func (s *Stream) Peek() Token { return s.token(s.pos) }
 
 // PeekAt returns the token k positions ahead (0 = current).
 func (s *Stream) PeekAt(k int) Token {
 	if s.pos+k >= len(s.toks) {
-		return s.toks[len(s.toks)-1]
+		return s.token(len(s.toks) - 1)
 	}
-	return s.toks[s.pos+k]
+	return s.token(s.pos + k)
 }
 
 // Next consumes and returns the current token.
 func (s *Stream) Next() Token {
-	t := s.toks[s.pos]
+	t := s.token(s.pos)
 	if s.pos < len(s.toks)-1 {
 		s.pos++
 	}
@@ -239,19 +315,19 @@ func (s *Stream) Next() Token {
 }
 
 // AtEOF reports whether the cursor is at end of input.
-func (s *Stream) AtEOF() bool { return s.toks[s.pos].Kind == EOF }
+func (s *Stream) AtEOF() bool { return s.toks[s.pos].kind == EOF }
 
 // IsKeyword reports whether the current token is the given keyword,
 // case-insensitively.
 func (s *Stream) IsKeyword(kw string) bool {
-	t := s.Peek()
-	return t.Kind == Ident && strings.EqualFold(t.Text, kw)
+	t := &s.toks[s.pos]
+	return t.kind == Ident && strings.EqualFold(s.text(t), kw)
 }
 
 // IsPunct reports whether the current token is the given punctuation.
 func (s *Stream) IsPunct(p string) bool {
-	t := s.Peek()
-	return t.Kind == Punct && t.Text == p
+	t := &s.toks[s.pos]
+	return t.kind == Punct && s.text(t) == p
 }
 
 // TakeKeyword consumes the current token if it is the given keyword.

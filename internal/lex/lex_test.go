@@ -6,11 +6,28 @@ import (
 	"testing/quick"
 )
 
+// scan reads a stream to its end: every token, EOF included.
+func scan(src string) ([]Token, error) {
+	s, err := NewStream(src)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Release()
+	var toks []Token
+	for {
+		t := s.Next()
+		toks = append(toks, t)
+		if t.Kind == EOF {
+			return toks, nil
+		}
+	}
+}
+
 func scanKinds(t *testing.T, src string) []Token {
 	t.Helper()
-	toks, err := Scan(src)
+	toks, err := scan(src)
 	if err != nil {
-		t.Fatalf("Scan(%q): %v", src, err)
+		t.Fatalf("scan(%q): %v", src, err)
 	}
 	return toks[:len(toks)-1] // drop EOF
 }
@@ -71,7 +88,7 @@ func TestStrings(t *testing.T) {
 			t.Errorf("string %d = %v, want %q", i, toks[i], w)
 		}
 	}
-	if _, err := Scan("'unterminated"); err == nil {
+	if _, err := scan("'unterminated"); err == nil {
 		t.Error("unterminated string should fail")
 	}
 }
@@ -107,7 +124,7 @@ func TestPositions(t *testing.T) {
 }
 
 func TestBadCharacter(t *testing.T) {
-	_, err := Scan("A @ B")
+	_, err := scan("A @ B")
 	if err == nil || !strings.Contains(err.Error(), "@") {
 		t.Errorf("err = %v", err)
 	}
@@ -194,7 +211,7 @@ func TestStringLiteralRoundTripProperty(t *testing.T) {
 			return true // skip NULs; not representable in sources
 		}
 		quoted := "'" + strings.ReplaceAll(payload, "'", "''") + "'"
-		toks, err := Scan(quoted)
+		toks, err := scan(quoted)
 		return err == nil && len(toks) == 2 && toks[0].Kind == Str && toks[0].Text == payload
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -206,7 +223,7 @@ func TestStringLiteralRoundTripProperty(t *testing.T) {
 // arbitrary printable input.
 func TestScanTotalityProperty(t *testing.T) {
 	f := func(s string) bool {
-		toks, err := Scan(s)
+		toks, err := scan(s)
 		if err != nil {
 			return true // rejection is fine; crashing is not
 		}

@@ -19,6 +19,7 @@ func ParseFind(src string) (*Find, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	f, err := ParseFindFrom(s)
 	if err != nil {
 		return nil, err
@@ -36,6 +37,7 @@ func ParseSortOrFind(src string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	var out any
 	if s.IsKeyword("SORT") {
 		out, err = ParseSortFrom(s)

@@ -30,7 +30,9 @@ type bulkKey struct {
 //   - keyed-set member ordering is postponed: members append in
 //     insertion order and Close runs one stable sort per occurrence
 //     list, which reproduces the ordered insert's ascending-keys,
-//     insertion-order-among-equals placement;
+//     insertion-order-among-equals placement; once a NaN key has been
+//     loaded, when the key order is no total order, Close replays
+//     each list's inserts instead;
 //   - with the lists unordered until Close, the §4.2 duplicate-key
 //     check is a hash probe on the composite key form (equivalent,
 //     because stored values of one field are kind-checked to a single
@@ -154,6 +156,10 @@ func (b *BulkLoader) Close(parallelism int) {
 				continue
 			}
 			lst := lst
+			if db.nanKeys {
+				tasks = append(tasks, func() { db.replayInserts(lst, keys) })
+				continue
+			}
 			tasks = append(tasks, func() {
 				sort.SliceStable(lst, func(i, j int) bool {
 					return value.CompareBy(db.recs[lst[i]].data, db.recs[lst[j]].data, keys) < 0
@@ -183,6 +189,20 @@ func (b *BulkLoader) Close(parallelism int) {
 		}
 	}
 	runTasks(tasks, parallelism)
+}
+
+// replayInserts reorders a keyed occurrence list, held in arrival
+// order, into the order StoreWith's inserts would have given it: each
+// member in turn goes where seek's upper-bound search puts it among
+// those before it. value.Compare finds NaN equal to every number, so
+// with a NaN key the key order is not a total order, and a stable sort
+// can order the list differently from those inserts.
+func (db *DB) replayInserts(lst []RecordID, keys []string) {
+	for i, id := range lst {
+		pos := db.upperBound(lst[:i], db.recs[id].data, keys)
+		copy(lst[pos+1:i+1], lst[pos:i])
+		lst[pos] = id
+	}
 }
 
 // runTasks drains independent closures over a bounded worker pool.

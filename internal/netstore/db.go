@@ -266,14 +266,20 @@ func (db *DB) seek(set *schema.SetType, owner RecordID, data *value.Record, excl
 	if len(set.Keys) == 0 {
 		return len(lst), false
 	}
-	pos := sort.Search(len(lst), func(i int) bool {
-		return value.CompareBy(db.recs[lst[i]].data, data, set.Keys) > 0
-	})
+	pos := db.upperBound(lst, data, set.Keys)
 	if db.nanKeys || hasNaN(data, set.Keys) {
 		return pos, db.holdsKey(set, owner, data, exclude)
 	}
 	return pos, pos > 0 && lst[pos-1] != exclude &&
 		value.CompareBy(db.recs[lst[pos-1]].data, data, set.Keys) == 0
+}
+
+// upperBound returns the position in lst after every member whose keys
+// order at or before data's: where an ordered insert puts data.
+func (db *DB) upperBound(lst []RecordID, data *value.Record, keys []string) int {
+	return sort.Search(len(lst), func(i int) bool {
+		return value.CompareBy(db.recs[lst[i]].data, data, keys) > 0
+	})
 }
 
 // holdsKey is the §4.2 check by comparison with every member of the

@@ -284,3 +284,52 @@ func TestEraseFromMiddleOfLargeSetOccurrence(t *testing.T) {
 	}
 	checkInvariants(t, db)
 }
+
+// TestCompositeKeysKeepFieldsApart: two PAIR records whose string keys
+// would run together if the fields' key forms were only joined with a
+// separator byte: (A="p\x1fsq", B="r") and (A="p", B="q\x1fsr"). With
+// the first stored, a FIND ANY for the second finds nothing, by index
+// probe as by scan; and StoreWith and the bulk loader both store the
+// two as distinct set keys.
+func TestCompositeKeysKeepFieldsApart(t *testing.T) {
+	sch := &schema.Network{
+		Name: "PAIRS",
+		Records: []*schema.RecordType{{Name: "PAIR", Fields: []schema.Field{
+			{Name: "A", Kind: value.String},
+			{Name: "B", Kind: value.String},
+		}}},
+		Sets: []*schema.SetType{
+			{Name: "ALL-PAIR", Owner: schema.SystemOwner, Member: "PAIR", Keys: []string{"A", "B"}},
+		},
+	}
+	first := value.FromPairs("A", "p\x1fsq", "B", "r")
+	second := value.FromPairs("A", "p", "B", "q\x1fsr")
+	for _, indexed := range []bool{true, false} {
+		db := NewDB(sch)
+		db.SetIndexing(indexed)
+		s := NewSession(db)
+		if _, st, err := s.Store("PAIR", first); err != nil || st != OK {
+			t.Fatalf("store: %v %v", st, err)
+		}
+		if st, err := s.FindAny("PAIR", second); err != nil || st != NotFound {
+			t.Errorf("indexed=%v: FIND ANY of an unstored key = %v %v, want NOT-FOUND", indexed, st, err)
+		}
+	}
+	serial := NewDB(sch)
+	bulkDB := NewDB(sch)
+	bl := bulkDB.NewBulkLoader(2)
+	bulk := prepared(bl)
+	for _, rec := range []*value.Record{first, second} {
+		m := map[string]RecordID{"ALL-PAIR": OwnerSystem}
+		if _, err := serial.StoreWith("PAIR", rec, m); err != nil {
+			t.Errorf("StoreWith %v: %v", rec, err)
+		}
+		if _, err := bulk("PAIR", rec, m); err != nil {
+			t.Errorf("bulk load %v: %v", rec, err)
+		}
+	}
+	bl.Close(1)
+	if got, want := dumpState(bulkDB), dumpState(serial); got != want {
+		t.Errorf("bulk-loaded state diverges:\n--- StoreWith ---\n%s--- BulkLoader ---\n%s", want, got)
+	}
+}

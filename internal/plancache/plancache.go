@@ -163,6 +163,12 @@ type Cache struct {
 	flights map[fingerprint.Hash]*flight
 }
 
+// entryKey identifies a cache entry: a program-scoped memo by the program's
+// hash and the hash of the scope it was computed in (the source schema
+// or the pair), a pair by its pair key alone, as scope. A struct of the
+// two compares and hashes in place, so a lookup builds no key string.
+type entryKey struct{ prog, scope fingerprint.Hash }
+
 // The program-scoped layers, as indexes into Cache.memos.
 const (
 	analysisMemo = iota
@@ -246,7 +252,7 @@ func lookupPair[P any](ctx context.Context, c *Cache, key func() fingerprint.Has
 	k := key()
 	em := obs.EmitterFrom(ctx)
 	c.mu.Lock()
-	if v, ok := c.pairs.get(string(k)); ok {
+	if v, ok := c.pairs.get(entryKey{scope: k}); ok {
 		c.pairs.hits++
 		c.mu.Unlock()
 		em.CacheHit("", ScopePair, k.Short())
@@ -280,14 +286,14 @@ func lookupPair[P any](ctx context.Context, c *Cache, key func() fingerprint.Has
 	// key.
 	c.mu.Lock()
 	delete(c.flights, k)
-	var evicted fingerprint.Hash
+	var evicted entryKey
 	if err == nil {
-		evicted = c.pairs.add(string(k), pair)
+		evicted = c.pairs.add(entryKey{scope: k}, pair)
 	}
 	c.mu.Unlock()
 	close(f.done)
-	if evicted != "" {
-		em.CacheEvict(ScopePair, evicted.Short())
+	if evicted != (entryKey{}) {
+		em.CacheEvict(ScopePair, evicted.scope.Short())
 	}
 	return pair, err
 }
@@ -361,10 +367,10 @@ func memo[T any](ctx context.Context, c *Cache, which int, prog, scopeKey finger
 		return compute()
 	}
 	l := &c.memos[which]
-	key := string(prog) + "\x00" + string(scopeKey)
+	k := entryKey{prog, scopeKey}
 	em := obs.EmitterFrom(ctx)
 	c.mu.Lock()
-	if v, ok := l.get(key); ok {
+	if v, ok := l.get(k); ok {
 		l.hits++
 		c.mu.Unlock()
 		em.CacheHit(name, l.scope, prog.Short())
@@ -385,12 +391,10 @@ func memo[T any](ctx context.Context, c *Cache, which int, prog, scopeKey finger
 	// both values are content-determined, so either copy answers
 	// future hits.
 	c.mu.Lock()
-	evicted := l.add(key, val)
+	evicted := l.add(k, val)
 	c.mu.Unlock()
-	if evicted != "" {
-		// A memo key leads with the 64-digit program hash, so its short
-		// form is the program's.
-		em.CacheEvict(l.scope, evicted.Short())
+	if evicted != (entryKey{}) {
+		em.CacheEvict(l.scope, evicted.prog.Short())
 	}
 	return val, nil
 }
@@ -402,23 +406,23 @@ type layer struct {
 	scope                   string
 	cap                     int
 	ll                      *list.List
-	idx                     map[string]*list.Element
+	idx                     map[entryKey]*list.Element
 	hits, misses, evictions int64
 }
 
 type lruEntry struct {
-	key string
+	key entryKey
 	val any
 }
 
 func newLayer(scope string, capacity int) layer {
-	return layer{scope: scope, cap: capacity, ll: list.New(), idx: map[string]*list.Element{}}
+	return layer{scope: scope, cap: capacity, ll: list.New(), idx: map[entryKey]*list.Element{}}
 }
 
 func (l *layer) len() int { return l.ll.Len() }
 
-func (l *layer) get(key string) (any, bool) {
-	el, ok := l.idx[key]
+func (l *layer) get(k entryKey) (any, bool) {
+	el, ok := l.idx[k]
 	if !ok {
 		return nil, false
 	}
@@ -426,22 +430,22 @@ func (l *layer) get(key string) (any, bool) {
 	return el.Value.(*lruEntry).val, true
 }
 
-// add inserts (or refreshes) key and returns the key the bound forced
-// out, counting the eviction, or "" when none was.
-func (l *layer) add(key string, v any) (evicted fingerprint.Hash) {
-	if el, ok := l.idx[key]; ok {
+// add inserts (or refreshes) k and returns the key the bound forced
+// out, counting the eviction, or the zero key when none was.
+func (l *layer) add(k entryKey, v any) (evicted entryKey) {
+	if el, ok := l.idx[k]; ok {
 		el.Value.(*lruEntry).val = v
 		l.ll.MoveToFront(el)
-		return ""
+		return entryKey{}
 	}
-	l.idx[key] = l.ll.PushFront(&lruEntry{key: key, val: v})
+	l.idx[k] = l.ll.PushFront(&lruEntry{key: k, val: v})
 	if l.ll.Len() <= l.cap {
-		return ""
+		return entryKey{}
 	}
 	oldest := l.ll.Back()
 	ent := oldest.Value.(*lruEntry)
 	l.ll.Remove(oldest)
 	delete(l.idx, ent.key)
 	l.evictions++
-	return fingerprint.Hash(ent.key)
+	return ent.key
 }

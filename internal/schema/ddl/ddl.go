@@ -45,6 +45,7 @@ func Parse(src string) (*Parsed, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	kind, err := model(s)
 	if err != nil {
 		return nil, err
@@ -74,6 +75,7 @@ func Model(src string) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	defer s.Release()
 	return model(s)
 }
 
@@ -98,6 +100,7 @@ func ParseNetwork(src string) (*schema.Network, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	return parseNetwork(s)
 }
 
@@ -107,6 +110,7 @@ func ParseRelational(src string) (*schema.Relational, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	return parseRelational(s)
 }
 
@@ -116,6 +120,7 @@ func ParseHierarchy(src string) (*schema.Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	return parseHierarchy(s)
 }
 

@@ -15,6 +15,7 @@ func ParseQuery(src string) (*Select, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	q, err := parseSelect(s)
 	if err != nil {
 		return nil, err
@@ -32,6 +33,7 @@ func ParseStatement(src string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer s.Release()
 	stmt, err := ParseStatementFrom(s)
 	if err != nil {
 		return nil, err

@@ -131,9 +131,15 @@ func (j *job) trace() *telemetry.Trace {
 	if !started.IsZero() {
 		b.Phase("queue-wait", 0, started.Sub(j.submitted))
 	}
-	events, _, _ := j.hub.since(0)
-	for _, ev := range events {
-		b.Emit(ev)
+	for from := 0; ; {
+		events, _, _ := j.hub.since(from)
+		if len(events) == 0 {
+			break
+		}
+		for _, ev := range events {
+			b.Emit(ev)
+		}
+		from += len(events)
 	}
 	b.End(runDur)
 	return b.Snapshot()
@@ -267,12 +273,19 @@ func (s *Server) runJob(j *job) {
 	j.exit, j.errMsg = wire.ExitFor(report, spec.Options.FailOn)
 }
 
+// hubChunk is how many events one chunk of a hub's log holds. A
+// 200-program job emits about 3,000 events of 88 bytes: six chunks.
+const hubChunk = 512
+
 // hub fans one job's event stream out to any number of followers: it
 // retains every event (jobs are batch-sized, not unbounded) and wakes
-// blocked followers on append and at end-of-stream.
+// blocked followers on append and at end-of-stream. The log is a list
+// of fixed-size chunks, filled in place, so an append never copies the
+// events before it.
 type hub struct {
 	mu     sync.Mutex
-	events []progconv.Event
+	chunks []*[hubChunk]progconv.Event // all full but the last
+	n      int                         // events in the log
 	// wake closes on the next append or at end-of-stream. It is made
 	// only when a follower asks for it, so a run nobody follows live
 	// allocates no channel per event.
@@ -280,10 +293,20 @@ type hub struct {
 	closed bool
 }
 
+// newHub returns an empty hub whose chunk list has room for a
+// 200-program job's log without regrowing.
+func newHub() *hub {
+	return &hub{chunks: make([]*[hubChunk]progconv.Event, 0, 8)}
+}
+
 // Emit implements progconv.Sink (obs.Sink).
 func (h *hub) Emit(ev progconv.Event) {
 	h.mu.Lock()
-	h.events = append(h.events, ev)
+	if h.n%hubChunk == 0 {
+		h.chunks = append(h.chunks, new([hubChunk]progconv.Event))
+	}
+	h.chunks[h.n/hubChunk][h.n%hubChunk] = ev
+	h.n++
 	if h.wake != nil {
 		close(h.wake)
 		h.wake = nil
@@ -304,18 +327,29 @@ func (h *hub) finish() {
 	h.mu.Unlock()
 }
 
-// since returns the events at and after index from, whether the stream
-// has ended, and otherwise a channel that closes on the next append.
-// The events are a view of the hub's own log, capped at its current
-// length: events are append-only and never rewritten, so a later
-// append cannot touch what the view holds, and the caller reads it
-// without the lock and without a copy.
+// since returns the events from index from to the end of the log or
+// of the chunk holding from, whichever comes first. The events are a
+// view of the chunk, capped at its filled length: an event is written
+// once, under the mutex, before n counts it, so a later append cannot
+// touch what the view holds, and the caller reads it without the lock
+// and without a copy. A view that ends at a chunk boundary short of
+// the log's end comes with a nil channel and closed false: the caller
+// asks again from where the view ends. Otherwise since also reports
+// whether the stream has ended, and if not returns a channel that
+// closes on the next append.
 func (h *hub) since(from int) ([]progconv.Event, <-chan struct{}, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	var events []progconv.Event
-	if n := len(h.events); from < n {
-		events = h.events[from:n:n]
+	if from < h.n {
+		lo, hi := from%hubChunk, hubChunk
+		if last := h.n - from + lo; last < hi {
+			hi = last
+		}
+		events = h.chunks[from/hubChunk][lo:hi:hi]
+		if from+len(events) < h.n {
+			return events, nil, false
+		}
 	}
 	if h.closed {
 		return events, nil, true

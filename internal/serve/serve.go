@@ -274,7 +274,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	for i, p := range run.Programs {
 		names[i] = p.Name
 	}
-	j := &job{spec: &spec, hub: &hub{}, names: names, run: run, opts: opts}
+	j := &job{spec: &spec, hub: newHub(), names: names, run: run, opts: opts}
 
 	// An inbound W3C traceparent continues the caller's trace; anything
 	// malformed (or absent) falls back to a trace ID derived from the
@@ -485,7 +485,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		events, changed, closed := j.hub.since(from)
 		if len(events) > 0 {
 			// Every event the wake delivered goes out in one write and
-			// one flush.
+			// one flush, or in one per chunk the batch spans.
 			b := (*bp)[:0]
 			for _, ev := range events {
 				if sse {
@@ -508,6 +508,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if closed {
 			return
 		}
+		if changed == nil {
+			continue // the view ended at a chunk boundary: read on
+		}
 		select {
 		case <-changed:
 		case <-r.Context().Done():
@@ -517,8 +520,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxPooledEvents bounds the event batch buffers returned to
-// eventBufs; a follower that joins a finished 200-program job takes
-// its whole log, a few hundred KB, in one batch.
+// eventBufs. A batch holds at most one chunk of a hub's log, hubChunk
+// events, but an event's detail text has no bound.
 const maxPooledEvents = 1 << 20
 
 var eventBufs = sync.Pool{New: func() any {

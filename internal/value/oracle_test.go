@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -102,8 +103,10 @@ func (r *mapRecord) Equal(o *mapRecord) bool {
 func (r *mapRecord) KeyOf(names []string) string {
 	var b strings.Builder
 	for _, n := range names {
-		b.WriteString(r.fields[n].Key())
-		b.WriteByte('\x1f')
+		k := r.fields[n].Key()
+		var l [binary.MaxVarintLen64]byte
+		b.Write(l[:binary.PutUvarint(l[:], uint64(len(k)))])
+		b.WriteString(k)
 	}
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -202,15 +203,20 @@ func (r *Record) Equal(o *Record) bool {
 	return true
 }
 
-// KeyOf concatenates the Key() forms of the named fields, for use as a
-// composite index key.
+// KeyOf returns the composite index key of the named fields: each
+// field's Key form behind its byte length as a uvarint, so the lengths
+// keep the parts apart, as in a fingerprint's layout. Records whose
+// field values differ never share a key, whatever bytes their strings
+// hold.
 func (r *Record) KeyOf(names []string) string {
-	var b strings.Builder
+	var buf [64]byte
+	b := buf[:0]
 	for _, n := range names {
-		b.WriteString(r.MustGet(n).Key())
-		b.WriteByte('\x1f')
+		k := r.MustGet(n).Key()
+		b = binary.AppendUvarint(b, uint64(len(k)))
+		b = append(b, k...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the record as NAME=value pairs in declared order,

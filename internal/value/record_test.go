@@ -136,13 +136,37 @@ func TestRecordEqual(t *testing.T) {
 }
 
 func TestKeyOfComposite(t *testing.T) {
-	a := FromPairs("X", "ab", "Y", "c")
-	b := FromPairs("X", "a", "Y", "bc")
-	if a.KeyOf([]string{"X", "Y"}) == b.KeyOf([]string{"X", "Y"}) {
-		t.Error("composite keys must not collide across field boundaries")
+	for _, pair := range [][2]*Record{
+		{FromPairs("X", "ab", "Y", "c"), FromPairs("X", "a", "Y", "bc")},
+		// A separator between the fields' Key forms, unescaped, let a
+		// string holding it shift the boundary.
+		{FromPairs("X", "p\x1fsq", "Y", "r"), FromPairs("X", "p", "Y", "q\x1fsr")},
+	} {
+		if pair[0].KeyOf([]string{"X", "Y"}) == pair[1].KeyOf([]string{"X", "Y"}) {
+			t.Errorf("%v and %v share a composite key", pair[0], pair[1])
+		}
 	}
+	a := FromPairs("X", "ab", "Y", "c")
 	if a.KeyOf([]string{"X"}) != FromPairs("X", "ab").KeyOf([]string{"X"}) {
 		t.Error("same field values should give same key")
+	}
+}
+
+// TestKeyOfAllocs: KeyOf allocates each field's Key form and the key
+// it returns, and nothing else; writing the forms into a builder cost
+// up to two more.
+func TestKeyOfAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		r     *Record
+		names []string
+		want  float64
+	}{
+		{FromPairs("EMP-NAME", "ADAMS", "AGE", 45), []string{"EMP-NAME", "AGE"}, 3},
+		{FromPairs("K", 1234567, "A", "x", "B", true), []string{"K", "A", "B"}, 4},
+	} {
+		if n := testing.AllocsPerRun(100, func() { _ = tc.r.KeyOf(tc.names) }); n > tc.want {
+			t.Errorf("KeyOf(%v) of %v allocated %.0f times, want at most %.0f", tc.names, tc.r, n, tc.want)
+		}
 	}
 }
 
