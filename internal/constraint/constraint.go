@@ -169,10 +169,19 @@ func (c Cardinality) Check(inst Instance) []Violation {
 		}
 		lookups[i] = idx
 	}
-	groups := make(map[string]int)
-	labels := make(map[string]string)
+	// A group's key is its terms' values in KeyOf's layout, each Key form
+	// behind its length, so string values cannot shift a boundary; the
+	// groups keep the order in which they first appear.
+	type group struct {
+		label string
+		n     int
+	}
+	var groups []group
+	at := make(map[string]int)
+	var key []byte
 	for _, r := range inst.Entities(c.Entity) {
-		var key, label string
+		key = key[:0]
+		var label string
 		for i, term := range c.GroupBy {
 			var v value.Value
 			if term.Lookup == nil {
@@ -180,20 +189,26 @@ func (c Cardinality) Check(inst Instance) []Violation {
 			} else {
 				v = lookups[i][r.MustGet(term.Lookup.Local).Key()]
 			}
-			key += v.Key() + "\x1f"
+			key = v.AppendKeyPart(key)
 			if label != "" {
 				label += ","
 			}
 			label += v.String()
 		}
-		groups[key]++
-		labels[key] = label
+		g, ok := at[string(key)]
+		if !ok {
+			g = len(groups)
+			at[string(key)] = g
+			groups = append(groups, group{})
+		}
+		groups[g].label = label
+		groups[g].n++
 	}
 	var out []Violation
-	for k, n := range groups {
-		if n > c.Max {
+	for _, g := range groups {
+		if g.n > c.Max {
 			out = append(out, Violation{c.Label,
-				fmt.Sprintf("%s group (%s) has %d records, limit %d", c.Entity, labels[k], n, c.Max), nil})
+				fmt.Sprintf("%s group (%s) has %d records, limit %d", c.Entity, g.label, g.n, c.Max), nil})
 		}
 	}
 	return out

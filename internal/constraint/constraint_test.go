@@ -82,6 +82,43 @@ func TestCardinalityDirect(t *testing.T) {
 	}
 }
 
+// TestCardinalityCompositeGroupsApart: a composite group key keeps its
+// terms apart whatever bytes their strings hold. With the terms' Key
+// forms joined by a separator, (A="p\x1fsq", B="r") and (A="p",
+// B="q\x1fsr") fell into one group and broke a limit of one.
+func TestCardinalityCompositeGroupsApart(t *testing.T) {
+	inst := fakeInstance{"R": {
+		value.FromPairs("A", "p\x1fsq", "B", "r"),
+		value.FromPairs("A", "p", "B", "q\x1fsr"),
+	}}
+	c := Cardinality{Label: "c", Entity: "R", GroupBy: []Term{{Field: "A"}, {Field: "B"}}, Max: 1}
+	if vs := c.Check(inst); len(vs) != 0 {
+		t.Errorf("distinct composite groups reported as one: %v", vs)
+	}
+}
+
+// TestCardinalityViolationOrder: violated groups are reported in the
+// order their first records appear, on every run.
+func TestCardinalityViolationOrder(t *testing.T) {
+	var recs []*value.Record
+	var want []string
+	for _, g := range []string{"e", "b", "d", "a", "c"} {
+		want = append(want, "R group ("+g+") has 2 records, limit 1")
+		recs = append(recs, value.FromPairs("G", g))
+	}
+	recs = append(recs, recs...) // every group twice, first appearances in the order above
+	c := Cardinality{Label: "c", Entity: "R", GroupBy: []Term{{Field: "G"}}, Max: 1}
+	for run := 0; run < 20; run++ {
+		var got []string
+		for _, v := range c.Check(fakeInstance{"R": recs}) {
+			got = append(got, v.Message)
+		}
+		if strings.Join(got, "; ") != strings.Join(want, "; ") {
+			t.Fatalf("run %d: violations %q, want %q", run, got, want)
+		}
+	}
+}
+
 // TestSchoolRuleTwicePerYear reproduces the paper's §3.1 example: "a
 // course may not be offered more than twice in a school year" — a rule
 // that needs a lookup through SEMESTER for the YEAR.

@@ -111,17 +111,40 @@ type seg struct {
 	typ    *schema.Segment
 	data   *value.Record
 	parent SegID // 0 for root occurrences
-	// children maps child segment type name to ordered occurrence IDs;
-	// nil until the first child is inserted.
-	children map[string][]SegID
+	// children holds the ordered occurrences of each child type, indexed
+	// by the type's position in typ.Children, so a walk in schema order
+	// needs no lookup; nil until the first child is inserted.
+	children [][]SegID
+}
+
+// childList returns the occurrences of the child type at position ord
+// of sg.typ.Children (nil for none, or for ord < 0).
+func (sg *seg) childList(ord int) []SegID {
+	if ord < 0 || sg.children == nil {
+		return nil
+	}
+	return sg.children[ord]
+}
+
+// childOrdinal returns the position of the named child type in
+// typ.Children, or -1.
+func childOrdinal(typ *schema.Segment, name string) int {
+	return slices.IndexFunc(typ.Children, func(c *schema.Segment) bool { return c.Name == name })
 }
 
 // DB is an in-memory hierarchical database instance.
 type DB struct {
 	schema *schema.Hierarchy
-	segs   map[SegID]*seg
-	roots  []SegID
-	nextID SegID
+	// segs is the segment table: segs[id-1] is occurrence id, nil once
+	// deleted. IDs are assigned densely from 1 and never reused.
+	segs  []*seg
+	roots []SegID
+	// segSlab, listSlab and idSlab are where Insert takes its next
+	// segment, a parent's child-list headers and the first slot of a
+	// child list from; see carve.
+	segSlab  []seg
+	listSlab [][]SegID
+	idSlab   []SegID
 	// readOnly marks a View: every mutating entry point panics.
 	readOnly bool
 	// unordered records that a REPL stored a NaN sequence value. NaN
@@ -140,7 +163,30 @@ func NewDB(h *schema.Hierarchy) *DB {
 	if err := h.Validate(); err != nil {
 		panic(fmt.Sprintf("hierstore: invalid schema: %v", err))
 	}
-	return &DB{schema: h, segs: make(map[SegID]*seg), nextID: 1}
+	return &DB{schema: h}
+}
+
+// lookup is the one segment lookup: the live occurrence with the given
+// ID, or nil for a deleted ID and for one the table never assigned (0,
+// negative, or past the last).
+func (db *DB) lookup(id SegID) *seg {
+	if i := uint64(id) - 1; i < uint64(len(db.segs)) {
+		return db.segs[i]
+	}
+	return nil
+}
+
+// carve returns n zeroed elements of a slab, capped at n so an append
+// never reaches the next carving. A new chunk is as large as the
+// database so far, between 8 and 512 elements, so a tiny database pays
+// for a tiny chunk.
+func carve[T any](db *DB, slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, min(max(len(db.segs), 8), 512)))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
 }
 
 // Schema returns the database's hierarchy.
@@ -150,7 +196,7 @@ func (db *DB) Schema() *schema.Hierarchy { return db.schema }
 func (db *DB) Count(segType string) int {
 	n := 0
 	for _, s := range db.segs {
-		if s.typ.Name == segType {
+		if s != nil && s.typ.Name == segType {
 			n++
 		}
 	}
@@ -159,16 +205,26 @@ func (db *DB) Count(segType string) int {
 
 // Data returns a copy of the occurrence's fields, or nil for a stale ID.
 func (db *DB) Data(id SegID) *value.Record {
-	s, ok := db.segs[id]
-	if !ok {
-		return nil
+	if s := db.lookup(id); s != nil {
+		return s.data.Clone()
 	}
-	return s.data.Clone()
+	return nil
+}
+
+// Stored returns the occurrence's stored record itself, not a copy, or
+// nil for a stale ID: the allocation-free read for a caller that copies
+// what it needs, as the data translator's reorder does. The caller must
+// not mutate it, and it changes with a REPL of the occurrence.
+func (db *DB) Stored(id SegID) *value.Record {
+	if s := db.lookup(id); s != nil {
+		return s.data
+	}
+	return nil
 }
 
 // TypeOf returns the segment type name of an occurrence, or "".
 func (db *DB) TypeOf(id SegID) string {
-	if s, ok := db.segs[id]; ok {
+	if s := db.lookup(id); s != nil {
 		return s.typ.Name
 	}
 	return ""
@@ -176,7 +232,7 @@ func (db *DB) TypeOf(id SegID) string {
 
 // ParentOf returns the parent occurrence, or 0 for roots and stale IDs.
 func (db *DB) ParentOf(id SegID) SegID {
-	if s, ok := db.segs[id]; ok {
+	if s := db.lookup(id); s != nil {
 		return s.parent
 	}
 	return 0
@@ -185,11 +241,27 @@ func (db *DB) ParentOf(id SegID) SegID {
 // ChildrenOf returns the ordered child occurrences of the given child
 // segment type. The slice is a copy.
 func (db *DB) ChildrenOf(id SegID, childType string) []SegID {
-	s, ok := db.segs[id]
-	if !ok {
+	s := db.lookup(id)
+	if s == nil {
 		return nil
 	}
-	return append([]SegID(nil), s.children[childType]...)
+	return append([]SegID(nil), s.childList(childOrdinal(s.typ, childType))...)
+}
+
+// EachChild visits the ordered child occurrences of the given child
+// segment type, stopping early when fn returns false: the
+// allocation-free counterpart of ChildrenOf. The database must not be
+// mutated during the visit.
+func (db *DB) EachChild(id SegID, childType string, fn func(SegID) bool) {
+	s := db.lookup(id)
+	if s == nil {
+		return
+	}
+	for _, c := range s.childList(childOrdinal(s.typ, childType)) {
+		if !fn(c) {
+			return
+		}
+	}
 }
 
 // Roots returns the root occurrences in sequence order. The slice is a
@@ -200,13 +272,79 @@ func (db *DB) Roots() []SegID { return append([]SegID(nil), db.roots...) }
 // sequence: the segment, then each child type in schema order, each
 // occurrence in sequence order.
 func (db *DB) hierarchicSequence(id SegID, out *[]SegID) {
-	s := db.segs[id]
 	*out = append(*out, id)
-	for _, childType := range s.typ.Children {
-		for _, c := range s.children[childType.Name] {
+	for _, lst := range db.lookup(id).children {
+		for _, c := range lst {
 			db.hierarchicSequence(c, out)
 		}
 	}
+}
+
+// next returns the occurrence after id in hierarchic sequence within the
+// subtree of within (the whole database when within is 0), or 0 past
+// its end. It walks the child lists and parent links from id, so a
+// sweep of GN or GNP calls visits each occurrence a bounded number of
+// times instead of rebuilding the sequence per call.
+func (db *DB) next(id, within SegID) SegID {
+	sg := db.lookup(id)
+	for _, lst := range sg.children {
+		if len(lst) > 0 {
+			return lst[0]
+		}
+	}
+	for sg.id != within {
+		p := db.lookup(sg.parent)
+		if p == nil {
+			if i := db.twinIndex(db.roots, sg); i+1 < len(db.roots) {
+				return db.roots[i+1]
+			}
+			return 0
+		}
+		ord := slices.Index(p.typ.Children, sg.typ)
+		twins := p.children[ord]
+		if i := db.twinIndex(twins, sg); i+1 < len(twins) {
+			return twins[i+1]
+		}
+		for _, lst := range p.children[ord+1:] {
+			if len(lst) > 0 {
+				return lst[0]
+			}
+		}
+		sg = p
+	}
+	return 0
+}
+
+// twinIndex returns the position of sg in twins, its twin list. Twins
+// are ordered by sequence value, each value held once, or, for a type
+// without a sequence field, by insertion and so by ID: either order
+// bisects. A list a NaN REPL may have unsorted, or a miss, falls back
+// to a scan.
+func (db *DB) twinIndex(twins []SegID, sg *seg) int {
+	i := 0
+	if seq := sg.typ.Seq; seq == "" {
+		i = sort.Search(len(twins), func(i int) bool { return twins[i] >= sg.id })
+	} else if !db.unordered {
+		v := sg.data.MustGet(seq)
+		i = sort.Search(len(twins), func(i int) bool {
+			c, _ := db.lookup(twins[i]).data.MustGet(seq).Compare(v)
+			return c >= 0
+		})
+	}
+	if i < len(twins) && twins[i] == sg.id {
+		return i
+	}
+	return slices.Index(twins, sg.id)
+}
+
+// within reports whether id lies in the subtree of anc, anc excluded.
+func (db *DB) within(id, anc SegID) bool {
+	for sg := db.lookup(id); sg != nil && sg.parent != 0; sg = db.lookup(sg.parent) {
+		if sg.parent == anc {
+			return true
+		}
+	}
+	return false
 }
 
 // Sequence returns every occurrence in database hierarchic sequence.
@@ -226,7 +364,7 @@ func insertOrdered(db *DB, lst []SegID, s *seg) []SegID {
 		return append(lst, s.id)
 	}
 	pos := sort.Search(len(lst), func(i int) bool {
-		other := db.segs[lst[i]]
+		other := db.lookup(lst[i])
 		c, _ := other.data.MustGet(s.typ.Seq).Compare(s.data.MustGet(s.typ.Seq))
 		return c > 0
 	})
@@ -236,26 +374,45 @@ func insertOrdered(db *DB, lst []SegID, s *seg) []SegID {
 	return lst
 }
 
-// Clone returns an independent deep copy, preserving segment IDs.
+// Clone returns an independent deep copy, preserving segment IDs. The
+// copy's segments share one allocation, and so do their child lists,
+// each capped at its length so a later insert reallocates rather than
+// writing into a neighbour's.
 func (db *DB) Clone() *DB {
 	c := NewDB(db.schema.Clone())
-	c.nextID = db.nextID
 	c.unordered = db.unordered
 	c.roots = append([]SegID(nil), db.roots...)
-	for id, s := range db.segs {
-		cs := &seg{
-			id:     s.id,
-			typ:    c.schema.Segment(s.typ.Name),
-			data:   s.data.Clone(),
-			parent: s.parent,
+	c.segs = make([]*seg, len(db.segs))
+	var nsegs, nlists, nids int
+	for _, s := range db.segs {
+		if s == nil {
+			continue
 		}
-		if len(s.children) > 0 {
-			cs.children = make(map[string][]SegID, len(s.children))
-			for t, lst := range s.children {
-				cs.children[t] = append([]SegID(nil), lst...)
+		nsegs++
+		nlists += len(s.children)
+		for _, lst := range s.children {
+			nids += len(lst)
+		}
+	}
+	segs, lists, ids := make([]seg, nsegs), make([][]SegID, nlists), make([]SegID, nids)
+	olds, news := db.schema.Preorder(), c.schema.Preorder()
+	for i, s := range db.segs {
+		if s == nil {
+			continue
+		}
+		cs := &segs[0]
+		segs = segs[1:]
+		*cs = seg{id: s.id, typ: news[slices.Index(olds, s.typ)], data: s.data.Clone(), parent: s.parent}
+		if n := len(s.children); n > 0 {
+			cs.children, lists = lists[:n:n], lists[n:]
+			for k, lst := range s.children {
+				if m := len(lst); m > 0 {
+					cs.children[k], ids = ids[:m:m], ids[m:]
+					copy(cs.children[k], lst)
+				}
 			}
 		}
-		c.segs[id] = cs
+		c.segs[i] = cs
 	}
 	return c
 }
@@ -344,7 +501,7 @@ func (a SSA) matches(rec *value.Record) bool {
 // pathMatches reports whether the occurrence and its ancestors satisfy
 // the SSA path (last SSA = the occurrence's own type).
 func (s *Session) pathMatches(id SegID, ssas []SSA) bool {
-	sg := s.db.segs[id]
+	sg := s.db.lookup(id)
 	if sg.typ.Name != ssas[len(ssas)-1].Segment {
 		return false
 	}
@@ -353,7 +510,7 @@ func (s *Session) pathMatches(id SegID, ssas []SSA) bool {
 		if cur == nil || cur.typ.Name != ssas[i].Segment || !ssas[i].matches(cur.data) {
 			return false
 		}
-		cur = s.db.segs[cur.parent]
+		cur = s.db.lookup(cur.parent)
 	}
 	return true
 }
@@ -379,21 +536,19 @@ func (s *Session) GU(ssas ...SSA) (*value.Record, Status) {
 
 // GN implements Get Next: advance in hierarchic sequence from the current
 // position to the next segment satisfying the SSAs (any segment if none).
+// A position that no longer exists restarts the search at the first
+// root.
 func (s *Session) GN(ssas ...SSA) (*value.Record, Status) {
 	if st := s.checkSSAs(ssas); st != OK {
 		return nil, s.fail(st)
 	}
-	seqn := s.db.Sequence()
-	start := 0
-	if s.position != 0 {
-		for i, id := range seqn {
-			if id == s.position {
-				start = i + 1
-				break
-			}
-		}
+	var id SegID
+	if s.exists(s.position) {
+		id = s.db.next(s.position, 0)
+	} else if len(s.db.roots) > 0 {
+		id = s.db.roots[0]
 	}
-	for _, id := range seqn[start:] {
+	for ; id != 0; id = s.db.next(id, 0) {
 		if len(ssas) == 0 || s.pathMatches(id, ssas) {
 			return s.arrive(id)
 		}
@@ -405,33 +560,26 @@ func (s *Session) GN(ssas ...SSA) (*value.Record, Status) {
 }
 
 // GNP implements Get Next Within Parent: like GN but only within the
-// descendants of the parentage position.
+// descendants of the parentage position. A position outside them, or
+// one that no longer exists, restarts the search at the parent's first
+// descendant.
 func (s *Session) GNP(ssas ...SSA) (*value.Record, Status) {
 	if st := s.checkSSAs(ssas); st != OK {
 		return nil, s.fail(st)
 	}
-	if s.parentage == 0 || !s.exists(s.parentage) {
+	if !s.exists(s.parentage) {
 		return nil, s.fail(GP)
 	}
-	var subtree []SegID
-	s.db.hierarchicSequence(s.parentage, &subtree)
-	subtree = subtree[1:] // exclude the parent itself
-	start := 0
-	if s.position != 0 && s.position != s.parentage {
-		for i, id := range subtree {
-			if id == s.position {
-				start = i + 1
-				break
-			}
-		}
+	from := s.parentage
+	if s.db.within(s.position, s.parentage) {
+		from = s.position
 	}
-	for _, id := range subtree[start:] {
+	for id := s.db.next(from, s.parentage); id != 0; id = s.db.next(id, s.parentage) {
 		if len(ssas) == 0 || s.pathMatches(id, ssas) {
 			// GNP moves position but keeps parentage.
-			sg := s.db.segs[id]
 			s.position = id
 			s.status = OK
-			return sg.data.Clone(), OK
+			return s.db.lookup(id).data.Clone(), OK
 		}
 	}
 	return nil, s.fail(GE)
@@ -442,13 +590,10 @@ func (s *Session) arrive(id SegID) (*value.Record, Status) {
 	s.position = id
 	s.parentage = id
 	s.status = OK
-	return s.db.segs[id].data.Clone(), OK
+	return s.db.lookup(id).data.Clone(), OK
 }
 
-func (s *Session) exists(id SegID) bool {
-	_, ok := s.db.segs[id]
-	return ok
-}
+func (s *Session) exists(id SegID) bool { return s.db.lookup(id) != nil }
 
 // find returns the first occurrence in hierarchic sequence that
 // satisfies a checked SSA path, or 0. Instead of scanning the whole
@@ -483,15 +628,19 @@ func (db *DB) descend(twins []SegID, ssas []SSA, types []string, first, level in
 		a = &ssas[level-first]
 		twins = db.narrow(twins, a)
 	}
+	ord := -1 // of types[level+1] among the twins' child types
 	for _, id := range twins {
-		sg := db.segs[id]
+		sg := db.lookup(id)
 		if a != nil && !a.matches(sg.data) {
 			continue
 		}
 		if level == len(types)-1 {
 			return id
 		}
-		if hit := db.descend(sg.children[types[level+1]], ssas, types, first, level+1); hit != 0 {
+		if ord < 0 {
+			ord = childOrdinal(sg.typ, types[level+1])
+		}
+		if hit := db.descend(sg.childList(ord), ssas, types, first, level+1); hit != 0 {
 			return hit
 		}
 	}
@@ -504,7 +653,7 @@ func (db *DB) narrow(twins []SegID, a *SSA) []SegID {
 	if len(twins) == 0 {
 		return twins
 	}
-	seq := db.segs[twins[0]].typ.Seq
+	seq := db.lookup(twins[0]).typ.Seq
 	if seq == "" {
 		return twins
 	}
@@ -534,17 +683,17 @@ func isNaN(v value.Value) bool { return v.Kind() == value.Float && math.IsNaN(v.
 func (db *DB) twin(twins []SegID, field string, v value.Value) int {
 	if !db.bisectable(v) {
 		for i, id := range twins {
-			if db.segs[id].data.MustGet(field).Equal(v) {
+			if db.lookup(id).data.MustGet(field).Equal(v) {
 				return i
 			}
 		}
 		return -1
 	}
 	i := sort.Search(len(twins), func(i int) bool {
-		c, _ := db.segs[twins[i]].data.MustGet(field).Compare(v)
+		c, _ := db.lookup(twins[i]).data.MustGet(field).Compare(v)
 		return c >= 0
 	})
-	if i < len(twins) && db.segs[twins[i]].data.MustGet(field).Equal(v) {
+	if i < len(twins) && db.lookup(twins[i]).data.MustGet(field).Equal(v) {
 		return i
 	}
 	return -1
@@ -577,7 +726,9 @@ func shape(typ *schema.Segment, data *value.Record) (*value.Record, Status) {
 // kind-checked against the segment type (AJ); the parent must be an
 // occurrence of the type's schema parent (AC), and a live one (GE). A
 // twin with an equal sequence value rejects the insert with II and its
-// ID is returned; on OK the new occurrence's ID is.
+// ID is returned; on OK the new occurrence's ID is. The stored record
+// is a fresh copy of data's fields; the segment, its parent's child-list
+// headers and the first slot of its twin list come from slabs.
 func (db *DB) Insert(parent SegID, segType string, data *value.Record) (SegID, Status) {
 	db.mustWrite()
 	typ := db.schema.Segment(segType)
@@ -588,37 +739,40 @@ func (db *DB) Insert(parent SegID, segType string, data *value.Record) (SegID, S
 	if st != OK {
 		return 0, st
 	}
+	var p *seg
+	ord := -1
 	twins := db.roots
 	if parent == 0 {
 		if typ.Name != db.schema.Root.Name {
 			return 0, AC // a non-root insert needs its parent
 		}
 	} else {
-		p, ok := db.segs[parent]
-		if !ok {
+		if p = db.lookup(parent); p == nil {
 			return 0, GE
 		}
-		if !slices.ContainsFunc(p.typ.Children, func(c *schema.Segment) bool { return c.Name == segType }) {
+		if ord = childOrdinal(p.typ, segType); ord < 0 {
 			return 0, AC
 		}
-		twins = p.children[segType]
+		twins = p.childList(ord)
 	}
 	if typ.Seq != "" {
 		if i := db.twin(twins, typ.Seq, rec.MustGet(typ.Seq)); i >= 0 {
 			return twins[i], II
 		}
 	}
-	sg := &seg{id: db.nextID, typ: typ, data: rec, parent: parent}
-	db.nextID++
-	db.segs[sg.id] = sg
-	if parent == 0 {
+	sg := &carve(db, &db.segSlab, 1)[0]
+	*sg = seg{id: SegID(len(db.segs) + 1), typ: typ, data: rec, parent: parent}
+	db.segs = append(db.segs, sg)
+	if p == nil {
 		db.roots = insertOrdered(db, db.roots, sg)
 	} else {
-		p := db.segs[parent]
 		if p.children == nil {
-			p.children = make(map[string][]SegID, len(p.typ.Children))
+			p.children = carve(db, &db.listSlab, len(p.typ.Children))
 		}
-		p.children[segType] = insertOrdered(db, p.children[segType], sg)
+		if p.children[ord] == nil {
+			p.children[ord] = carve(db, &db.idSlab, 1)[:0] // a second child moves the list to the heap
+		}
+		p.children[ord] = insertOrdered(db, p.children[ord], sg)
 	}
 	return sg.id, OK
 }
@@ -661,35 +815,37 @@ func (s *Session) ISRT(data *value.Record, ssas ...SSA) Status {
 // clears the position.
 func (s *Session) DLET() Status {
 	s.db.mustWrite()
-	if s.position == 0 || !s.exists(s.position) {
+	root := s.db.lookup(s.position)
+	if root == nil {
 		return s.fail(DJ)
 	}
-	var doomed []SegID
-	s.db.hierarchicSequence(s.position, &doomed)
-	root := s.db.segs[s.position]
 	if root.parent == 0 {
-		for i, r := range s.db.roots {
-			if r == root.id {
-				s.db.roots = append(s.db.roots[:i], s.db.roots[i+1:]...)
-				break
-			}
-		}
+		s.db.roots = s.db.unlink(s.db.roots, root)
 	} else {
-		p := s.db.segs[root.parent]
-		lst := p.children[root.typ.Name]
-		for i, c := range lst {
-			if c == root.id {
-				p.children[root.typ.Name] = append(lst[:i], lst[i+1:]...)
-				break
-			}
-		}
+		p := s.db.lookup(root.parent)
+		ord := slices.Index(p.typ.Children, root.typ)
+		p.children[ord] = s.db.unlink(p.children[ord], root)
 	}
-	for _, id := range doomed {
-		delete(s.db.segs, id)
-	}
+	s.db.forget(root)
 	s.position = 0
 	s.parentage = 0
 	return s.fail(OK)
+}
+
+// unlink removes sg from twins, its twin list.
+func (db *DB) unlink(twins []SegID, sg *seg) []SegID {
+	i := db.twinIndex(twins, sg)
+	return slices.Delete(twins, i, i+1)
+}
+
+// forget clears the table entries of sg's subtree.
+func (db *DB) forget(sg *seg) {
+	db.segs[sg.id-1] = nil
+	for _, lst := range sg.children {
+		for _, c := range lst {
+			db.forget(db.lookup(c))
+		}
+	}
 }
 
 // REPL implements Replace: overwrites the named fields of the segment at
@@ -697,10 +853,10 @@ func (s *Session) DLET() Status {
 // as in IMS.
 func (s *Session) REPL(data *value.Record) Status {
 	s.db.mustWrite()
-	if s.position == 0 || !s.exists(s.position) {
+	sg := s.db.lookup(s.position)
+	if sg == nil {
 		return s.fail(DJ)
 	}
-	sg := s.db.segs[s.position]
 	for _, n := range data.Names() {
 		f := sg.typ.Field(n)
 		if f == nil {
@@ -738,13 +894,13 @@ func (db *DB) DumpSequence() string {
 	var b strings.Builder
 	var walk func(id SegID, depth int)
 	walk = func(id SegID, depth int) {
-		sg := db.segs[id]
+		sg := db.lookup(id)
 		b.WriteString(strings.Repeat("  ", depth))
 		b.WriteString(sg.typ.Name)
 		b.WriteString(sg.data.String())
 		b.WriteByte('\n')
-		for _, ct := range sg.typ.Children {
-			for _, c := range sg.children[ct.Name] {
+		for _, lst := range sg.children {
+			for _, c := range lst {
 				walk(c, depth+1)
 			}
 		}

@@ -1,6 +1,8 @@
 package hierstore
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -334,14 +336,83 @@ func TestDataLookups(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence: a clone copies the segment table and every
+// child list, so ISRT, REPL and DLET on it leave the origin as it was.
 func TestCloneIndependence(t *testing.T) {
 	db, _ := seedPersonnel(t)
+	before := db.DumpSequence()
 	c := db.Clone()
+	if c.DumpSequence() != before {
+		t.Fatalf("clone differs from its origin:\n%s\nvs\n%s", c.DumpSequence(), before)
+	}
 	cs := NewSession(c)
-	cs.GU(Q("DEPT", "D#", EQ, value.Str("D12")))
-	cs.DLET()
-	if db.Count("DEPT") != 2 || db.Count("EMP") != 3 {
-		t.Error("clone DLET leaked")
+	for _, e := range []string{"E0", "E4", "E9"} { // before, between and after the clone's EMP twins
+		st := cs.ISRT(value.FromPairs("E#", e, "ENAME", "NEW", "AGE", 30, "YEAR-OF-SERVICE", 1),
+			Q("DEPT", "D#", EQ, value.Str("D12")), U("EMP"))
+		if st != OK {
+			t.Fatalf("ISRT %s on the clone: %v", e, st)
+		}
+	}
+	if st := cs.ISRT(value.FromPairs("D#", "D0", "DNAME", "X", "MGR", "Y"), U("DEPT")); st != OK {
+		t.Fatalf("ISRT DEPT on the clone: %v", st)
+	}
+	cs.GU(Q("EMP", "E#", EQ, value.Str("E1")))
+	if st := cs.REPL(value.FromPairs("AGE", 99)); st != OK {
+		t.Fatalf("REPL on the clone: %v", st)
+	}
+	cs.GU(Q("EMP", "E#", EQ, value.Str("E3")))
+	if st := cs.DLET(); st != OK {
+		t.Fatalf("DLET on the clone: %v", st)
+	}
+	if db.DumpSequence() != before || len(db.segs) != 5 {
+		t.Errorf("clone mutations leaked into the origin:\n%s\nwas\n%s", db.DumpSequence(), before)
+	}
+	if c.Count("DEPT") != 3 || c.Count("EMP") != 5 || len(c.ChildrenOf(c.Roots()[2], "EMP")) != 1 {
+		t.Errorf("clone holds %d DEPT %d EMP, want 3 and 5, D2 keeping its one EMP:\n%s",
+			c.Count("DEPT"), c.Count("EMP"), c.DumpSequence())
+	}
+	checkHierInvariants(t, c)
+	checkHierInvariants(t, db)
+}
+
+// TestUnassignedIDsAnswerAsStale: the segment table answers an ID it
+// never assigned (0, negative, past the last) as it answers a deleted
+// one, through every read, Insert's parent check and a PCB positioned
+// on it, never with an index panic.
+func TestUnassignedIDsAnswerAsStale(t *testing.T) {
+	db, s := seedPersonnel(t)
+	s.GU(Q("EMP", "E#", EQ, value.Str("E1")))
+	stale := s.Position()
+	if st := s.DLET(); st != OK {
+		t.Fatalf("DLET: %v", st)
+	}
+	answers := func(id SegID) string {
+		visits := 0
+		db.EachChild(id, "EMP", func(SegID) bool { visits++; return true })
+		at := func() *Session { ps := NewSession(db); ps.position, ps.parentage = id, id; return ps }
+		gn := at()
+		_, gnSt := gn.GN()
+		_, gnpSt := at().GNP()
+		return fmt.Sprintf("Data nil %v, Stored nil %v, TypeOf %q, ParentOf %d, ChildrenOf %v, EachChild %d, GN %v at %d, GNP %v, DLET %v, REPL %v",
+			db.Data(id) == nil, db.Stored(id) == nil, db.TypeOf(id), db.ParentOf(id), db.ChildrenOf(id, "EMP"), visits,
+			gnSt, gn.Position(), gnpSt, at().DLET(), at().REPL(value.FromPairs("AGE", 1)))
+	}
+	want := answers(stale)
+	past := SegID(len(db.segs) + 1)
+	for _, id := range []SegID{0, -1, math.MinInt64, past, past + 100, math.MaxInt64} {
+		if got := answers(id); got != want {
+			t.Errorf("ID %d: %s\nstale ID %d: %s", id, got, stale, want)
+		}
+		if id == 0 {
+			continue // Insert reads parent 0 as "insert a root"
+		}
+		emp := value.FromPairs("E#", "E7", "ENAME", "N", "AGE", 30, "YEAR-OF-SERVICE", 1)
+		if _, st := db.Insert(id, "EMP", emp); st != GE {
+			t.Errorf("Insert under ID %d: %v, want GE as under the stale ID", id, st)
+		}
+	}
+	if _, st := db.Insert(stale, "EMP", value.FromPairs("E#", "E7")); st != GE {
+		t.Errorf("Insert under the stale ID: %v, want GE", st)
 	}
 }
 

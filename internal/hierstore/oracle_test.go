@@ -78,27 +78,30 @@ func oracleISRT(s *Session, data *value.Record, ssas ...SSA) Status {
 			return s.fail(GE)
 		}
 	}
-	var siblings []SegID
-	if parentID == 0 {
-		siblings = s.db.roots
-	} else {
-		siblings = s.db.segs[parentID].children[target.Name]
+	siblings := s.db.roots
+	var p *seg
+	ord := -1
+	if parentID != 0 {
+		p = s.db.lookup(parentID)
+		ord = childOrdinal(p.typ, target.Name)
+		siblings = p.childList(ord)
 	}
 	if target.Seq != "" {
 		for _, sib := range siblings {
-			if s.db.segs[sib].data.MustGet(target.Seq).Equal(rec.MustGet(target.Seq)) {
+			if s.db.lookup(sib).data.MustGet(target.Seq).Equal(rec.MustGet(target.Seq)) {
 				return s.fail(II)
 			}
 		}
 	}
-	sg := &seg{id: s.db.nextID, typ: target, data: rec, parent: parentID, children: make(map[string][]SegID)}
-	s.db.nextID++
-	s.db.segs[sg.id] = sg
-	if parentID == 0 {
+	sg := &seg{id: SegID(len(s.db.segs) + 1), typ: target, data: rec, parent: parentID}
+	s.db.segs = append(s.db.segs, sg)
+	if p == nil {
 		s.db.roots = insertOrdered(s.db, s.db.roots, sg)
 	} else {
-		p := s.db.segs[parentID]
-		p.children[target.Name] = insertOrdered(s.db, p.children[target.Name], sg)
+		if p.children == nil {
+			p.children = make([][]SegID, len(p.typ.Children))
+		}
+		p.children[ord] = insertOrdered(s.db, p.children[ord], sg)
 	}
 	s.position = sg.id
 	s.parentage = sg.id
@@ -254,7 +257,7 @@ func TestDescentMatchesSequenceScan(t *testing.T) {
 					continue
 				}
 				gs.position, ws.position = id, id
-				typ := got.segs[id].typ
+				typ := got.lookup(id).typ
 				data := value.NewRecord()
 				f := typ.Fields[rng.Intn(len(typ.Fields))]
 				if f.Kind == value.Float && rng.Intn(2) == 0 {
@@ -280,7 +283,7 @@ func TestDescentMatchesSequenceScan(t *testing.T) {
 					check(fmt.Sprintf("GU %v", path), gst, wst)
 				}
 			}
-			if g, w := got.DumpSequence(), want.DumpSequence(); g != w || got.nextID != want.nextID {
+			if g, w := got.DumpSequence(), want.DumpSequence(); g != w || len(got.segs) != len(want.segs) {
 				t.Fatalf("seed %d: databases diverged:\n%s\nvs oracle\n%s", seed, g, w)
 			}
 		}

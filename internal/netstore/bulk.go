@@ -3,6 +3,7 @@ package netstore
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,21 +41,18 @@ type bulkKey struct {
 //     value.Key gives NaN a key of its own: while the record or the
 //     database holds a NaN key, the check compares the record with
 //     every member, as seek does;
-//   - occurrences are slab-allocated and the record table is pre-sized.
+//   - the occurrence table is pre-sized.
 //
 // Between NewBulkLoader and Close the database must not be read or
 // mutated through any other path. A loader is single-use: discard it
 // after Close.
 type BulkLoader struct {
 	db      *DB
-	slab    []occurrence
 	dup     map[bulkKey]struct{}
 	touched map[string]struct{}
 	pending []bulkKey
 	loaded  int
 }
-
-const bulkSlabSize = 512
 
 // NewBulkLoader starts a bulk load into the database, which must be
 // empty, expecting about `expected` records (a sizing hint; zero is
@@ -63,11 +61,11 @@ func (db *DB) NewBulkLoader(expected int) *BulkLoader {
 	if db.readOnly {
 		panic(ErrReadOnly)
 	}
-	if len(db.recs) > 0 {
+	if db.live > 0 {
 		panic("netstore: NewBulkLoader on a database that holds records")
 	}
 	if expected > 0 {
-		db.recs = make(map[RecordID]*occurrence, expected)
+		db.recs = slices.Grow(db.recs, expected)
 	}
 	return &BulkLoader{
 		db:      db,
@@ -78,15 +76,6 @@ func (db *DB) NewBulkLoader(expected int) *BulkLoader {
 
 // Loaded returns how many records this loader has inserted.
 func (b *BulkLoader) Loaded() int { return b.loaded }
-
-func (b *BulkLoader) alloc() *occurrence {
-	if len(b.slab) == 0 {
-		b.slab = make([]occurrence, bulkSlabSize)
-	}
-	o := &b.slab[0]
-	b.slab = b.slab[1:]
-	return o
-}
 
 // StorePrepared inserts a record shaped by Shape for typ with resolved
 // membership targets. The sharded data translator's workers shape
@@ -115,18 +104,11 @@ func (b *BulkLoader) StorePrepared(typ *schema.RecordType, data *value.Record, t
 			return 0, fmt.Errorf("netstore: set %s: duplicate set key in occurrence", set.Name)
 		}
 	}
-	o := b.alloc()
-	o.id = db.nextID
-	o.typ = typ
-	o.data = data
-	o.memberOf = make(map[string]RecordID, len(targets))
-	db.nextID++
-	db.recs[o.id] = o
-	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
+	o := db.add(typ, data, len(targets))
 	b.touched[typ.Name] = struct{}{}
 	for _, tg := range targets { // appended; Close sorts the keyed lists
 		db.insertAt(tg.Set, tg.Owner, len(db.members[tg.Set.Name][tg.Owner]), o)
-		o.memberOf[tg.Set.Name] = tg.Owner
+		o.links = append(o.links, link{tg.Set.Name, tg.Owner})
 	}
 	for _, k := range b.pending {
 		b.dup[k] = struct{}{}
@@ -162,7 +144,7 @@ func (b *BulkLoader) Close(parallelism int) {
 			}
 			tasks = append(tasks, func() {
 				sort.SliceStable(lst, func(i, j int) bool {
-					return value.CompareBy(db.recs[lst[i]].data, db.recs[lst[j]].data, keys) < 0
+					return value.CompareBy(db.occ(lst[i]).data, db.occ(lst[j]).data, keys) < 0
 				})
 			})
 		}
@@ -182,7 +164,7 @@ func (b *BulkLoader) Close(parallelism int) {
 					// incremental maintenance would have built them.
 					ix.buckets = make(map[string][]RecordID, len(ids))
 					for _, id := range ids {
-						ix.add(id, db.recs[id].data)
+						ix.add(id, db.occ(id).data)
 					}
 				})
 			}
@@ -199,14 +181,14 @@ func (b *BulkLoader) Close(parallelism int) {
 // can order the list differently from those inserts.
 func (db *DB) replayInserts(lst []RecordID, keys []string) {
 	for i, id := range lst {
-		pos := db.upperBound(lst[:i], db.recs[id].data, keys)
+		pos := db.upperBound(lst[:i], db.occ(id).data, keys)
 		copy(lst[pos+1:i+1], lst[pos:i])
 		lst[pos] = id
 	}
 }
 
 // runTasks drains independent closures over a bounded worker pool.
-// Tasks only read shared state (db.recs) and write disjoint slices, so
+// Tasks only read shared state (the occurrences) and write disjoint slices, so
 // any interleaving yields the same database.
 func runTasks(tasks []func(), parallelism int) {
 	if parallelism <= 0 {

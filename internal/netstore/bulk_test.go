@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,7 +22,7 @@ func dumpState(db *DB) string {
 	var b strings.Builder
 	for _, t := range db.schema.Records {
 		for _, id := range db.byType[t.Name] {
-			o := db.recs[id]
+			o := db.occ(id)
 			fmt.Fprintf(&b, "#%d %s {", id, t.Name)
 			first := true
 			for _, f := range t.Fields {
@@ -36,13 +37,10 @@ func dumpState(db *DB) string {
 				fmt.Fprintf(&b, "%s=%s", f.Name, v.String())
 			}
 			b.WriteString("}")
-			sets := make([]string, 0, len(o.memberOf))
-			for s := range o.memberOf {
-				sets = append(sets, s)
-			}
-			sort.Strings(sets)
-			for _, s := range sets {
-				fmt.Fprintf(&b, " %s<-#%d", s, o.memberOf[s])
+			links := slices.Clone(o.links)
+			sort.Slice(links, func(i, j int) bool { return links[i].set < links[j].set })
+			for _, l := range links {
+				fmt.Fprintf(&b, " %s<-#%d", l.set, l.owner)
 			}
 			b.WriteString("\n")
 		}
@@ -310,4 +308,64 @@ func TestNewBulkLoaderNeedsEmptyDB(t *testing.T) {
 		}
 	}()
 	db.NewBulkLoader(0)
+}
+
+// TestBulkConnectKeepsNeighbourLinks: the loader carves each
+// occurrence's set links from a shared slab, capped at the sets it was
+// loaded into, so a later CONNECT reallocates the record's links rather
+// than writing into the next record's, on the loaded database and on
+// its clone, whose links share one allocation too.
+func TestBulkConnectKeepsNeighbourLinks(t *testing.T) {
+	db := NewDB(itemsSchema())
+	sch := db.Schema()
+	bl := db.NewBulkLoader(8)
+	store := func(typ string, rec *value.Record, set string) RecordID {
+		t.Helper()
+		data, err := Shape(sch.Record(typ), rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := bl.StorePrepared(sch.Record(typ), data, []Membership{{sch.Set(set), OwnerSystem}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	box := store("BOX", value.FromPairs("LABEL", "B"), "ALL-BOX")
+	var items []RecordID
+	for i := 0; i < 6; i++ {
+		items = append(items, store("ITEM", value.FromPairs("A", fmt.Sprint(i), "K", float64(i)), "ALL-ITEM"))
+	}
+	bl.Close(1)
+	for _, target := range []*DB{db, db.Clone()} {
+		origin := dumpState(db)
+		s := NewSession(target)
+		for _, id := range items[:4] {
+			s.Position(box)
+			s.Position(id)
+			if st, err := s.Connect("BOX-ITEM"); err != nil || st != OK {
+				t.Fatalf("CONNECT %d: %v %v", id, st, err)
+			}
+		}
+		s.Position(items[1])
+		if st, err := s.Disconnect("BOX-ITEM"); err != nil || st != OK {
+			t.Fatalf("DISCONNECT: %v %v", st, err)
+		}
+		for i, id := range items {
+			if owner, in := target.OwnerOf("ALL-ITEM", id); !in || owner != OwnerSystem {
+				t.Errorf("item %d lost its ALL-ITEM link: %d %v", i, owner, in)
+			}
+			owner, in := target.OwnerOf("BOX-ITEM", id)
+			if want := i < 4 && i != 1; in != want || (in && owner != box) {
+				t.Errorf("item %d: BOX-ITEM owner %d connected %v, want connected %v", i, owner, in, want)
+			}
+			if n := len(target.occ(id).links); n != 1 && n != 2 {
+				t.Errorf("item %d holds %d links", i, n)
+			}
+		}
+		checkInvariants(t, target)
+		if target != db && dumpState(db) != origin {
+			t.Errorf("mutating the clone changed its origin")
+		}
+	}
 }

@@ -21,21 +21,64 @@ type occurrence struct {
 	id   RecordID
 	typ  *schema.RecordType
 	data *value.Record // stored fields only
-	// memberOf maps set type name to the owner occurrence of the set
-	// occurrence this record is connected into (systemOwner for SYSTEM
-	// sets). Absent key = not connected.
-	memberOf map[string]RecordID
+	// links are the set occurrences this record is connected into, in
+	// connection order: at most one per set type, a set absent from it
+	// is one the record is not connected into. A record joins a handful
+	// of sets, so a scan beats a hash, as in value.Record.
+	links []link
+}
+
+// link is one set connection of an occurrence: the set type's name and
+// the owner occurrence of the set occurrence (systemOwner for SYSTEM
+// sets).
+type link struct {
+	set   string
+	owner RecordID
+}
+
+// ownerIn returns the owner of the set occurrence of set that o is
+// connected into, and whether it is connected into set at all.
+func (o *occurrence) ownerIn(set string) (RecordID, bool) {
+	for _, l := range o.links {
+		if l.set == set {
+			return l.owner, true
+		}
+	}
+	return 0, false
+}
+
+// unlink drops o's link for set, keeping the others in connection
+// order. It writes only inside o.links, so links carved from a shared
+// slab never reach a neighbour's.
+func (o *occurrence) unlink(set string) {
+	for i, l := range o.links {
+		if l.set == set {
+			last := len(o.links) - 1
+			copy(o.links[i:], o.links[i+1:])
+			o.links[last] = link{}
+			o.links = o.links[:last]
+			return
+		}
+	}
 }
 
 // DB is an in-memory CODASYL database instance. Navigation state lives in
 // Session, not here, so several run-units can share one database.
 type DB struct {
 	schema *schema.Network
-	recs   map[RecordID]*occurrence
-	byType map[string][]RecordID // insertion-ordered occurrences per record type
+	// recs is the occurrence table: recs[id-1] is occurrence id, nil once
+	// erased. IDs are assigned densely from 1 and never reused, so the
+	// table's length is the last ID assigned; live counts the non-nil
+	// entries.
+	recs []*occurrence
+	live int
+	// occSlab and linkSlab are where every insert path takes its next
+	// occurrence and that occurrence's set links from; see carve.
+	occSlab  []occurrence
+	linkSlab []link
+	byType   map[string][]RecordID // insertion-ordered occurrences per record type
 	// members maps set type -> owner occurrence -> ordered member IDs.
 	members map[string]map[RecordID][]RecordID
-	nextID  RecordID
 	// indexes maps record type -> hash indexes over its schema key
 	// fields, maintained incrementally by every mutation path. nil when
 	// indexing is disabled (SetIndexing(false)).
@@ -72,10 +115,8 @@ func NewDB(s *schema.Network) *DB {
 	}
 	db := &DB{
 		schema:  s,
-		recs:    make(map[RecordID]*occurrence),
 		byType:  make(map[string][]RecordID),
 		members: make(map[string]map[RecordID][]RecordID),
-		nextID:  1,
 		indexes: buildIndexes(s),
 		stats:   &IndexStats{},
 	}
@@ -92,12 +133,52 @@ func (db *DB) Schema() *schema.Network { return db.schema }
 func (db *DB) Count(recType string) int { return len(db.byType[recType]) }
 
 // Len returns the total number of record occurrences in the database.
-func (db *DB) Len() int { return len(db.recs) }
+func (db *DB) Len() int { return db.live }
 
 // IDBound returns the exclusive upper bound of assigned record IDs:
 // every live occurrence's ID is in [1, IDBound). Dense per-source-ID
 // tables (the data translator's ID map) size themselves with it.
-func (db *DB) IDBound() RecordID { return db.nextID }
+func (db *DB) IDBound() RecordID { return RecordID(len(db.recs) + 1) }
+
+// occ is the one occurrence lookup: the live occurrence with the given
+// ID, or nil for an erased ID and for one the table never assigned (0,
+// negative, or past the last).
+func (db *DB) occ(id RecordID) *occurrence {
+	if i := uint64(id) - 1; i < uint64(len(db.recs)) {
+		return db.recs[i]
+	}
+	return nil
+}
+
+// add stores data as a new occurrence of typ, with room for nlinks set
+// links, under the next ID: it enters the occurrence in the table and in
+// its type's extent. The occurrence and its links are carved from the
+// slabs, the links capped at nlinks, so a later CONNECT reallocates
+// them instead of writing into the next occurrence's.
+func (db *DB) add(typ *schema.RecordType, data *value.Record, nlinks int) *occurrence {
+	o := &carve(db, &db.occSlab, 1)[0]
+	*o = occurrence{id: RecordID(len(db.recs) + 1), typ: typ, data: data}
+	if nlinks > 0 {
+		o.links = carve(db, &db.linkSlab, nlinks)[:0]
+	}
+	db.recs = append(db.recs, o)
+	db.live++
+	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
+	return o
+}
+
+// carve returns n zeroed elements of a slab, capped at n so an append
+// never reaches the next carving. A new chunk is as large as the
+// database so far, between 8 and 512 elements, so a tiny database pays
+// for a tiny chunk.
+func carve[T any](db *DB, slab *[]T, n int) []T {
+	if len(*slab) < n {
+		*slab = make([]T, max(n, min(max(len(db.recs), 8), 512)))
+	}
+	out := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return out
+}
 
 // AllOf returns the occurrence IDs of a record type in insertion order.
 // The returned slice is a copy.
@@ -137,23 +218,20 @@ func (db *DB) EachMember(set string, owner RecordID, fn func(RecordID) bool) {
 // TypeOf returns the record type name of an occurrence, or "" if the ID
 // is stale.
 func (db *DB) TypeOf(id RecordID) string {
-	if o, ok := db.recs[id]; ok {
+	if o := db.occ(id); o != nil {
 		return o.typ.Name
 	}
 	return ""
 }
 
 // Exists reports whether the occurrence still exists.
-func (db *DB) Exists(id RecordID) bool {
-	_, ok := db.recs[id]
-	return ok
-}
+func (db *DB) Exists(id RecordID) bool { return db.occ(id) != nil }
 
 // StoredData returns a copy of the occurrence's stored fields (no
 // virtuals), or nil for a stale ID.
 func (db *DB) StoredData(id RecordID) *value.Record {
-	o, ok := db.recs[id]
-	if !ok {
+	o := db.occ(id)
+	if o == nil {
 		return nil
 	}
 	return o.data.Clone()
@@ -164,8 +242,8 @@ func (db *DB) StoredData(id RecordID) *value.Record {
 // for loops that reuse one staging buffer. It reports whether the
 // occurrence exists; out is left reset when it does not.
 func (db *DB) StoredDataInto(id RecordID, out *value.Record) bool {
-	o, ok := db.recs[id]
-	if !ok {
+	o := db.occ(id)
+	if o == nil {
 		out.Reset()
 		return false
 	}
@@ -178,8 +256,8 @@ func (db *DB) StoredDataInto(id RecordID, out *value.Record) bool {
 // an owner's virtual — the Figure 4.4 EMP.DIV-NAME — resolves through two
 // levels). Unresolvable virtuals (record not connected) surface as null.
 func (db *DB) Data(id RecordID) *value.Record {
-	o, ok := db.recs[id]
-	if !ok {
+	o := db.occ(id)
+	if o == nil {
 		return nil
 	}
 	out := value.NewRecordSize(len(o.typ.Fields))
@@ -192,9 +270,9 @@ func (db *DB) Data(id RecordID) *value.Record {
 // one buffer. It reports whether the occurrence exists; out is left
 // reset when it does not.
 func (db *DB) DataInto(id RecordID, out *value.Record) bool {
-	o, ok := db.recs[id]
+	o := db.occ(id)
 	out.Reset()
-	if !ok {
+	if o == nil {
 		return false
 	}
 	for _, f := range o.typ.Fields {
@@ -208,12 +286,12 @@ func (db *DB) DataInto(id RecordID, out *value.Record) bool {
 }
 
 func (db *DB) resolveVirtual(o *occurrence, f *schema.Field) value.Value {
-	ownerID, connected := o.memberOf[f.Virtual.ViaSet]
+	ownerID, connected := o.ownerIn(f.Virtual.ViaSet)
 	if !connected || ownerID == systemOwner {
 		return value.NullValue()
 	}
-	owner, ok := db.recs[ownerID]
-	if !ok {
+	owner := db.occ(ownerID)
+	if owner == nil {
 		return value.NullValue()
 	}
 	of := owner.typ.Field(f.Virtual.Using)
@@ -245,12 +323,11 @@ func (db *DB) SystemMembers(set string) []RecordID {
 // id, and whether id is connected into the set at all. For SYSTEM sets
 // the owner is systemOwner and the second result is still true.
 func (db *DB) OwnerOf(set string, id RecordID) (RecordID, bool) {
-	o, ok := db.recs[id]
-	if !ok {
+	o := db.occ(id)
+	if o == nil {
 		return 0, false
 	}
-	owner, connected := o.memberOf[set]
-	return owner, connected
+	return o.ownerIn(set)
 }
 
 // seek returns where data belongs in the set occurrence owned by owner,
@@ -271,14 +348,14 @@ func (db *DB) seek(set *schema.SetType, owner RecordID, data *value.Record, excl
 		return pos, db.holdsKey(set, owner, data, exclude)
 	}
 	return pos, pos > 0 && lst[pos-1] != exclude &&
-		value.CompareBy(db.recs[lst[pos-1]].data, data, set.Keys) == 0
+		value.CompareBy(db.occ(lst[pos-1]).data, data, set.Keys) == 0
 }
 
 // upperBound returns the position in lst after every member whose keys
 // order at or before data's: where an ordered insert puts data.
 func (db *DB) upperBound(lst []RecordID, data *value.Record, keys []string) int {
 	return sort.Search(len(lst), func(i int) bool {
-		return value.CompareBy(db.recs[lst[i]].data, data, keys) > 0
+		return value.CompareBy(db.occ(lst[i]).data, data, keys) > 0
 	})
 }
 
@@ -287,7 +364,7 @@ func (db *DB) upperBound(lst []RecordID, data *value.Record, keys []string) int 
 // hashing.
 func (db *DB) holdsKey(set *schema.SetType, owner RecordID, data *value.Record, exclude RecordID) bool {
 	for _, m := range db.members[set.Name][owner] {
-		if m != exclude && value.CompareBy(db.recs[m].data, data, set.Keys) == 0 {
+		if m != exclude && value.CompareBy(db.occ(m).data, data, set.Keys) == 0 {
 			return true
 		}
 	}
@@ -329,7 +406,7 @@ func (db *DB) removeMember(set string, owner RecordID, id RecordID) {
 // connect wires member into set under owner, preserving ordering, after
 // the duplicate check. Callers have validated set membership types.
 func (db *DB) connect(set *schema.SetType, owner RecordID, member *occurrence) Status {
-	if _, already := member.memberOf[set.Name]; already {
+	if _, already := member.ownerIn(set.Name); already {
 		return AlreadyMember
 	}
 	pos, dup := db.seek(set, owner, member.data, -1)
@@ -337,19 +414,19 @@ func (db *DB) connect(set *schema.SetType, owner RecordID, member *occurrence) S
 		return DuplicateInSet
 	}
 	db.insertAt(set, owner, pos, member)
-	member.memberOf[set.Name] = owner
+	member.links = append(member.links, link{set.Name, owner})
 	return OK
 }
 
 // disconnect unwires member from the set; retention is the caller's
 // concern (ERASE bypasses it, DISCONNECT enforces it).
 func (db *DB) disconnect(set string, member *occurrence) {
-	owner, connected := member.memberOf[set]
+	owner, connected := member.ownerIn(set)
 	if !connected {
 		return
 	}
 	db.removeMember(set, owner, member.id)
-	delete(member.memberOf, set)
+	member.unlink(set)
 }
 
 // eraseOccurrence removes the record and recursively applies retention
@@ -360,8 +437,8 @@ func (db *DB) eraseOccurrence(o *occurrence) {
 	for _, set := range db.schema.SetsOwnedBy(o.typ.Name) {
 		memberIDs := append([]RecordID(nil), db.members[set.Name][o.id]...)
 		for _, mid := range memberIDs {
-			m, ok := db.recs[mid]
-			if !ok {
+			m := db.occ(mid)
+			if m == nil {
 				continue
 			}
 			if set.Retention == schema.Mandatory {
@@ -372,9 +449,10 @@ func (db *DB) eraseOccurrence(o *occurrence) {
 		}
 		delete(db.members[set.Name], o.id)
 	}
-	for set := range o.memberOf {
-		db.disconnect(set, o)
+	for _, l := range o.links {
+		db.removeMember(l.set, l.owner, o.id)
 	}
+	o.links = nil
 	lst := db.byType[o.typ.Name]
 	for i, id := range lst {
 		if id == o.id {
@@ -385,7 +463,8 @@ func (db *DB) eraseOccurrence(o *occurrence) {
 		}
 	}
 	db.indexRemove(o)
-	delete(db.recs, o.id)
+	db.recs[o.id-1] = nil
+	db.live--
 }
 
 // OwnerSystem is the owner to pass to StoreWith for SYSTEM set
@@ -432,8 +511,8 @@ func (db *DB) checkMembership(typ *schema.RecordType, m Membership) error {
 		}
 		return nil
 	}
-	o, ok := db.recs[m.Owner]
-	if !ok {
+	o := db.occ(m.Owner)
+	if o == nil {
 		return fmt.Errorf("netstore: set %s: owner %d does not exist", set.Name, m.Owner)
 	}
 	if o.typ.Name != set.Owner {
@@ -456,19 +535,11 @@ func (db *DB) insert(typ *schema.RecordType, data *value.Record, targets []Membe
 		}
 		pos = append(pos, p)
 	}
-	o := &occurrence{
-		id:       db.nextID,
-		typ:      typ,
-		data:     data,
-		memberOf: make(map[string]RecordID),
-	}
-	db.nextID++
-	db.recs[o.id] = o
-	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
+	o := db.add(typ, data, len(targets))
 	db.indexAdd(o)
 	for i, tg := range targets {
 		db.insertAt(tg.Set, tg.Owner, pos[i], o)
-		o.memberOf[tg.Set.Name] = tg.Owner
+		o.links = append(o.links, link{tg.Set.Name, tg.Owner})
 	}
 	return o, nil
 }
@@ -511,20 +582,32 @@ func (db *DB) StoreWith(recType string, rec *value.Record, memberships map[strin
 }
 
 // Clone returns an independent deep copy of the database, for the
-// restructurer and the bridge baseline. Record IDs are preserved.
+// restructurer and the bridge baseline. Record IDs are preserved. The
+// copy's occurrences share one allocation, and so do their links, each
+// capped at its length so a later CONNECT reallocates rather than
+// writing into a neighbour's.
 func (db *DB) Clone() *DB {
 	c := NewDB(db.schema.Clone())
-	c.nextID = db.nextID
-	for id, o := range db.recs {
-		c.recs[id] = &occurrence{
-			id:       o.id,
-			typ:      c.schema.Record(o.typ.Name),
-			data:     o.data.Clone(),
-			memberOf: make(map[string]RecordID, len(o.memberOf)),
+	c.recs = make([]*occurrence, len(db.recs))
+	c.live = db.live
+	occs := make([]occurrence, db.live)
+	nlinks := 0
+	for _, o := range db.recs {
+		if o != nil {
+			nlinks += len(o.links)
 		}
-		for s, owner := range o.memberOf {
-			c.recs[id].memberOf[s] = owner
+	}
+	links := make([]link, nlinks)
+	for i, o := range db.recs {
+		if o == nil {
+			continue
 		}
+		n := len(o.links)
+		co := &occs[0]
+		*co = occurrence{id: o.id, typ: c.schema.Record(o.typ.Name), data: o.data.Clone(), links: links[:n:n]}
+		copy(co.links, o.links)
+		occs, links = occs[1:], links[n:]
+		c.recs[i] = co
 	}
 	for t, ids := range db.byType {
 		c.byType[t] = append([]RecordID(nil), ids...)

@@ -242,7 +242,7 @@ func (db *DB) SetIndexing(enabled bool) {
 	db.indexes = buildIndexes(db.schema)
 	for _, t := range db.schema.Records {
 		for _, id := range db.byType[t.Name] {
-			db.indexAdd(db.recs[id])
+			db.indexAdd(db.occ(id))
 		}
 	}
 }

@@ -79,7 +79,7 @@ func checkIndexStructure(t *testing.T, db *DB) {
 		for _, ix := range idxs {
 			want := map[string][]RecordID{}
 			for _, id := range db.byType[typ] {
-				k := db.recs[id].data.KeyOf(ix.fields)
+				k := db.occ(id).data.KeyOf(ix.fields)
 				want[k] = append(want[k], id)
 			}
 			if len(want) != len(ix.buckets) {
@@ -299,5 +299,103 @@ func TestRandomSequencesWithManualOptionalSets(t *testing.T) {
 			}
 		}
 		checkInvariants(t, db)
+	}
+}
+
+// TestRandomOperationsAfterBulkLoad runs one random sequence of STORE,
+// CONNECT, DISCONNECT, MODIFY and ERASE on a bulk-loaded database,
+// whose set links are carved from a shared slab, and on its
+// StoreWith-built twin. Every verb must answer alike on both, the two
+// must dump alike after every verb, and the invariants must hold; the
+// records join two keyed sets, so MODIFY repositions and ERASE
+// disconnects through more than one link.
+func TestRandomOperationsAfterBulkLoad(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		bulk, ref := NewDB(itemsSchema()), NewDB(itemsSchema())
+		sch := bulk.Schema()
+		bl := bulk.NewBulkLoader(0)
+		load := func(typ string, rec *value.Record, targets []Membership) {
+			t.Helper()
+			m := map[string]RecordID{}
+			for _, tg := range targets {
+				m[tg.Set.Name] = tg.Owner
+			}
+			_, refErr := ref.StoreWith(typ, rec, m)
+			data, err := Shape(sch.Record(typ), rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Only whether they refuse can agree: which duplicate set
+			// StoreWith names depends on its map's order.
+			if _, err := bl.StorePrepared(sch.Record(typ), data, targets); (err == nil) != (refErr == nil) {
+				t.Fatalf("seed %d: bulk load %v, StoreWith %v", seed, err, refErr)
+			}
+		}
+		item := func() *value.Record {
+			return value.FromPairs("A", fmt.Sprint(rng.Intn(6)), "K", float64(rng.Intn(4)))
+		}
+		const boxes = 3
+		for b := 0; b < boxes; b++ {
+			load("BOX", value.FromPairs("LABEL", fmt.Sprint(b)), []Membership{{sch.Set("ALL-BOX"), OwnerSystem}})
+		}
+		for i := 0; i < 30; i++ {
+			targets := []Membership{{sch.Set("ALL-ITEM"), OwnerSystem}}
+			if rng.Intn(2) == 0 {
+				targets = append(targets, Membership{sch.Set("BOX-ITEM"), RecordID(1 + rng.Intn(boxes))})
+			}
+			load("ITEM", item(), targets)
+		}
+		bl.Close(2)
+		bs, rs := NewSession(bulk), NewSession(ref)
+		for op := 0; op < 200; op++ {
+			ids := ref.AllOf("ITEM")
+			if len(ids) == 0 {
+				break
+			}
+			id := ids[rng.Intn(len(ids))]
+			box := RecordID(1 + rng.Intn(boxes))
+			var verb string
+			do := func(s *Session) (Status, error) {
+				switch r := rng.Intn(10); {
+				case r < 2:
+					verb = "STORE"
+					_, st, err := s.Store("ITEM", item())
+					return st, err
+				case r < 5:
+					verb = "CONNECT"
+					s.Position(box)
+					s.Position(id)
+					return s.Connect("BOX-ITEM")
+				case r < 7:
+					verb = "DISCONNECT"
+					s.Position(id)
+					return s.Disconnect("BOX-ITEM")
+				case r < 9:
+					verb = "MODIFY"
+					s.Position(id)
+					return s.Modify("ITEM", item())
+				default:
+					verb = "ERASE"
+					s.Position(id)
+					return s.Erase("ITEM")
+				}
+			}
+			state := rng.Int63()
+			rng.Seed(state)
+			bst, berr := do(bs)
+			rng.Seed(state)
+			rst, rerr := do(rs)
+			if bst != rst || fmt.Sprint(berr) != fmt.Sprint(rerr) {
+				t.Fatalf("seed %d op %d %s: bulk-loaded %v %v, StoreWith-built %v %v", seed, op, verb, bst, berr, rst, rerr)
+			}
+			if b, r := dumpState(bulk), dumpState(ref); b != r {
+				t.Fatalf("seed %d op %d %s: databases diverged:\n%s\nvs\n%s", seed, op, verb, b, r)
+			}
+			if op%20 == 0 {
+				checkInvariants(t, bulk)
+			}
+		}
+		checkInvariants(t, bulk)
 	}
 }

@@ -2,6 +2,8 @@ package netstore
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -615,24 +617,90 @@ func TestDataAndTypeOfStaleID(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	db, _ := seedCompany(t)
-	c := db.Clone()
-	cs := NewSession(c)
-	cs.FindAny("DIV", value.FromPairs("DIV-NAME", "MACHINERY"))
-	cs.Erase("DIV")
-	if db.Count("DIV") != 2 || db.Count("EMP") != 4 {
-		t.Error("clone erase leaked into original")
+// TestUnassignedIDsAnswerAsStale: the occurrence table answers an ID
+// it never assigned (0, negative, past the last) as it answers an
+// erased one, through every read and membership check, never with an
+// index panic.
+func TestUnassignedIDsAnswerAsStale(t *testing.T) {
+	db, s := seedCompany(t)
+	stale := db.AllOf("EMP")[0]
+	s.Position(stale)
+	if st, err := s.Erase("EMP"); err != nil || st != OK {
+		t.Fatalf("ERASE: %v %v", st, err)
 	}
-	if c.Count("DIV") != 1 {
-		t.Error("clone erase did not apply")
+	answers := func(id RecordID) string {
+		out := value.FromPairs("X", 1)
+		into := db.StoredDataInto(id, out)
+		intoLen := out.Len()
+		_, connected := db.OwnerOf("DIV-EMP", id)
+		_, err := db.StoreWith("EMP", value.FromPairs("EMP-NAME", "NEW", "DEPT-NAME", "D", "AGE", 1),
+			map[string]RecordID{"DIV-EMP": id})
+		return fmt.Sprintf("Data nil %v, StoredData nil %v, StoredDataInto %v/%d, DataInto %v, TypeOf %q, Exists %v, OwnerOf %v, Position %v, StoreWith %v",
+			db.Data(id) == nil, db.StoredData(id) == nil, into, intoLen, db.DataInto(id, out), db.TypeOf(id),
+			db.Exists(id), connected, NewSession(db).Position(id), strings.Replace(fmt.Sprint(err), fmt.Sprint(id), "#", 1))
 	}
-	// IDs preserved across clone.
-	for _, id := range db.AllOf("EMP") {
-		if db.TypeOf(id) != "EMP" {
-			t.Error("original IDs broken")
+	want := answers(stale)
+	for _, id := range []RecordID{0, -1, math.MinInt64, db.IDBound(), db.IDBound() + 100, math.MaxInt64} {
+		if got := answers(id); got != want {
+			t.Errorf("ID %d: %s\nstale ID %d: %s", id, got, stale, want)
 		}
 	}
+}
+
+// TestCloneIndependence: a clone copies the occurrence table, the link
+// slices, the member lists and the indexes, so STORE, MODIFY, CONNECT,
+// DISCONNECT and ERASE on it leave the origin as it was.
+func TestCloneIndependence(t *testing.T) {
+	sch := schema.CompanyV1()
+	sch.Set("DIV-EMP").Insertion = schema.Manual
+	sch.Set("DIV-EMP").Retention = schema.Optional
+	db := NewDB(sch)
+	s := NewSession(db)
+	for _, d := range []string{"MACHINERY", "TEXTILES"} {
+		s.Store("DIV", value.FromPairs("DIV-NAME", d, "DIV-LOC", "X"))
+		for _, e := range []string{"ADAMS", "BAKER"} {
+			s.Store("EMP", value.FromPairs("EMP-NAME", d[:1]+"-"+e, "DEPT-NAME", "SALES", "AGE", 40))
+			s.Connect("DIV-EMP")
+		}
+	}
+	before, beforeIdx := dumpState(db), db.IndexDump()
+	c := db.Clone()
+	if dumpState(c) != before || c.IndexDump() != beforeIdx {
+		t.Fatalf("clone differs from its origin:\n%s\nvs\n%s", dumpState(c), before)
+	}
+	cs := NewSession(c)
+	mustOK := func(what string, st Status, err error) {
+		t.Helper()
+		if err != nil || st != OK {
+			t.Fatalf("%s on the clone: %v %v", what, st, err)
+		}
+	}
+	st, _ := cs.FindAny("DIV", value.FromPairs("DIV-NAME", "TEXTILES"))
+	mustOK("FIND DIV", st, nil)
+	_, st, err := cs.Store("EMP", value.FromPairs("EMP-NAME", "T-CLARK", "DEPT-NAME", "SALES", "AGE", 30))
+	mustOK("STORE", st, err)
+	st, err = cs.Connect("DIV-EMP")
+	mustOK("CONNECT", st, err)
+	cs.FindAny("EMP", value.FromPairs("EMP-NAME", "M-BAKER"))
+	st, err = cs.Modify("EMP", value.FromPairs("EMP-NAME", "M-ZED", "AGE", 41))
+	mustOK("MODIFY", st, err)
+	st, err = cs.Disconnect("DIV-EMP")
+	mustOK("DISCONNECT", st, err)
+	cs.FindAny("DIV", value.FromPairs("DIV-NAME", "TEXTILES"))
+	cs.FindAny("EMP", value.FromPairs("EMP-NAME", "M-ZED"))
+	st, err = cs.Connect("DIV-EMP")
+	mustOK("CONNECT", st, err)
+	cs.FindAny("DIV", value.FromPairs("DIV-NAME", "MACHINERY"))
+	st, err = cs.Erase("DIV")
+	mustOK("ERASE", st, err)
+	if dumpState(db) != before || db.IndexDump() != beforeIdx {
+		t.Errorf("clone mutations leaked into the origin:\n%s\nwas\n%s", dumpState(db), before)
+	}
+	if c.Count("DIV") != 1 || c.Count("EMP") != 5 || db.Count("DIV") != 2 || db.Count("EMP") != 4 {
+		t.Errorf("counts: clone %d DIV %d EMP, origin %d DIV %d EMP", c.Count("DIV"), c.Count("EMP"), db.Count("DIV"), db.Count("EMP"))
+	}
+	checkInvariants(t, c)
+	checkInvariants(t, db)
 }
 
 func TestMembersAndSystemMembers(t *testing.T) {

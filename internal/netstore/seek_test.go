@@ -38,7 +38,7 @@ func scanDup(db *DB, set *schema.SetType, owner RecordID, data *value.Record, ex
 		return false
 	}
 	for _, m := range db.members[set.Name][owner] {
-		if m != exclude && value.CompareBy(db.recs[m].data, data, set.Keys) == 0 {
+		if m != exclude && value.CompareBy(db.occ(m).data, data, set.Keys) == 0 {
 			return true
 		}
 	}
@@ -88,7 +88,7 @@ func TestDuplicateCheckMatchesScan(t *testing.T) {
 				want = OK
 				if _, in := db.OwnerOf("BOX-ITEM", id); in {
 					want = AlreadyMember
-				} else if scanDup(db, boxItem, box, db.recs[id].data, -1) {
+				} else if scanDup(db, boxItem, box, db.occ(id).data, -1) {
 					want = DuplicateInSet
 				}
 				s.Position(box)
@@ -98,8 +98,8 @@ func TestDuplicateCheckMatchesScan(t *testing.T) {
 				id := items[rng.Intn(len(items))]
 				rec := item()
 				want = OK
-				for name, owner := range db.recs[id].memberOf {
-					if scanDup(db, sch.Set(name), owner, rec, id) {
+				for _, l := range db.occ(id).links {
+					if scanDup(db, sch.Set(l.set), l.owner, rec, id) {
 						want = DuplicateInSet
 					}
 				}

@@ -199,15 +199,14 @@ func (s *Session) Store(recType string, rec *value.Record) (RecordID, Status, er
 // should use: the current of set, walked up to the owner if the currency
 // points at a member occurrence.
 func (s *Session) ownerFromCurrency(set *schema.SetType) (RecordID, Status) {
-	cur, ok := s.ofSet[set.Name]
-	if !ok || !s.db.Exists(cur) {
+	o := s.db.occ(s.ofSet[set.Name])
+	if o == nil {
 		return 0, NoCurrentOwner
 	}
-	o := s.db.recs[cur]
 	if o.typ.Name == set.Owner {
 		return o.id, OK
 	}
-	owner, connected := o.memberOf[set.Name]
+	owner, connected := o.ownerIn(set.Name)
 	if !connected {
 		return 0, NoCurrentOwner
 	}
@@ -219,8 +218,8 @@ func (s *Session) ownerFromCurrency(set *schema.SetType) (RecordID, Status) {
 // the higher-level DMLs use to address a record they already hold, where
 // FIND ANY by field values could hit a different record with equal fields.
 func (s *Session) Position(id RecordID) Status {
-	o, ok := s.db.recs[id]
-	if !ok {
+	o := s.db.occ(id)
+	if o == nil {
 		return s.fail(NoCurrency)
 	}
 	s.setCurrency(o)
@@ -260,7 +259,7 @@ func (s *Session) findScan(recType string, match *value.Record, after RecordID) 
 		s.db.stats.probes.Add(1)
 		pos := sort.Search(len(bucket), func(i int) bool { return bucket[i] > after })
 		if pos < len(bucket) {
-			s.setCurrency(s.db.recs[bucket[pos]])
+			s.setCurrency(s.db.occ(bucket[pos]))
 			return s.fail(OK), nil
 		}
 		return s.fail(NotFound), nil
@@ -274,8 +273,8 @@ func (s *Session) findScan(recType string, match *value.Record, after RecordID) 
 			}
 			continue
 		}
-		if s.matches(s.db.recs[id], match) {
-			s.setCurrency(s.db.recs[id])
+		if o := s.db.occ(id); s.matches(o, match) {
+			s.setCurrency(o)
 			return s.fail(OK), nil
 		}
 	}
@@ -323,11 +322,10 @@ func (s *Session) FindInSet(set string, dir Direction, match *value.Record) (Sta
 		if dir == Prior {
 			step = -1
 		}
-		cur, ok := s.ofSet[set]
-		if !ok || !s.db.Exists(cur) {
+		curOcc := s.db.occ(s.ofSet[set])
+		if curOcc == nil {
 			return s.fail(NoCurrency), nil
 		}
-		curOcc := s.db.recs[cur]
 		if curOcc.typ.Name == st.Owner && !st.IsSystem() {
 			// Positioned on the owner: NEXT = first, PRIOR = last.
 			if dir == Next {
@@ -338,7 +336,7 @@ func (s *Session) FindInSet(set string, dir Direction, match *value.Record) (Sta
 		} else {
 			pos := -1
 			for i, id := range lst {
-				if id == cur {
+				if id == curOcc.id {
 					pos = i
 					break
 				}
@@ -350,7 +348,7 @@ func (s *Session) FindInSet(set string, dir Direction, match *value.Record) (Sta
 		}
 	}
 	for ; idx >= 0 && idx < len(lst); idx += step {
-		o := s.db.recs[lst[idx]]
+		o := s.db.occ(lst[idx])
 		if s.matches(o, match) {
 			s.setCurrency(o)
 			return s.fail(OK), nil
@@ -369,19 +367,18 @@ func (s *Session) FindOwner(set string) (Status, error) {
 	if st.IsSystem() {
 		return s.fail(NotMember), nil
 	}
-	cur, ok := s.ofSet[set]
-	if !ok || !s.db.Exists(cur) {
+	o := s.db.occ(s.ofSet[set])
+	if o == nil {
 		return s.fail(NoCurrency), nil
 	}
-	o := s.db.recs[cur]
 	if o.typ.Name == st.Owner {
 		return s.fail(OK), nil // already on the owner
 	}
-	owner, connected := o.memberOf[set]
+	owner, connected := o.ownerIn(set)
 	if !connected {
 		return s.fail(NotMember), nil
 	}
-	s.setCurrency(s.db.recs[owner])
+	s.setCurrency(s.db.occ(owner))
 	return s.fail(OK), nil
 }
 
@@ -404,10 +401,10 @@ func (s *Session) GetInto(recType string, out *value.Record) (Status, error) {
 	if s.db.schema.Record(recType) == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	if s.runUnit == 0 || !s.db.Exists(s.runUnit) {
+	o := s.db.occ(s.runUnit)
+	if o == nil {
 		return s.fail(NoCurrency), nil
 	}
-	o := s.db.recs[s.runUnit]
 	if o.typ.Name != recType {
 		return s.fail(WrongType), nil
 	}
@@ -427,10 +424,10 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 	if typ == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	if s.runUnit == 0 || !s.db.Exists(s.runUnit) {
+	o := s.db.occ(s.runUnit)
+	if o == nil {
 		return s.fail(NoCurrency), nil
 	}
-	o := s.db.recs[s.runUnit]
 	if o.typ.Name != recType {
 		return s.fail(WrongType), nil
 	}
@@ -451,22 +448,22 @@ func (s *Session) Modify(recType string, rec *value.Record) (Status, error) {
 		newData.Set(n, v)
 	}
 	// Check duplicates in every set occurrence the record belongs to.
-	for setName, owner := range o.memberOf {
-		if _, dup := s.db.seek(s.db.schema.Set(setName), owner, newData, o.id); dup {
+	for _, l := range o.links {
+		if _, dup := s.db.seek(s.db.schema.Set(l.set), l.owner, newData, o.id); dup {
 			return s.fail(DuplicateInSet), nil
 		}
 	}
 	// Reposition under the new key values.
-	for setName, owner := range o.memberOf {
-		s.db.removeMember(setName, owner, o.id)
+	for _, l := range o.links {
+		s.db.removeMember(l.set, l.owner, o.id)
 	}
 	s.db.indexRemove(o) // keyed by the old data; re-add under the new below
 	o.data = newData
 	s.db.indexAdd(o)
-	for setName, owner := range o.memberOf {
-		set := s.db.schema.Set(setName)
-		pos, _ := s.db.seek(set, owner, o.data, -1)
-		s.db.insertAt(set, owner, pos, o)
+	for _, l := range o.links {
+		set := s.db.schema.Set(l.set)
+		pos, _ := s.db.seek(set, l.owner, o.data, -1)
+		s.db.insertAt(set, l.owner, pos, o)
 	}
 	return s.fail(OK), nil
 }
@@ -481,10 +478,10 @@ func (s *Session) Erase(recType string) (Status, error) {
 	if s.db.schema.Record(recType) == nil {
 		return s.status, fmt.Errorf("netstore: unknown record type %s", recType)
 	}
-	if s.runUnit == 0 || !s.db.Exists(s.runUnit) {
+	o := s.db.occ(s.runUnit)
+	if o == nil {
 		return s.fail(NoCurrency), nil
 	}
-	o := s.db.recs[s.runUnit]
 	if o.typ.Name != recType {
 		return s.fail(WrongType), nil
 	}
@@ -503,10 +500,10 @@ func (s *Session) Connect(set string) (Status, error) {
 	if st == nil {
 		return s.status, fmt.Errorf("netstore: unknown set %s", set)
 	}
-	if s.runUnit == 0 || !s.db.Exists(s.runUnit) {
+	o := s.db.occ(s.runUnit)
+	if o == nil {
 		return s.fail(NoCurrency), nil
 	}
-	o := s.db.recs[s.runUnit]
 	if o.typ.Name != st.Member {
 		return s.fail(WrongType), nil
 	}
@@ -517,11 +514,10 @@ func (s *Session) Connect(set string) (Status, error) {
 		// The record being connected is also current of the set (currency
 		// follows the run-unit), so owner selection must not resolve
 		// through it: use the current of the owner's record type.
-		cur := s.ofType[st.Owner]
-		if cur == 0 || !s.db.Exists(cur) {
+		owner = s.ofType[st.Owner]
+		if !s.db.Exists(owner) {
 			return s.fail(NoCurrentOwner), nil
 		}
-		owner = cur
 	}
 	return s.fail(s.db.connect(st, owner, o)), nil
 }
@@ -536,14 +532,14 @@ func (s *Session) Disconnect(set string) (Status, error) {
 	if st == nil {
 		return s.status, fmt.Errorf("netstore: unknown set %s", set)
 	}
-	if s.runUnit == 0 || !s.db.Exists(s.runUnit) {
+	o := s.db.occ(s.runUnit)
+	if o == nil {
 		return s.fail(NoCurrency), nil
 	}
-	o := s.db.recs[s.runUnit]
 	if o.typ.Name != st.Member {
 		return s.fail(WrongType), nil
 	}
-	if _, connected := o.memberOf[set]; !connected {
+	if _, connected := o.ownerIn(set); !connected {
 		return s.fail(NotMember), nil
 	}
 	if st.Retention == schema.Mandatory {

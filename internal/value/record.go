@@ -207,16 +207,28 @@ func (r *Record) Equal(o *Record) bool {
 // field's Key form behind its byte length as a uvarint, so the lengths
 // keep the parts apart, as in a fingerprint's layout. Records whose
 // field values differ never share a key, whatever bytes their strings
-// hold.
+// hold. The key is the one allocation.
 func (r *Record) KeyOf(names []string) string {
 	var buf [64]byte
 	b := buf[:0]
 	for _, n := range names {
-		k := r.MustGet(n).Key()
-		b = binary.AppendUvarint(b, uint64(len(k)))
-		b = append(b, k...)
+		b = r.MustGet(n).AppendKeyPart(b)
 	}
 	return string(b)
+}
+
+// AppendKeyPart appends one part of a composite key in KeyOf's layout:
+// v's Key form behind its byte length as a uvarint.
+func (v Value) AppendKeyPart(dst []byte) []byte {
+	start := len(dst)
+	dst = v.AppendKey(dst)
+	n := len(dst) - start
+	var size [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(size[:], uint64(n))
+	dst = append(dst, size[:w]...)
+	copy(dst[start+w:], dst[start:start+n])
+	copy(dst[start:], size[:w])
+	return dst
 }
 
 // String renders the record as NAME=value pairs in declared order,

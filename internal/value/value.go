@@ -265,20 +265,39 @@ func (v Value) Key() string {
 		return "\x00"
 	case String:
 		return "s" + v.s
-	case Int:
-		return "n" + strconv.FormatInt(v.i, 10)
-	case Float:
-		if v.f == float64(int64(v.f)) {
-			return "n" + strconv.FormatInt(int64(v.f), 10)
-		}
-		return "f" + strconv.FormatFloat(v.f, 'g', -1, 64)
 	case Bool:
 		if v.b {
 			return "bT"
 		}
 		return "bF"
 	}
-	return "?"
+	var buf [32]byte
+	return string(v.AppendKey(buf[:0]))
+}
+
+// AppendKey appends exactly the bytes Key returns to dst, so composite
+// keys can be built in one buffer without a string per value.
+func (v Value) AppendKey(dst []byte) []byte {
+	switch v.kind {
+	case Null:
+		return append(dst, 0)
+	case String:
+		dst = append(dst, 's')
+		return append(dst, v.s...)
+	case Int:
+		return strconv.AppendInt(append(dst, 'n'), v.i, 10)
+	case Float:
+		if v.f == float64(int64(v.f)) {
+			return strconv.AppendInt(append(dst, 'n'), int64(v.f), 10)
+		}
+		return strconv.AppendFloat(append(dst, 'f'), v.f, 'g', -1, 64)
+	case Bool:
+		if v.b {
+			return append(dst, "bT"...)
+		}
+		return append(dst, "bF"...)
+	}
+	return append(dst, '?')
 }
 
 // Parse converts a source literal into a Value of the given kind.

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -154,6 +155,49 @@ func TestKeyRespectsEqual(t *testing.T) {
 	}
 	if NullValue().Key() == Str("").Key() {
 		t.Error("null must not collide with empty string")
+	}
+}
+
+// TestAppendKeyMatchesKey: AppendKey appends exactly the bytes Key
+// returns, and both spell each kind as Key always has; null and the
+// booleans still cost no allocation.
+func TestAppendKeyMatchesKey(t *testing.T) {
+	for _, tc := range []struct {
+		v    Value
+		want string
+	}{
+		{NullValue(), "\x00"},
+		{B(true), "bT"},
+		{B(false), "bF"},
+		{Str(""), "s"},
+		{Str("ADAMS"), "sADAMS"},
+		{Str("\x1f"), "s\x1f"},
+		{Of(0), "n0"},
+		{Of(-12), "n-12"},
+		{Of(math.MaxInt64), "n9223372036854775807"},
+		{F(3), "n3"},
+		{F(-1e18), "n-1000000000000000000"},
+		{F(2.5), "f2.5"},
+		{F(-0.125), "f-0.125"},
+		{F(math.Copysign(0, -1)), "n0"},
+		{F(math.Inf(1)), "f+Inf"},
+		{F(math.Inf(-1)), "f-Inf"},
+		{F(math.NaN()), "fNaN"},
+	} {
+		if got := tc.v.Key(); got != tc.want {
+			t.Errorf("%v.Key() = %q, want %q", tc.v, got, tc.want)
+		}
+		if got := string(tc.v.AppendKey(nil)); got != tc.v.Key() {
+			t.Errorf("%v: AppendKey(nil) = %q, Key() = %q", tc.v, got, tc.v.Key())
+		}
+		if got := string(tc.v.AppendKey([]byte("pre"))); got != "pre"+tc.want {
+			t.Errorf("%v: AppendKey(\"pre\") = %q, want %q", tc.v, got, "pre"+tc.want)
+		}
+	}
+	for _, v := range []Value{NullValue(), B(true), B(false)} {
+		if n := testing.AllocsPerRun(100, func() { _ = v.Key() }); n != 0 {
+			t.Errorf("%v.Key() allocated %.0f times, want 0", v, n)
+		}
 	}
 }
 

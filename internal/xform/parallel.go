@@ -444,7 +444,9 @@ func rebuildParallel(ctx context.Context, src *netstore.DB, dst *schema.Network,
 // stagedRoot is one shard-prepared source root of a hierarchical
 // reorder: the parent's data, every promoted child's, and the subtrees
 // of its other children, read off-thread so the sequential splice only
-// places segments.
+// places segments. The data records are the source's stored records,
+// read in place: the source is not mutated during a migration, and
+// hierstore.Insert shapes each into a fresh record, the one copy.
 type stagedRoot struct {
 	parentData *value.Record
 	childData  []*value.Record
@@ -462,14 +464,16 @@ type stagedSeg struct {
 }
 
 // stageSubtree appends the subtree of id, an occurrence of typ, to out
-// in hierarchic sequence.
-func stageSubtree(src *hierstore.DB, typ *schema.Segment, id hierstore.SegID, parent int, out []stagedSeg) []stagedSeg {
-	out = append(out, stagedSeg{typ: typ.Name, data: src.Data(id), parent: parent})
-	self := len(out) - 1
+// in hierarchic sequence; out[base] is the first segment of the list
+// that parent positions count from.
+func stageSubtree(src *hierstore.DB, typ *schema.Segment, id hierstore.SegID, parent, base int, out []stagedSeg) []stagedSeg {
+	out = append(out, stagedSeg{typ: typ.Name, data: src.Stored(id), parent: parent})
+	self := len(out) - 1 - base
 	for _, ct := range typ.Children {
-		for _, c := range src.ChildrenOf(id, ct.Name) {
-			out = stageSubtree(src, ct, c, self, out)
-		}
+		src.EachChild(id, ct.Name, func(c hierstore.SegID) bool {
+			out = stageSubtree(src, ct, c, self, base, out)
+			return true
+		})
 	}
 	return out
 }
@@ -511,10 +515,10 @@ func (p *HierPlan) Migrate(ctx context.Context, src *hierstore.DB, opts MigrateO
 // occurrences with no promoted children are dropped (they are
 // unreachable in the new order) and reported as warnings. The per-root
 // source reads (parent data, promoted children, the other subtrees —
-// all clone-returning lookups on the unmutated source) are sharded
-// across workers; the splice stays sequential in root order and places
-// each segment by hierstore.Insert under the ID of the parent it has
-// just created, so it builds no SSA and resolves no path.
+// all in place on the unmutated source) are sharded across workers; the
+// splice stays sequential in root order and places each segment by
+// hierstore.Insert under the ID of the parent it has just created, so
+// it builds no SSA and resolves no path.
 func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema.Hierarchy, parallelism int, stats *MigrateStats) (*hierstore.DB, []string, error) {
 	roots := src.Roots()
 	promote := t.Promote
@@ -522,6 +526,10 @@ func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema
 
 	stagedRoots := make([]stagedRoot, len(roots))
 	fanOut(len(roots), parallelism, stats, func(lo, hi int) {
+		// A shard's roots stage into two shared lists, each root into a
+		// window of them, so a root costs no allocation of its own.
+		var children []*value.Record
+		var kept []stagedSeg
 		for i := lo; i < hi; i++ {
 			if i%ctxPollEvery == 0 && ctx.Err() != nil {
 				for ; i < hi; i++ {
@@ -530,22 +538,20 @@ func (t HierReorder) migrate(ctx context.Context, src *hierstore.DB, dst *schema
 				return
 			}
 			st := &stagedRoots[i]
-			st.parentData = src.Data(roots[i])
+			st.parentData = src.Stored(roots[i])
+			c0, k0 := len(children), len(kept)
 			for _, ct := range oldRoot.Children {
-				children := src.ChildrenOf(roots[i], ct.Name)
-				if ct.Name != promote {
-					for _, c := range children {
-						st.kept = stageSubtree(src, ct, c, -1, st.kept)
+				src.EachChild(roots[i], ct.Name, func(c hierstore.SegID) bool {
+					if ct.Name == promote {
+						children = append(children, src.Stored(c))
+					} else {
+						kept = stageSubtree(src, ct, c, -1, k0, kept)
 					}
-					continue
-				}
-				if len(children) > 0 {
-					st.childData = make([]*value.Record, len(children))
-					for ci, cid := range children {
-						st.childData[ci] = src.Data(cid)
-					}
-				}
+					return true
+				})
 			}
+			st.childData = children[c0:len(children):len(children)]
+			st.kept = kept[k0:len(kept):len(kept)]
 		}
 	})
 
