@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"progconv/internal/schema"
+	"progconv/internal/slab"
 	"progconv/internal/value"
 )
 
@@ -141,7 +142,7 @@ type DB struct {
 	roots []SegID
 	// segSlab, listSlab and idSlab are where Insert takes its next
 	// segment, a parent's child-list headers and the first slot of a
-	// child list from; see carve.
+	// child list from; see slab.Carve.
 	segSlab  []seg
 	listSlab [][]SegID
 	idSlab   []SegID
@@ -174,19 +175,6 @@ func (db *DB) lookup(id SegID) *seg {
 		return db.segs[i]
 	}
 	return nil
-}
-
-// carve returns n zeroed elements of a slab, capped at n so an append
-// never reaches the next carving. A new chunk is as large as the
-// database so far, between 8 and 512 elements, so a tiny database pays
-// for a tiny chunk.
-func carve[T any](db *DB, slab *[]T, n int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(n, min(max(len(db.segs), 8), 512)))
-	}
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
 }
 
 // Schema returns the database's hierarchy.
@@ -760,17 +748,17 @@ func (db *DB) Insert(parent SegID, segType string, data *value.Record) (SegID, S
 			return twins[i], II
 		}
 	}
-	sg := &carve(db, &db.segSlab, 1)[0]
+	sg := &slab.Carve(&db.segSlab, 1, len(db.segs))[0]
 	*sg = seg{id: SegID(len(db.segs) + 1), typ: typ, data: rec, parent: parent}
 	db.segs = append(db.segs, sg)
 	if p == nil {
 		db.roots = insertOrdered(db, db.roots, sg)
 	} else {
 		if p.children == nil {
-			p.children = carve(db, &db.listSlab, len(p.typ.Children))
+			p.children = slab.Carve(&db.listSlab, len(p.typ.Children), len(db.segs))
 		}
 		if p.children[ord] == nil {
-			p.children[ord] = carve(db, &db.idSlab, 1)[:0] // a second child moves the list to the heap
+			p.children[ord] = slab.Carve(&db.idSlab, 1, len(db.segs))[:0] // a second child moves the list to the heap
 		}
 		p.children[ord] = insertOrdered(db, p.children[ord], sg)
 	}

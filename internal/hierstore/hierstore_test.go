@@ -337,8 +337,62 @@ func TestDataLookups(t *testing.T) {
 }
 
 // TestCloneIndependence: a clone copies the segment table and every
-// child list, so ISRT, REPL and DLET on it leave the origin as it was.
+// child list, so a DLET of a root with its subtree on it, and ISRT,
+// REPL and DLET, leave the origin as it was.
 func TestCloneIndependence(t *testing.T) {
+	t.Run("CascadingDelete", func(t *testing.T) {
+		db, _ := seedPersonnel(t)
+		before := db.DumpSequence()
+		c := db.Clone()
+		cs := NewSession(c)
+		if _, st := cs.GU(Q("DEPT", "D#", EQ, value.Str("D12"))); st != OK {
+			t.Fatalf("GU DEPT D12 on the clone: %v", st)
+		}
+		d12 := cs.Position()
+		subtree := append([]SegID{d12}, c.ChildrenOf(d12, "EMP")...)
+		if len(subtree) != 3 {
+			t.Fatalf("D12 has %d EMPs on the clone, want 2", len(subtree)-1)
+		}
+		if st := cs.DLET(); st != OK {
+			t.Fatalf("DLET D12 on the clone: %v", st)
+		}
+		// Then the lone EMP under D2, from a child list the clone has not
+		// grown, so a list shared with the origin would show.
+		if _, st := cs.GU(Q("EMP", "E#", EQ, value.Str("E2"))); st != OK {
+			t.Fatalf("GU EMP E2 on the clone: %v", st)
+		}
+		subtree = append(subtree, cs.Position())
+		if st := cs.DLET(); st != OK {
+			t.Fatalf("DLET E2 on the clone: %v", st)
+		}
+		if db.DumpSequence() != before || len(db.roots) != 2 {
+			t.Errorf("clone DLET leaked into the origin:\n%s\nwas\n%s", db.DumpSequence(), before)
+		}
+		if db.Count("DEPT") != 2 || db.Count("EMP") != 3 {
+			t.Errorf("origin holds %d DEPT %d EMP, want 2 and 3", db.Count("DEPT"), db.Count("EMP"))
+		}
+		if c.Count("DEPT") != 1 || c.Count("EMP") != 0 || len(c.Roots()) != 1 {
+			t.Errorf("clone holds %d DEPT %d EMP, want 1 and 0:\n%s", c.Count("DEPT"), c.Count("EMP"), c.DumpSequence())
+		}
+		for _, id := range subtree {
+			if c.Data(id) != nil || db.Data(id) == nil {
+				t.Errorf("segment %d: live on the clone %v, on the origin %v; want false and true",
+					id, c.Data(id) != nil, db.Data(id) != nil)
+			}
+		}
+		if got := db.ChildrenOf(d12, "EMP"); len(got) != 2 {
+			t.Errorf("origin D12 keeps %d EMPs, want 2", len(got))
+		}
+		if got := db.ChildrenOf(db.Roots()[1], "EMP"); len(got) != 1 || db.Data(got[0]) == nil {
+			t.Errorf("origin D2 keeps EMPs %v, want its one live EMP", got)
+		}
+		checkHierInvariants(t, c)
+		checkHierInvariants(t, db)
+	})
+	t.Run("Mutations", testCloneMutations)
+}
+
+func testCloneMutations(t *testing.T) {
 	db, _ := seedPersonnel(t)
 	before := db.DumpSequence()
 	c := db.Clone()

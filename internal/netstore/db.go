@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"progconv/internal/schema"
+	"progconv/internal/slab"
 	"progconv/internal/value"
 )
 
@@ -48,18 +50,10 @@ func (o *occurrence) ownerIn(set string) (RecordID, bool) {
 }
 
 // unlink drops o's link for set, keeping the others in connection
-// order. It writes only inside o.links, so links carved from a shared
-// slab never reach a neighbour's.
+// order. DeleteFunc writes only inside o.links, so links carved from a
+// shared slab never reach a neighbour's.
 func (o *occurrence) unlink(set string) {
-	for i, l := range o.links {
-		if l.set == set {
-			last := len(o.links) - 1
-			copy(o.links[i:], o.links[i+1:])
-			o.links[last] = link{}
-			o.links = o.links[:last]
-			return
-		}
-	}
+	o.links = slices.DeleteFunc(o.links, func(l link) bool { return l.set == set })
 }
 
 // DB is an in-memory CODASYL database instance. Navigation state lives in
@@ -73,7 +67,7 @@ type DB struct {
 	recs []*occurrence
 	live int
 	// occSlab and linkSlab are where every insert path takes its next
-	// occurrence and that occurrence's set links from; see carve.
+	// occurrence and that occurrence's set links from; see slab.Carve.
 	occSlab  []occurrence
 	linkSlab []link
 	byType   map[string][]RecordID // insertion-ordered occurrences per record type
@@ -156,28 +150,15 @@ func (db *DB) occ(id RecordID) *occurrence {
 // slabs, the links capped at nlinks, so a later CONNECT reallocates
 // them instead of writing into the next occurrence's.
 func (db *DB) add(typ *schema.RecordType, data *value.Record, nlinks int) *occurrence {
-	o := &carve(db, &db.occSlab, 1)[0]
+	o := &slab.Carve(&db.occSlab, 1, len(db.recs))[0]
 	*o = occurrence{id: RecordID(len(db.recs) + 1), typ: typ, data: data}
 	if nlinks > 0 {
-		o.links = carve(db, &db.linkSlab, nlinks)[:0]
+		o.links = slab.Carve(&db.linkSlab, nlinks, len(db.recs))[:0]
 	}
 	db.recs = append(db.recs, o)
 	db.live++
 	db.byType[typ.Name] = append(db.byType[typ.Name], o.id)
 	return o
-}
-
-// carve returns n zeroed elements of a slab, capped at n so an append
-// never reaches the next carving. A new chunk is as large as the
-// database so far, between 8 and 512 elements, so a tiny database pays
-// for a tiny chunk.
-func carve[T any](db *DB, slab *[]T, n int) []T {
-	if len(*slab) < n {
-		*slab = make([]T, max(n, min(max(len(db.recs), 8), 512)))
-	}
-	out := (*slab)[:n:n]
-	*slab = (*slab)[n:]
-	return out
 }
 
 // AllOf returns the occurrence IDs of a record type in insertion order.

@@ -648,9 +648,53 @@ func TestUnassignedIDsAnswerAsStale(t *testing.T) {
 }
 
 // TestCloneIndependence: a clone copies the occurrence table, the link
-// slices, the member lists and the indexes, so STORE, MODIFY, CONNECT,
-// DISCONNECT and ERASE on it leave the origin as it was.
+// slices, the member lists and the indexes, so a cascading ERASE on it,
+// and STORE, MODIFY, CONNECT, DISCONNECT and ERASE, leave the origin as
+// it was.
 func TestCloneIndependence(t *testing.T) {
+	t.Run("CascadingErase", func(t *testing.T) {
+		db, _ := seedCompany(t)
+		before, beforeIdx := dumpState(db), db.IndexDump()
+		c := db.Clone()
+		cs := NewSession(c)
+		cs.FindAny("DIV", value.FromPairs("DIV-NAME", "MACHINERY"))
+		machinery := cs.Current()
+		emps := c.Members("DIV-EMP", machinery)
+		if len(emps) != 3 {
+			t.Fatalf("MACHINERY owns %d EMPs on the clone, want 3", len(emps))
+		}
+		// DIV-EMP is Automatic/Mandatory in CompanyV1, so the ERASE takes
+		// MACHINERY's EMPs with it.
+		if st, err := cs.Erase("DIV"); err != nil || st != OK {
+			t.Fatalf("ERASE on the clone: %v %v", st, err)
+		}
+		if dumpState(db) != before || db.IndexDump() != beforeIdx {
+			t.Errorf("clone erase leaked into the origin:\n%s\nwas\n%s", dumpState(db), before)
+		}
+		if db.Count("DIV") != 2 || db.Count("EMP") != 4 {
+			t.Errorf("origin holds %d DIV %d EMP, want 2 and 4", db.Count("DIV"), db.Count("EMP"))
+		}
+		if c.Count("DIV") != 1 || c.Count("EMP") != 1 {
+			t.Errorf("clone holds %d DIV %d EMP, want 1 and 1:\n%s", c.Count("DIV"), c.Count("EMP"), dumpState(c))
+		}
+		for _, id := range append([]RecordID{machinery}, emps...) {
+			if c.Exists(id) || !db.Exists(id) {
+				t.Errorf("#%d: exists on the clone %v, on the origin %v; want false and true", id, c.Exists(id), db.Exists(id))
+			}
+		}
+		// IDs preserved across clone.
+		for _, id := range db.AllOf("EMP") {
+			if db.TypeOf(id) != "EMP" {
+				t.Error("original IDs broken")
+			}
+		}
+		checkInvariants(t, c)
+		checkInvariants(t, db)
+	})
+	t.Run("Mutations", testCloneMutations)
+}
+
+func testCloneMutations(t *testing.T) {
 	sch := schema.CompanyV1()
 	sch.Set("DIV-EMP").Insertion = schema.Manual
 	sch.Set("DIV-EMP").Retention = schema.Optional
